@@ -257,16 +257,17 @@ def zeta(state: MfState, links: LinkProbs, params: NodeParams) -> np.ndarray:
 
 def bound_violations(state: MfState) -> list[BoundViolation]:
     """All components of ``state`` outside ``[-1e-12, 1 + 1e-12]`` plus any
-    node whose ``p + q + w`` exceeds ``1 + 1e-12``."""
+    node whose ``p + q + w`` exceeds ``1 + 1e-12``.  Non-finite values (NaN)
+    fail the in-bounds test and are reported too."""
     found: list[BoundViolation] = []
     for kind, arr in (("p", state.p), ("q", state.q), ("w", state.w)):
-        bad = np.flatnonzero((arr < -_BOUND_SLACK) | (arr > 1.0 + _BOUND_SLACK))
+        bad = np.flatnonzero(~((arr >= -_BOUND_SLACK) & (arr <= 1.0 + _BOUND_SLACK)))
         found.extend(
             BoundViolation(step=state.t, kind=kind, node=int(i), value=float(arr[i]))
             for i in bad
         )
     total = state.p + state.q + state.w
-    bad = np.flatnonzero(total > 1.0 + _BOUND_SLACK)
+    bad = np.flatnonzero(~(total <= 1.0 + _BOUND_SLACK))
     found.extend(
         BoundViolation(step=state.t, kind="p+q+w", node=int(i), value=float(total[i]))
         for i in bad

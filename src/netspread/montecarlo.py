@@ -23,6 +23,12 @@ the per-edge transmission draws, which are consumed only for nodes that
 actually broadcast, in node-index order and sorted-neighbour order within a
 node.  Runs are reproducible bit-for-bit given a seed.
 
+Each step makes a single transmission draw, ``rng.random(total)``, over the
+concatenated CSR rows of the broadcasting nodes in node order (no draw when
+no broadcaster has a neighbour).  The rows are gathered by one array
+expression; the stream of uniforms, and so every seeded result, is the same
+as drawing the rows one broadcaster at a time.
+
 Ensemble runs derive per-run seeds from a master seed: run ``k`` uses
 ``splitmix64(master XOR k)`` where ``splitmix64`` is the finaliser
 
@@ -98,14 +104,15 @@ def mc_step(
     u_broadcast = rng.random(n)
     broadcasting = np.flatnonzero((snapshot == HAS_INFO) & (u_broadcast < params.r))
     received = np.zeros(n, dtype=bool)
-    if broadcasting.size:
-        beta_out = links.out_values
-        slices = [np.arange(indptr[i], indptr[i + 1]) for i in broadcasting]
-        flat = np.concatenate(slices) if slices else np.empty(0, dtype=np.int64)
-        if flat.size:
-            u_edges = rng.random(flat.size)
-            up = u_edges < beta_out[flat]
-            received[indices[flat[up]]] = True
+    starts = indptr[broadcasting]
+    counts = indptr[broadcasting + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    if total:
+        # Edge positions of the broadcasters' rows, concatenated in node order.
+        flat = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+        up = rng.random(total) < links.out_values[flat]
+        received[indices[flat[up]]] = True
 
     # Phase 2: receipt by susceptible nodes.
     u_accept = rng.random(n)
@@ -142,6 +149,14 @@ def mc_run(
     seed: int | np.random.Generator,
 ) -> np.ndarray:
     """Single run; returns fractions per state, shape ``(steps + 1, 4)``."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps!r}")
+    if params.n != graph.n:
+        raise ValueError(
+            f"node parameters cover {params.n} nodes but the graph has {graph.n}"
+        )
+    if links.graph is not graph and links.graph != graph:
+        raise ValueError("link probabilities were built for a different graph")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     states = initial_states(graph.n, init, rng)
     fractions = np.empty((steps + 1, 4))
@@ -195,10 +210,12 @@ def mc_ensemble(
     """Independent runs with per-run seeds derived via :func:`mix_seed`."""
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs!r}")
-    trajectories = np.empty((runs, steps + 1, 4))
-    for k in range(runs):
-        rng = np.random.default_rng(mix_seed(seed, k))
-        trajectories[k] = mc_run(graph, links, params, init, steps, rng)
+    # Each mc_run validates its inputs before anything is allocated.
+    trajectories = np.stack([
+        mc_run(graph, links, params, init, steps,
+               np.random.default_rng(mix_seed(seed, k)))
+        for k in range(runs)
+    ])
     return EnsembleResult(
         mean=trajectories.mean(axis=0),
         std=trajectories.std(axis=0),

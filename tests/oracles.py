@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 
 from netspread.graphs import Graph
+from netspread.montecarlo import DEAD, HAS_INFO, NO_INFO, WARNED
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -144,3 +145,45 @@ def is_hamiltonian_cycle(g: Graph, cycle: list[int]) -> bool:
     if len(cycle) != g.n or set(cycle) != set(range(g.n)):
         return False
     return all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def mc_step_reference(states, graph, links, params, rng):
+    """One Monte Carlo step with the transmission draws gathered one
+    broadcaster at a time: a slice of CSR positions per broadcasting node,
+    concatenated in node order, then a single uniform draw over them."""
+    n = graph.n
+    indptr, indices = graph.csr
+    snapshot = states
+
+    u_broadcast = rng.random(n)
+    broadcasting = np.flatnonzero((snapshot == HAS_INFO) & (u_broadcast < params.r))
+    received = np.zeros(n, dtype=bool)
+    if broadcasting.size:
+        beta_out = links.out_values
+        slices = [np.arange(indptr[i], indptr[i + 1]) for i in broadcasting]
+        flat = np.concatenate(slices) if slices else np.empty(0, dtype=np.int64)
+        if flat.size:
+            u_edges = rng.random(flat.size)
+            up = u_edges < beta_out[flat]
+            received[indices[flat[up]]] = True
+
+    u_accept = rng.random(n)
+    new_states = snapshot.copy()
+    receiving = (snapshot == NO_INFO) & received
+    accepted = receiving & (u_accept < params.nu)
+    new_states[accepted] = HAS_INFO
+    new_states[receiving & ~accepted] = WARNED
+
+    u_death = rng.random(n)
+    died = (snapshot != DEAD) & (u_death < params.delta)
+
+    u_res = rng.random(n)
+    revived = (snapshot == DEAD) & (u_res < params.gamma)
+    new_states[revived] = NO_INFO
+
+    u_rev = rng.random(n)
+    reverting = (snapshot == WARNED) & ~died & (u_rev < params.chi)
+    new_states[reverting] = NO_INFO
+
+    new_states[died] = DEAD
+    return new_states

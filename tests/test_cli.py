@@ -166,6 +166,17 @@ class TestMc:
         run_cli(*args, "--master-seed", "12", "--output", str(b))
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_steps_is_a_validation_error(self, tmp_path):
+        proc = run_cli("mc", "--family", "binomial", "--n", "50", "--p", "0.1",
+                       "--seed", "2", "--beta", "0.2", "--delta", "0.2",
+                       "--gamma", "0.1", "--steps", "-1", "--runs", "2",
+                       "--output", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        payload = stderr_error(proc)
+        assert payload["type"] == "ValueError"
+        assert "steps" in payload["error"]
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSpectral:
     def test_frozen_subcritical_line(self):

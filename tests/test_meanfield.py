@@ -281,6 +281,14 @@ class TestBoundsPolicy:
         assert ("p+q+w", 1) in kinds      # total exceeds 1
         assert all(v.step == 3 for v in found)
 
+    def test_nan_component_is_a_violation(self):
+        state = MfState(p=np.array([np.nan, 0.2]), q=np.array([0.5, 0.3]),
+                        w=np.zeros(2), t=4)
+        found = bound_violations(state)
+        kinds = {(v.kind, v.node) for v in found}
+        assert kinds == {("p", 0), ("p+q+w", 0)}
+        assert all(np.isnan(v.value) for v in found)
+
     def test_in_range_state_has_no_violations(self):
         good = MfState(p=np.array([0.3]), q=np.array([0.4]), w=np.array([0.1]))
         assert bound_violations(good) == []

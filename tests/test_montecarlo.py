@@ -1,4 +1,5 @@
 """Stochastic simulator: seeding, single-step semantics, ensembles."""
+import hashlib
 import io
 
 import numpy as np
@@ -21,7 +22,7 @@ from netspread.montecarlo import (
     mix_seed,
 )
 
-from oracles import bfs_ball, splitmix_finalizer
+from oracles import bfs_ball, mc_step_reference, splitmix_finalizer
 
 
 def pair_params(**overrides) -> NodeParams:
@@ -180,6 +181,51 @@ class TestRuns:
             assert traj[-1, HAS_INFO] == 0.0
 
 
+class TestRunInputs:
+    def make(self, n=30, seed=1):
+        g = gen_powerlaw(n, 2, seed)
+        return g, LinkProbs.homogeneous(g, 0.3), NodeParams.homogeneous(
+            n, r=1.0, delta=0.1, gamma=0.1)
+
+    @pytest.mark.parametrize("steps", [-1, -3])
+    def test_negative_steps_rejected(self, steps):
+        g, links, params = self.make()
+        with pytest.raises(ValueError, match="steps"):
+            mc_run(g, links, params, init=0.1, steps=steps, seed=0)
+        with pytest.raises(ValueError, match="steps"):
+            mc_ensemble(g, links, params, init=0.1, steps=steps, runs=2, seed=0)
+
+    def test_zero_steps_is_the_initial_row(self):
+        g, links, params = self.make()
+        traj = mc_run(g, links, params, init=0.1, steps=0, seed=0)
+        assert traj.shape == (1, 4)
+
+    def test_param_length_must_match_graph(self):
+        g, links, _ = self.make()
+        params = NodeParams.homogeneous(g.n + 1, r=1.0, delta=0.1, gamma=0.1)
+        with pytest.raises(ValueError, match="31 nodes but the graph has 30"):
+            mc_run(g, links, params, init=0.1, steps=5, seed=0)
+
+    def test_links_for_another_graph_rejected(self):
+        g = gen_powerlaw(50, 2, 1)
+        other = gen_powerlaw(50, 2, 2)
+        assert other != g
+        params = NodeParams.homogeneous(50, r=1.0, delta=0.1, gamma=0.1)
+        with pytest.raises(ValueError, match="different graph"):
+            mc_run(g, LinkProbs.homogeneous(other, 0.3), params,
+                   init=0.1, steps=5, seed=0)
+
+    def test_links_for_an_equal_graph_accepted(self):
+        g = gen_powerlaw(50, 2, 1)
+        twin = Graph(n=g.n, edges=g.edges)
+        params = NodeParams.homogeneous(50, r=1.0, delta=0.1, gamma=0.1)
+        a = mc_run(g, LinkProbs.homogeneous(twin, 0.3), params,
+                   init=0.1, steps=5, seed=0)
+        b = mc_run(g, LinkProbs.homogeneous(g, 0.3), params,
+                   init=0.1, steps=5, seed=0)
+        assert np.array_equal(a, b)
+
+
 class TestEnsembles:
     def make(self, seed=7, runs=50):
         g = gen_lattice4(5, 5)
@@ -219,6 +265,19 @@ class TestEnsembles:
         assert lo_mass == pytest.approx(1.8847, abs=1e-12)
         assert hi_mass == pytest.approx(8.7566, abs=1e-12)
         assert lo_mass < hi_mass
+
+    def test_frozen_supercritical_csv_hash(self):
+        # Most nodes broadcast here, so every step draws thousands of
+        # transmission uniforms; the hash pins the whole draw stream.
+        g = gen_powerlaw(2000, 3, 7)
+        params = NodeParams.homogeneous(2000, r=1.0, delta=0.1, gamma=0.1)
+        ens = mc_ensemble(g, LinkProbs.homogeneous(g, 0.1), params,
+                          init=0.1, steps=50, runs=4, seed=7)
+        buf = io.StringIO()
+        ens.write_csv(buf)
+        assert ens.mean[-1, HAS_INFO] == pytest.approx(0.257125, abs=1e-12)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "73bafa7f52582f904c2f1c74ebd0a8cbbba9c3466610f7e018d3de254e6d911a")
 
     def test_csv_format(self):
         ens = self.make()
@@ -266,3 +325,67 @@ def test_immortal_model_never_loses_info_property(seed):
                   init=0.1, steps=20, seed=seed)
     carriers = traj[:, HAS_INFO]
     assert np.all(np.diff(carriers) >= -1e-15)
+
+
+@st.composite
+def step_cases(draw):
+    """A graph (possibly with isolated nodes), directed or symmetric link
+    probabilities, node parameters and a start state over all four codes."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    g = Graph.from_edges(n, chosen)
+    prob = st.floats(min_value=0.0, max_value=1.0)
+    if draw(st.booleans()) or not chosen:
+        links = LinkProbs.homogeneous(g, draw(prob))
+    else:
+        mapping = {}
+        for u, v in chosen:
+            mapping[(u, v)] = draw(prob)
+            mapping[(v, u)] = draw(prob)
+        links = LinkProbs.from_mapping(g, mapping, symmetric=False)
+    vec = st.lists(prob, min_size=n, max_size=n).map(np.array)
+    params = NodeParams(
+        r=draw(vec), delta=draw(vec), gamma=draw(vec),
+        nu=draw(st.lists(st.floats(min_value=0.0, max_value=0.99),
+                         min_size=n, max_size=n).map(np.array)),
+        chi=draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                          min_size=n, max_size=n).map(np.array)),
+    )
+    states = np.array(draw(st.lists(
+        st.sampled_from([NO_INFO, HAS_INFO, WARNED, DEAD]),
+        min_size=n, max_size=n)), dtype=np.int8)
+    return g, links, params, states
+
+
+@given(case=step_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_step_matches_per_broadcaster_reference(case, seed):
+    g, links, params, states = case
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    for _ in range(3):
+        fast = mc_step(states, g, links, params, rng_fast)
+        ref = mc_step_reference(states, g, links, params, rng_ref)
+        assert np.array_equal(fast, ref) and fast.dtype == ref.dtype
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+        states = fast
+
+
+def test_step_without_broadcasters_matches_reference():
+    # Carriers present but none broadcasts (r = 0), plus an isolated node.
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    params = NodeParams.homogeneous(6, r=0.0, delta=0.2, gamma=0.3,
+                                    nu=0.5, chi=0.4)
+    links = LinkProbs.homogeneous(g, 1.0)
+    states = np.array([HAS_INFO, NO_INFO, WARNED, DEAD, HAS_INFO, HAS_INFO],
+                      dtype=np.int8)
+    rng_fast, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    fast = mc_step(states, g, links, params, rng_fast)
+    ref = mc_step_reference(states, g, links, params, rng_ref)
+    assert np.array_equal(fast, ref)
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    # Only the five per-node phase draws were consumed.
+    rng_five = np.random.default_rng(3)
+    rng_five.random(5 * 6)
+    assert rng_fast.bit_generator.state == rng_five.bit_generator.state
