@@ -10,16 +10,15 @@ import argparse
 import json
 import sys
 
-from .experiments import ConfigError, ExperimentConfig, reproduce_figures, run_experiment
-from .graphs import (
-    EdgeListFormatError,
-    gen_binomial,
-    gen_exponential,
-    gen_lattice4,
-    gen_powerlaw,
-    load_edge_list,
-    save_edge_list,
+from .experiments import (
+    ConfigError,
+    ExperimentConfig,
+    GraphSpec,
+    _node_params,
+    reproduce_figures,
+    run_experiment,
 )
+from .graphs import EdgeListFormatError, Graph, save_edge_list
 from .isolation import (
     greedy_edge_removal,
     nn_hamiltonian_cycle,
@@ -62,26 +61,25 @@ def _graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_graph(args: argparse.Namespace):
-    if args.graph:
-        return load_edge_list(args.graph)
-    if args.family == "binomial":
-        if args.n is None or args.p is None:
-            raise ValueError("binomial family needs --n and --p")
-        return gen_binomial(args.n, args.p, args.seed)
-    if args.family == "powerlaw":
-        if args.n is None or args.m is None:
-            raise ValueError("powerlaw family needs --n and --m")
-        return gen_powerlaw(args.n, args.m, args.seed)
-    if args.family == "exponential":
-        if args.n is None or args.lam is None:
-            raise ValueError("exponential family needs --n and --lam")
-        return gen_exponential(args.n, args.lam, args.seed)
-    if args.family == "lattice4":
-        if args.rows is None or args.cols is None:
-            raise ValueError("lattice4 family needs --rows and --cols")
-        return gen_lattice4(args.rows, args.cols)
-    raise ValueError("provide --graph FILE or --family with its parameters")
+def _graph(args: argparse.Namespace) -> Graph:
+    """The graph of the shared graph arguments, built as a sweep config's
+    graph block is."""
+    return GraphSpec(
+        family=args.family, path=args.graph, n=args.n, m=args.m, p=args.p,
+        lam=args.lam, rows=args.rows, cols=args.cols, seed=args.seed,
+    ).build(args.seed)
+
+
+def _inputs(args: argparse.Namespace) -> tuple[Graph, NodeParams, LinkProbs]:
+    """Graph, node parameters and homogeneous links, as a sweep point has."""
+    g = _graph(args)
+    return g, _node_params(g.n, vars(args)), LinkProbs.homogeneous(g, args.beta)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
@@ -93,16 +91,10 @@ def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chi", type=float, default=0.0)
 
 
-def _node_params(n: int, args: argparse.Namespace) -> NodeParams:
-    return NodeParams.homogeneous(
-        n, r=args.r, delta=args.delta, gamma=args.gamma, nu=args.nu, chi=args.chi
-    )
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.graph:
         raise ValueError("generate takes --family, not --graph")
-    g = _build_graph(args)
+    g = _graph(args)
     save_edge_list(g, args.output)
     print(f"nodes={g.n} edges={g.num_edges} output={args.output}")
     return 0
@@ -125,17 +117,10 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    g = _build_graph(args)
-    params = _node_params(g.n, args)
-    links = LinkProbs.homogeneous(g, args.beta)
-    state0 = MfState.uniform(g.n, p0=args.p0, w0=args.w0)
+    g, params, links = _inputs(args)
     result = meanfield_run(
-        args.model,
-        state0,
-        links,
-        params,
-        max_steps=args.steps,
-        tol=args.tol,
+        args.model, MfState.uniform(g.n, p0=args.p0, w0=args.w0), links, params,
+        max_steps=args.steps, tol=args.tol,
         allow_negative_coefficients=args.allow_negative_coefficients,
     )
     result.trajectory.write_csv(args.output)
@@ -149,9 +134,7 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    g = _build_graph(args)
-    params = _node_params(g.n, args)
-    links = LinkProbs.homogeneous(g, args.beta)
+    g, params, links = _inputs(args)
     ensemble = mc_ensemble(
         g, links, params,
         init=args.init, steps=args.steps, runs=args.runs, seed=args.master_seed,
@@ -165,9 +148,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    g = _build_graph(args)
-    params = _node_params(g.n, args)
-    links = LinkProbs.homogeneous(g, args.beta)
+    g, params, links = _inputs(args)
     result = survivability_score(g, links, params)
     print(f"s={result.score:.12g} fast_extinction={result.status}")
     if args.eigenvector_csv:
@@ -182,8 +163,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    g = _build_graph(args)
-    params = _node_params(g.n, args)
+    g, params, _ = _inputs(args)
     if args.strategy == "greedy":
         modified, report = greedy_edge_removal(
             g, args.k, beta_template=args.beta, params=params
@@ -191,15 +171,12 @@ def _cmd_isolate(args: argparse.Namespace) -> int:
     elif args.strategy == "cycle":
         search = nn_hamiltonian_cycle(g, start=args.start)
         if not search.success:
-            payload = {
+            _write_json(args.output_report, {
                 "strategy": "cycle",
                 "success": False,
                 "reason": search.reason,
                 "partial_path_length": len(search.path),
-            }
-            with open(args.output_report, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            })
             print(f"strategy=cycle success=false reason={search.reason!r}")
             return 0
         modified, report = prune_to_cycle(
@@ -210,10 +187,7 @@ def _cmd_isolate(args: argparse.Namespace) -> int:
             g, beta_template=args.beta, params=params
         )
     save_edge_list(modified, args.output_graph)
-    payload = {"success": True, **report.to_dict()}
-    with open(args.output_report, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.output_report, {"success": True, **report.to_dict()})
     print(
         f"strategy={args.strategy} lambda1_before={report.lambda1_before:.6g} "
         f"lambda1_after={report.lambda1_after:.6g} "

@@ -456,57 +456,32 @@ def _figure_configs() -> dict[str, ExperimentConfig]:
             "params": {"beta": 1.0, "gamma": 0.1, "s0": 0.99, "i0": 0.01},
             "run": {"dt": 0.01, "t_end": 200.0},
         },
-        "sis_powerlaw_coupled_sweep": {
+    }
+    # Each mean-field study runs on the power-law graph, then on the torus.
+    studies: dict[str, dict] = {
+        "sis_{}_coupled_sweep": {
             "model": "sis_meanfield",
-            "graph": _POWERLAW,
             "params": {"beta": 0.1, "gamma": 0.1, "delta": 0.1, "r": 1.0, "p0": 0.1},
             "sweep": coupled_sweep,
-            "run": {"steps": 500},
         },
-        "sis_lattice_coupled_sweep": {
+        "sis_{}_death_sweep": {
             "model": "sis_meanfield",
-            "graph": _LATTICE,
-            "params": {"beta": 0.1, "gamma": 0.1, "delta": 0.1, "r": 1.0, "p0": 0.1},
-            "sweep": coupled_sweep,
-            "run": {"steps": 500},
-        },
-        "sis_powerlaw_death_sweep": {
-            "model": "sis_meanfield",
-            "graph": _POWERLAW,
             "params": {"beta": 0.4, "gamma": 0.3, "delta": 0.5, "r": 1.0, "p0": 0.1},
             "sweep": death_sweep,
-            "run": {"steps": 500},
         },
-        "sis_lattice_death_sweep": {
-            "model": "sis_meanfield",
-            "graph": _LATTICE,
-            "params": {"beta": 0.4, "gamma": 0.3, "delta": 0.5, "r": 1.0, "p0": 0.1},
-            "sweep": death_sweep,
-            "run": {"steps": 500},
-        },
-        "sirs_powerlaw_sweep": {
+        "sirs_{}_sweep": {
             "model": "sirs_meanfield",
-            "graph": _POWERLAW,
             "params": {
                 "beta": 0.3, "gamma": 0.6, "delta": 0.6, "r": 1.0,
                 "nu": 1.0, "chi": 1.0, "p0": 0.1, "w0": 0.0,
             },
             "sweep": warn_sweep,
-            "run": {"steps": 500},
-            "allow_negative_coefficients": True,
-        },
-        "sirs_lattice_sweep": {
-            "model": "sirs_meanfield",
-            "graph": _LATTICE,
-            "params": {
-                "beta": 0.3, "gamma": 0.6, "delta": 0.6, "r": 1.0,
-                "nu": 1.0, "chi": 1.0, "p0": 0.1, "w0": 0.0,
-            },
-            "sweep": warn_sweep,
-            "run": {"steps": 500},
             "allow_negative_coefficients": True,
         },
     }
+    for name, study in studies.items():
+        for label, graph in (("powerlaw", _POWERLAW), ("lattice", _LATTICE)):
+            specs[name.format(label)] = {**study, "graph": graph, "run": {"steps": 500}}
     return {
         name: ExperimentConfig.from_dict({"seed": 42, **spec})
         for name, spec in specs.items()

@@ -5,12 +5,15 @@ Provides an immutable undirected simple graph type, four generator families
 configuration model, 4-regular torus lattice), degree statistics, and a plain
 text edge-list format for persistence.
 
+A :class:`Graph` stores its node count and its sorted edge array; the CSR
+adjacency the dynamics read is derived from it with array code.
+
 All generators are deterministic for a fixed seed: the same seed produces the
 same edge set in any process.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,105 +40,176 @@ class EdgeListFormatError(ValueError):
     """Raised when an edge-list file violates the on-disk format."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph on nodes ``0 .. n-1``.
+def _pair_array(pairs) -> np.ndarray:
+    """A fresh ``(m, 2)`` int64 array from an iterable of pairs or an array."""
+    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError(f"edges must be integer pairs (u, v), got {arr.dtype} "
+                         f"array of shape {arr.shape}")
+    return arr.astype(np.int64)
 
-    Edges are stored once each as ``(u, v)`` with ``u < v``; no self-loops,
-    no parallel edges.
+
+def _find(keys: np.ndarray, n: int, rows, cols) -> np.ndarray:
+    """Index of each row-major key ``rows * n + cols`` in the sorted array
+    ``keys``, or -1.  Keys are formed only for ids in ``0 .. n-1``, so an
+    out-of-range pair such as ``(-1, 1)`` cannot alias ``(0, n - 1)``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    inside = (0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
+    if not len(keys):
+        return np.full(rows.shape, -1)
+    want = np.where(inside, rows * n + cols, -1)
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(inside & (keys[pos] == want), pos, -1)
+
+
+class Graph:
+    """Undirected simple graph on nodes ``0 .. n-1``; no self-loops.
+
+    Stored state: ``n`` and ``edge_array``, a read-only ``(m, 2)`` int64
+    array with each edge once as ``(u, v)``, ``u < v``, in lexicographic
+    order (``edges`` may be any iterable of such pairs, or an array; repeats
+    collapse).  ``csr``, ``degrees`` and ``transpose`` are derived from it
+    and cached.  ``edges`` (a set of tuples) and ``adjacency`` (CSR row
+    slices) are read-only views built on first access.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"node count must be a positive integer, got {self.n!r}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(
-                    f"edge ({u}, {v}) violates 0 <= u < v < {self.n}"
-                )
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"node count must be a positive integer, got {n!r}")
+        arr = _pair_array(edges)
+        u, v = arr[:, 0], arr[:, 1]
+        bad = np.flatnonzero(~((0 <= u) & (u < v) & (v < n)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"edge ({u[i]}, {v[i]}) violates 0 <= u < v < {n}")
+        keys = u * n + v
+        if not np.all(keys[1:] > keys[:-1]):
+            keys = np.sort(keys)
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            arr = np.column_stack((keys // n, keys % n))
+        arr.flags.writeable = False
+        self.n = n
+        self.edge_array = arr
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, normalising each pair to ``(min, max)`` order."""
-        normalised = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-            normalised.add((u, v) if u < v else (v, u))
-        return cls(n=n, edges=frozenset(normalised))
+        arr = _pair_array(pairs)
+        loops = np.flatnonzero(arr[:, 0] == arr[:, 1])
+        if loops.size:
+            u, v = arr[loops[0]]
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        return cls(n=n, edges=np.sort(arr, axis=1))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return other is self or (
+            self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, num_edges={self.num_edges})"
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as a sorted ``(m, 2)`` integer array (lexicographic order)."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
-
-    @cached_property
-    def adjacency(self) -> tuple[np.ndarray, ...]:
-        """Per-node sorted neighbour arrays."""
-        neigh: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        return tuple(np.array(sorted(lst), dtype=np.int64) for lst in neigh)
+        return len(self.edge_array)
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency in CSR form: ``(indptr, indices)`` with sorted rows."""
-        degrees = np.array([len(a) for a in self.adjacency], dtype=np.int64)
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        if degrees.sum() == 0:
-            return indptr, np.empty(0, dtype=np.int64)
-        indices = np.concatenate(self.adjacency)
+        e = self.edge_array
+        # Row r lists its smaller neighbours (edges (u, r), in u order) and
+        # then its larger ones (edges (r, v), in v order): a stable sort by
+        # row of [lower halves; upper halves] keeps every row sorted.
+        rows = np.concatenate((e[:, 1], e[:, 0]))
+        cols = np.concatenate((e[:, 0], e[:, 1]))
+        indices = cols[np.argsort(rows, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
         return indptr, indices
 
     @cached_property
+    def transpose(self) -> np.ndarray:
+        """CSR permutation to the reversed entries: if position ``k`` holds
+        column ``j`` of row ``i``, ``transpose[k]`` holds column ``i`` of
+        row ``j``.  A stable sort by column orders the (row-sorted) entries
+        by (column, row), the CSR order of their reverses."""
+        perm = np.argsort(self.csr[1], kind="stable")
+        perm.flags.writeable = False
+        return perm
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        degrees = np.diff(self.csr[0])
+        degrees.flags.writeable = False
+        return degrees
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Read-only view: the edge set as ``(u, v)`` tuples with ``u < v``."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, ...]:
+        """Read-only view: per-node sorted neighbour arrays (CSR row slices)."""
+        indptr, indices = self.csr
+        return tuple(np.split(indices, indptr[1:-1]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.degrees[v])
+
+    @cached_property
+    def _csr_keys(self) -> np.ndarray:
+        """Row-major keys ``row * n + col`` of the CSR entries, ascending."""
+        return np.repeat(np.arange(self.n), self.degrees) * self.n + self.csr[1]
+
+    def csr_positions(self, rows, cols) -> np.ndarray:
+        """CSR position of each entry ``(rows[i], cols[i])``, or -1 where it
+        is not an edge (including out-of-range node ids)."""
+        return _find(self._csr_keys, self.n, rows, cols)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        return bool(self.csr_positions(u, v) >= 0)
 
     def remove_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Return a copy with the given edges removed (edges must exist)."""
-        doomed = set()
-        for u, v in pairs:
-            e = (u, v) if u < v else (v, u)
-            if e not in self.edges:
-                raise ValueError(f"edge {e} not present in graph")
-            doomed.add(e)
-        return Graph(n=self.n, edges=self.edges - doomed)
+        arr = np.sort(_pair_array(pairs), axis=1)
+        e = self.edge_array
+        found = _find(e[:, 0] * self.n + e[:, 1], self.n, arr[:, 0], arr[:, 1])
+        missing = np.flatnonzero(found < 0)
+        if missing.size:
+            u, v = arr[missing[0]].tolist()
+            raise ValueError(f"edge {(u, v)} not present in graph")
+        keep = np.ones(len(e), dtype=bool)
+        keep[found] = False
+        return Graph(n=self.n, edges=e[keep])
 
     def connected_components(self) -> int:
         """Number of connected components (isolated nodes count)."""
-        seen = np.zeros(self.n, dtype=bool)
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(int(w))
-        return count
+        u, v = self.edge_array[:, 0], self.edge_array[:, 1]
+        # Hook each root onto the smallest root it shares an edge with, then
+        # jump pointers until every node points at its root.
+        parent = np.arange(self.n)
+        while True:
+            pu, pv = parent[u], parent[v]
+            cross = pu != pv
+            if not cross.any():
+                return int(np.count_nonzero(parent == np.arange(self.n)))
+            np.minimum.at(parent, np.maximum(pu, pv)[cross], np.minimum(pu, pv)[cross])
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
 
 
 @dataclass(frozen=True)
@@ -176,11 +250,11 @@ def gen_binomial(n: int, p: float, seed: int | np.random.Generator) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p!r}")
     rng = _as_rng(seed)
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p)
-        edges.extend((u, u + 1 + int(h)) for h in hits)
-    return Graph(n=n, edges=frozenset(edges))
+    # One draw per row u over the pairs (u, u+1 .. n-1), in row order.
+    upper = [u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p) for u in range(n - 1)]
+    lower = np.repeat(np.arange(n - 1), [len(v) for v in upper])
+    return Graph(n=n, edges=np.column_stack(
+        (lower, np.concatenate([np.empty(0, dtype=np.int64), *upper]))))
 
 
 def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
@@ -196,22 +270,25 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     if not isinstance(n, int) or n < m + 1:
         raise ValueError(f"n must be at least m + 1 = {m + 1}, got {n!r}")
     rng = _as_rng(seed)
-    edges: list[tuple[int, int]] = [
-        (u, v) for u in range(m + 1) for v in range(u + 1, m + 1)
-    ]
     # One entry per unit of degree; sampling an entry uniformly realises
     # degree-proportional selection.
     repeated: list[int] = [u for u in range(m + 1) for _ in range(m)]
+    attached: list[int] = []  # m targets per new node, in node order
     for new in range(m + 1, n):
         targets: list[int] = []
         while len(targets) < m:
             cand = repeated[int(rng.integers(0, len(repeated)))]
             if cand not in targets:
                 targets.append(cand)
-        edges.extend((t, new) for t in targets)
+        attached.extend(targets)
         repeated.extend(targets)
         repeated.extend([new] * m)
-    return Graph(n=n, edges=frozenset(edges))
+    seed_u, seed_v = np.triu_indices(m + 1, k=1)
+    new_nodes = np.repeat(np.arange(m + 1, n, dtype=np.int64), m)
+    return Graph(n=n, edges=np.column_stack((
+        np.concatenate((seed_u, np.array(attached, dtype=np.int64))),
+        np.concatenate((seed_v, new_nodes)),
+    )))
 
 
 def sample_exponential_degrees(
@@ -241,13 +318,8 @@ def gen_exponential(n: int, lam: float, seed: int | np.random.Generator) -> Grap
         degrees[0] += 1
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    edges: set[tuple[int, int]] = set()
-    for u, v in pairs:
-        if u == v:
-            continue
-        edges.add((int(u), int(v)) if u < v else (int(v), int(u)))
-    return Graph(n=n, edges=frozenset(edges))
+    pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+    return Graph(n=n, edges=pairs[pairs[:, 0] != pairs[:, 1]])
 
 
 def gen_lattice4(rows: int, cols: int) -> Graph:
@@ -261,15 +333,10 @@ def gen_lattice4(rows: int, cols: int) -> Graph:
         raise ValueError(
             f"torus dimensions must both be >= 3, got rows={rows!r} cols={cols!r}"
         )
-    edges: set[tuple[int, int]] = set()
-    for i in range(rows):
-        for j in range(cols):
-            u = i * cols + j
-            right = i * cols + (j + 1) % cols
-            down = ((i + 1) % rows) * cols + j
-            edges.add((u, right) if u < right else (right, u))
-            edges.add((u, down) if u < down else (down, u))
-    return Graph(n=rows * cols, edges=frozenset(edges))
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    right, down = np.roll(ids, -1, axis=1), np.roll(ids, -1, axis=0)
+    return Graph.from_edges(rows * cols, np.column_stack(
+        (np.tile(ids.ravel(), 2), np.concatenate((right, down), axis=None))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +350,7 @@ def save_edge_list(g: Graph, destination: str | Path | IO[str]) -> None:
     ``"u v"`` with ``0 <= u < v < n``, in lexicographic order.
     """
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)  # type: ignore[union-attr]
@@ -344,4 +411,4 @@ def load_edge_list(source: str | Path | IO[str]) -> Graph:
         edges.add(e)
     if n is None:
         raise EdgeListFormatError("file contains no node-count line")
-    return Graph(n=n, edges=frozenset(edges))
+    return Graph(n=n, edges=edges)

@@ -11,7 +11,7 @@ keeping nodes in place:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,20 +49,11 @@ class IsolationReport:
     surplus_nodes: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "edges_removed": self.edges_removed,
-            "removed_edges": [list(e) for e in self.removed_edges],
-            "edges_added": [list(e) for e in self.edges_added],
-            "lambda1_before": self.lambda1_before,
-            "lambda1_after": self.lambda1_after,
-            "connectivity_after": self.connectivity_after,
-            "score_before": self.score_before,
-            "score_after": self.score_after,
-            "threshold_crossed": self.threshold_crossed,
-            "lambda1_steps": self.lambda1_steps,
-            "surplus_nodes": self.surplus_nodes,
-        }
+        """Fields in declaration order, edges as ``[u, v]`` lists."""
+        d = asdict(self)
+        for key in ("removed_edges", "edges_added"):
+            d[key] = [list(e) for e in d[key]]
+        return d
 
 
 @dataclass
@@ -77,6 +68,12 @@ class CycleSearchResult:
     cycle: list[int] | None
     path: list[int]
     reason: str | None = None
+
+
+def _missing_edges(g: Graph, other: Graph) -> list[tuple[int, int]]:
+    """Edges of ``g`` that ``other`` (on the same nodes) lacks, sorted."""
+    e = g.edge_array
+    return list(map(tuple, e[other.csr_positions(e[:, 0], e[:, 1]) < 0].tolist()))
 
 
 def _maybe_scores(
@@ -120,14 +117,10 @@ def greedy_edge_removal(
         if current.num_edges == 0:
             break
         x = np.abs(res.vector)
-        best_edge: tuple[int, int] | None = None
-        best_score = -1.0
-        for u, v in sorted(current.edges):
-            score = x[u] * x[v]
-            if score > best_score:
-                best_score = score
-                best_edge = (u, v)
-        assert best_edge is not None
+        e = current.edge_array
+        # argmax returns the first maximum, i.e. the lexicographically
+        # smallest of the tied edges.
+        best_edge = tuple(e[np.argmax(x[e[:, 0]] * x[e[:, 1]])].tolist())
         current = current.remove_edges([best_edge])
         removed.append(best_edge)
     lambda1_steps.append(adjacency_spectral_radius(current).value)
@@ -159,13 +152,15 @@ def nn_hamiltonian_cycle(g: Graph, start: int = 0) -> CycleSearchResult:
     if not (0 <= start < g.n):
         raise ValueError(f"start node {start!r} out of range for n={g.n}")
     degrees = g.degrees
+    indptr, indices = g.csr
     visited = np.zeros(g.n, dtype=bool)
     path = [start]
     visited[start] = True
     current = start
     while len(path) < g.n:
-        candidates = [int(v) for v in g.adjacency[current] if not visited[v]]
-        if not candidates:
+        row = indices[indptr[current]:indptr[current + 1]]
+        candidates = row[~visited[row]]
+        if not candidates.size:
             return CycleSearchResult(
                 success=False,
                 cycle=None,
@@ -175,7 +170,9 @@ def nn_hamiltonian_cycle(g: Graph, start: int = 0) -> CycleSearchResult:
                     f"{g.n} nodes: no unvisited neighbour"
                 ),
             )
-        nxt = min(candidates, key=lambda v: (degrees[v], v))
+        # Candidates are in id order, so argmin picks the lowest id among
+        # the minimum-degree ones.
+        nxt = int(candidates[np.argmin(degrees[candidates])])
         path.append(nxt)
         visited[nxt] = True
         current = nxt
@@ -206,13 +203,13 @@ def prune_to_cycle(
     """
     if len(cycle) != g.n or len(set(cycle)) != g.n or set(cycle) != set(range(g.n)):
         raise ValueError("cycle must visit every node exactly once")
-    cycle_edges: set[tuple[int, int]] = set()
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if not g.has_edge(a, b):
-            raise ValueError(f"cycle step ({a}, {b}) is not an edge of the graph")
-        cycle_edges.add((a, b) if a < b else (b, a))
-    pruned = Graph(n=g.n, edges=frozenset(cycle_edges))
-    removed = sorted(g.edges - cycle_edges)
+    hops = np.column_stack((cycle, np.roll(cycle, -1)))
+    missing = np.flatnonzero(g.csr_positions(hops[:, 0], hops[:, 1]) < 0)
+    if missing.size:
+        a, b = hops[missing[0]].tolist()
+        raise ValueError(f"cycle step ({a}, {b}) is not an edge of the graph")
+    pruned = Graph.from_edges(g.n, hops)
+    removed = _missing_edges(g, pruned)
 
     lam_before = adjacency_spectral_radius(g).value
     lam_after = adjacency_spectral_radius(pruned).value
@@ -263,8 +260,7 @@ def rewire_to_lattice(
     dims = lattice_dimensions(g.n)
     surplus: list[int] = []
     if dims is not None:
-        lattice = gen_lattice4(*dims)
-        edges = set(lattice.edges)
+        rewired = gen_lattice4(*dims)
     else:
         n_prime = g.n - 1
         while n_prime >= 9 and lattice_dimensions(n_prime) is None:
@@ -274,8 +270,6 @@ def rewire_to_lattice(
         dims = lattice_dimensions(n_prime)
         assert dims is not None
         surplus = list(range(n_prime, g.n))
-        lattice = gen_lattice4(*dims)
-        edges = set(lattice.edges)
         cols = dims[1]
         pairs = [surplus[i : i + 2] for i in range(0, len(surplus), 2)]
         if 2 * len(pairs) > cols:
@@ -283,22 +277,23 @@ def rewire_to_lattice(
                 f"too many surplus nodes ({len(surplus)}) to splice into a "
                 f"{dims[0]}x{dims[1]} torus"
             )
-        for t, chain in enumerate(pairs):
-            a, b = 2 * t, 2 * t + 1
-            edges.remove((a, b))
+        spliced = [(2 * t, 2 * t + 1) for t in range(len(pairs))]
+        routes = []
+        for (a, b), chain in zip(spliced, pairs):
             route = [a, *chain, b]
-            for x, y in zip(route, route[1:]):
-                edges.add((x, y) if x < y else (y, x))
-    rewired = Graph(n=g.n, edges=frozenset(edges))
+            routes.extend(zip(route, route[1:]))
+        kept = gen_lattice4(*dims).remove_edges(spliced).edge_array
+        rewired = Graph.from_edges(g.n, np.concatenate((kept, routes)))
+    removed = _missing_edges(g, rewired)
 
     lam_before = adjacency_spectral_radius(g).value
     lam_after = adjacency_spectral_radius(rewired).value
     score_before, score_after, crossed = _maybe_scores(g, rewired, beta_template, params)
     report = IsolationReport(
         strategy="lattice",
-        edges_removed=len(g.edges - rewired.edges),
-        removed_edges=sorted(g.edges - rewired.edges),
-        edges_added=sorted(rewired.edges - g.edges),
+        edges_removed=len(removed),
+        removed_edges=removed,
+        edges_added=_missing_edges(rewired, g),
         lambda1_before=lam_before,
         lambda1_after=lam_after,
         connectivity_after=rewired.connected_components(),
@@ -331,11 +326,12 @@ def evaluate_strategy(
     score_before, score_after, crossed = _maybe_scores(
         g_before, g_after, beta_template, params
     )
+    removed = _missing_edges(g_before, g_after)
     return IsolationReport(
         strategy=strategy,
-        edges_removed=len(g_before.edges - g_after.edges),
-        removed_edges=sorted(g_before.edges - g_after.edges),
-        edges_added=sorted(g_after.edges - g_before.edges),
+        edges_removed=len(removed),
+        removed_edges=removed,
+        edges_added=_missing_edges(g_after, g_before),
         lambda1_before=lam_before,
         lambda1_after=lam_after,
         connectivity_after=g_after.connected_components(),

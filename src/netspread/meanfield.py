@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _pair_array
 from .trajectory import Trajectory
 
 __all__ = [
@@ -123,29 +123,30 @@ class NodeParams:
         return len(self.r)
 
 
-@dataclass(frozen=True)
 class LinkProbs:
     """Per-link transmission probabilities supported on graph edges.
 
-    Symmetric by default; an explicit mapping may assign directed values
-    keyed by ordered pairs ``(src, dst)``.
+    Stored state: ``graph`` and ``in_values``, one read-only float array
+    aligned with ``graph.csr``: entry ``k`` of row ``i`` holds
+    ``beta(indices[k] -> i)``.  ``out_values`` is the same array permuted by
+    ``graph.transpose``.  Build from one ``scalar`` (the same value on every
+    link, both ways) or a ``table`` keyed by ordered pairs ``(src, dst)``;
+    links a table does not name carry 0.
     """
 
-    graph: Graph
-    scalar: float | None = None
-    table: dict[tuple[int, int], float] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.scalar is None) == (self.table is None):
+    def __init__(self, graph: Graph, scalar: float | None = None,
+                 table: dict[tuple[int, int], float] | None = None) -> None:
+        if (scalar is None) == (table is None):
             raise ValueError("provide exactly one of scalar or table")
-        if self.scalar is not None and not (0.0 <= self.scalar <= 1.0):
-            raise ValueError(f"link probability must lie in [0, 1], got {self.scalar!r}")
-        if self.table is not None:
-            for (u, v), b in self.table.items():
-                if not self.graph.has_edge(u, v):
-                    raise ValueError(f"link ({u}, {v}) is not an edge of the graph")
-                if not (0.0 <= b <= 1.0):
-                    raise ValueError(f"link probability must lie in [0, 1], got {b!r}")
+        if table is not None:
+            values = _table_in_values(graph, table, symmetric=False)
+        elif not (0.0 <= scalar <= 1.0):
+            raise ValueError(f"link probability must lie in [0, 1], got {scalar!r}")
+        else:
+            values = np.full(2 * graph.num_edges, float(scalar))
+            values.flags.writeable = False
+        self.graph = graph
+        self.in_values = values
 
     @classmethod
     def homogeneous(cls, graph: Graph, beta: float) -> "LinkProbs":
@@ -155,46 +156,44 @@ class LinkProbs:
     def from_mapping(
         cls, graph: Graph, mapping: dict[tuple[int, int], float], symmetric: bool = True
     ) -> "LinkProbs":
-        table: dict[tuple[int, int], float] = {}
-        for (u, v), b in mapping.items():
-            table[(u, v)] = float(b)
-            if symmetric:
-                table.setdefault((v, u), float(b))
-        return cls(graph=graph, table=table)
+        """Links from ``mapping``; with ``symmetric`` each entry also sets the
+        reverse link unless the mapping names that link itself."""
+        links = cls.__new__(cls)
+        links.graph = graph
+        links.in_values = _table_in_values(graph, mapping, symmetric)
+        return links
 
     def value(self, src: int, dst: int) -> float:
         """Transmission probability along the directed link ``src -> dst``."""
-        if not self.graph.has_edge(src, dst):
-            return 0.0
-        if self.scalar is not None:
-            return self.scalar
-        return self.table.get((src, dst), 0.0)  # type: ignore[union-attr]
-
-    @cached_property
-    def in_values(self) -> np.ndarray:
-        """Aligned with the graph CSR: entry ``k`` of row ``i`` holds
-        ``beta(indices[k] -> i)``."""
-        indptr, indices = self.graph.csr
-        if self.scalar is not None:
-            return np.full(len(indices), self.scalar)
-        out = np.zeros(len(indices))
-        for i in range(self.graph.n):
-            for k in range(indptr[i], indptr[i + 1]):
-                out[k] = self.value(int(indices[k]), i)
-        return out
+        k = self.graph.csr_positions(dst, src)
+        return float(self.in_values[k]) if k >= 0 else 0.0
 
     @cached_property
     def out_values(self) -> np.ndarray:
         """Aligned with the graph CSR: entry ``k`` of row ``i`` holds
         ``beta(i -> indices[k])``."""
-        indptr, indices = self.graph.csr
-        if self.scalar is not None:
-            return np.full(len(indices), self.scalar)
-        out = np.zeros(len(indices))
-        for i in range(self.graph.n):
-            for k in range(indptr[i], indptr[i + 1]):
-                out[k] = self.value(i, int(indices[k]))
-        return out
+        return self.in_values[self.graph.transpose]
+
+
+def _table_in_values(graph: Graph, table: dict, symmetric: bool) -> np.ndarray:
+    """CSR-aligned ``in_values`` for a table of directed links; with
+    ``symmetric``, entries also fill the reverse links the table leaves out."""
+    pairs = _pair_array(table)
+    betas = np.fromiter(table.values(), dtype=float, count=len(table))
+    src, dst = pairs[:, 0], pairs[:, 1]
+    pos = graph.csr_positions(dst, src)
+    bad = np.flatnonzero((pos < 0) | ~((betas >= 0.0) & (betas <= 1.0)))
+    if bad.size:
+        i = bad[0]
+        if pos[i] < 0:
+            raise ValueError(f"link ({src[i]}, {dst[i]}) is not an edge of the graph")
+        raise ValueError(f"link probability must lie in [0, 1], got {float(betas[i])!r}")
+    values = np.zeros(2 * graph.num_edges)
+    if symmetric:
+        values[graph.transpose[pos]] = betas
+    values[pos] = betas  # explicit entries beat mirrored ones
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -295,24 +294,34 @@ def _raise_bounds(violations: list[BoundViolation], zeta_t: np.ndarray,
     )
 
 
-def sis_step(
-    state: MfState, links: LinkProbs, params: NodeParams, *, enforce_bounds: bool = True
-) -> MfState:
-    """One synchronous carrier/susceptible update (no warning state).
-
-    Requires ``state.w == 0`` everywhere; the warning state must stay empty.
-    """
-    if np.any(state.w != 0.0):
-        raise ValueError("sis_step requires an empty warning state (w == 0)")
+def _step(state: MfState, links: LinkProbs, params: NodeParams,
+          nu: np.ndarray | float, chi: np.ndarray | float, enforce_bounds: bool) -> MfState:
+    """The synchronous update of the module docstring, with acceptance
+    ``nu`` and warning decay ``chi``."""
     z = zeta(state, links, params)
-    new_p = state.p * (1.0 - params.delta) + state.q * (1.0 - z)
-    new_q = state.q * (z - params.delta) + (1.0 - state.p - state.q) * params.gamma
-    nxt = MfState(p=new_p, q=new_q, w=np.zeros_like(new_p), t=state.t + 1)
+    dead = 1.0 - state.p - state.q - state.w
+    new_p = state.p * (1.0 - params.delta) + state.q * (1.0 - z) * nu
+    new_q = state.q * (z - params.delta) + dead * params.gamma + chi * state.w
+    new_w = (1.0 - z) * (1.0 - nu) * state.q + (1.0 - chi - params.delta) * state.w
+    nxt = MfState(p=new_p, q=new_q, w=new_w, t=state.t + 1)
     if enforce_bounds:
         bad = bound_violations(nxt)
         if bad:
             _raise_bounds(bad, z, params)
     return nxt
+
+
+def sis_step(
+    state: MfState, links: LinkProbs, params: NodeParams, *, enforce_bounds: bool = True
+) -> MfState:
+    """One synchronous carrier/susceptible update (no warning state): the
+    general update with ``nu = 1`` and ``chi = 0``, whatever ``params`` say.
+
+    Requires ``state.w == 0`` everywhere; the warning state must stay empty.
+    """
+    if np.any(state.w != 0.0):
+        raise ValueError("sis_step requires an empty warning state (w == 0)")
+    return _step(state, links, params, 1.0, 0.0, enforce_bounds)
 
 
 def sirs_step(
@@ -323,23 +332,7 @@ def sirs_step(
     With ``nu = 1`` and an empty warning state this reduces exactly to
     :func:`sis_step`.
     """
-    z = zeta(state, links, params)
-    dead = 1.0 - state.p - state.q - state.w
-    new_p = state.p * (1.0 - params.delta) + state.q * (1.0 - z) * params.nu
-    new_q = (
-        state.q * (z - params.delta)
-        + dead * params.gamma
-        + params.chi * state.w
-    )
-    new_w = (1.0 - z) * (1.0 - params.nu) * state.q + (
-        1.0 - params.chi - params.delta
-    ) * state.w
-    nxt = MfState(p=new_p, q=new_q, w=new_w, t=state.t + 1)
-    if enforce_bounds:
-        bad = bound_violations(nxt)
-        if bad:
-            _raise_bounds(bad, z, params)
-    return nxt
+    return _step(state, links, params, params.nu, params.chi, enforce_bounds)
 
 
 def validate_warning_params(params: NodeParams) -> None:
@@ -371,6 +364,24 @@ class MeanFieldRun:
     violations: list[BoundViolation] = field(default_factory=list)
 
 
+_COLUMNS = ("mean_p", "mean_q", "mean_w", "dead", "carriers")
+
+
+def _require_finite(found: list[BoundViolation]) -> list[BoundViolation]:
+    """``found`` as is, unless it names a NaN or infinite component."""
+    bad = next((v for v in found if not np.isfinite(v.value)), None)
+    if bad is not None:
+        raise ValueError(f"mean-field state at step {bad.step} has a non-finite "
+                         f"{bad.kind}[{bad.node}]={bad.value!r}")
+    return found
+
+
+def _aggregates(state: MfState) -> tuple:
+    """One trajectory row: ``t`` and the :data:`_COLUMNS` values."""
+    return (state.t, state.p.mean(), state.q.mean(), state.w.mean(),
+            state.dead.mean(), expected_carriers(state))
+
+
 def run(
     model: str,
     state0: MfState,
@@ -388,59 +399,43 @@ def run(
     count.  With ``allow_negative_coefficients`` the run records bound
     violations instead of failing; otherwise the first violation aborts the
     run with a diagnostic (and, for ``"sirs"``, parameter sets with
-    ``chi + delta > 1`` are rejected before the first step).
+    ``chi + delta > 1`` are rejected before the first step).  A NaN or
+    infinite component, at the start or in a reporting run, raises
+    ``ValueError``.
     """
     if model not in ("sis", "sirs"):
         raise ValueError(f"unknown mean-field model {model!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
     if model == "sirs" and not allow_negative_coefficients:
         validate_warning_params(params)
     step_fn = sis_step if model == "sis" else sirs_step
     enforce = not allow_negative_coefficients
 
     state = state0
-    times = [state.t]
-    mean_p = [state.p.mean()]
-    mean_q = [state.q.mean()]
-    mean_w = [state.w.mean()]
-    dead = [state.dead.mean()]
-    carriers = [expected_carriers(state)]
-    violations: list[BoundViolation] = list(bound_violations(state0)) if not enforce else []
+    rows = [_aggregates(state)]
+    initial = _require_finite(bound_violations(state0))
+    violations: list[BoundViolation] = [] if enforce else initial
     converged = False
-    steps_done = 0
     for _ in range(max_steps):
         nxt = step_fn(state, links, params, enforce_bounds=enforce)
         if not enforce:
-            violations.extend(bound_violations(nxt))
-        steps_done += 1
-        times.append(nxt.t)
-        mean_p.append(nxt.p.mean())
-        mean_q.append(nxt.q.mean())
-        mean_w.append(nxt.w.mean())
-        dead.append(nxt.dead.mean())
-        carriers.append(expected_carriers(nxt))
-        change = max(
-            np.max(np.abs(nxt.p - state.p)),
-            np.max(np.abs(nxt.q - state.q)),
-            np.max(np.abs(nxt.w - state.w)),
-        )
+            violations.extend(_require_finite(bound_violations(nxt)))
+        rows.append(_aggregates(nxt))
+        change = max(np.max(np.abs(new - old)) for new, old in
+                     ((nxt.p, state.p), (nxt.q, state.q), (nxt.w, state.w)))
         state = nxt
         if change < tol:
             converged = True
             break
-    traj = Trajectory(
-        times=np.array(times, dtype=np.int64),
-        columns={
-            "mean_p": np.array(mean_p),
-            "mean_q": np.array(mean_q),
-            "mean_w": np.array(mean_w),
-            "dead": np.array(dead),
-            "carriers": np.array(carriers),
-        },
-    )
+    times, *columns = zip(*rows)
     return MeanFieldRun(
-        trajectory=traj,
+        trajectory=Trajectory(
+            times=np.array(times, dtype=np.int64),
+            columns={name: np.array(col) for name, col in zip(_COLUMNS, columns)},
+        ),
         final_state=state,
         converged=converged,
-        steps=steps_done,
+        steps=len(rows) - 1,
         violations=violations,
     )

@@ -138,7 +138,7 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
     """
     if params.n != g.n:
         raise ValueError(f"params describe {params.n} nodes, graph has {g.n}")
-    if links.graph is not g and links.graph.edges != g.edges:
+    if links.graph != g:
         raise ValueError("links were built for a different graph")
     zero = np.flatnonzero(params.delta == 0.0)
     if zero.size:
@@ -231,18 +231,9 @@ def adjacency_spectral_radius(
     matrices.
     """
     indptr, indices = g.csr
-    ones = np.ones(len(indices))
-    mask = np.diff(indptr) > 0
-    starts = indptr[:-1][mask]
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        contrib = ones * v[indices]
-        if contrib.size:
-            out[mask] += np.add.reduceat(contrib, starts)
-        return out
-
-    res = power_iteration(matvec, g.n, tol=tol, max_iter=max_iter)
+    shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), indptr=indptr, indices=indices,
+                           data=np.ones(len(indices)))
+    res = power_iteration(shifted.matvec, g.n, tol=tol, max_iter=max_iter)
     return SpectralResult(
         value=max(res.value - 1.0, 0.0),
         vector=res.vector,

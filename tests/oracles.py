@@ -97,6 +97,18 @@ def slow_zeta(p: np.ndarray, g: Graph, beta_of, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def slow_plain_step(p, q, zeta_vals, params):
+    """Scalar-loop version of the carrier/susceptible update (no warning
+    state): acceptance is certain and ``params.nu`` / ``params.chi`` play
+    no part."""
+    n = len(p)
+    np_, nq = np.empty(n), np.empty(n)
+    for i in range(n):
+        np_[i] = p[i] * (1.0 - params.delta[i]) + q[i] * (1.0 - zeta_vals[i])
+        nq[i] = q[i] * (zeta_vals[i] - params.delta[i]) + (1.0 - p[i] - q[i]) * params.gamma[i]
+    return np_, nq
+
+
 def slow_warned_step(p, q, w, zeta_vals, params):
     """Scalar-loop version of the warned-variant update equations."""
     n = len(p)

@@ -335,3 +335,70 @@ class TestSweepAndFigures:
         assert "sis_lattice_death_sweep: points=5 errors=0" in lines
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert len(summary) == 33
+
+
+class TestSharedGraphArguments:
+    """The CLI builds graphs through the sweep config's GraphSpec."""
+
+    COMMON = ("--beta", "0.1", "--delta", "0.3", "--gamma", "0.3")
+
+    def test_graph_and_family_together_rejected(self, tmp_path):
+        path = tmp_path / "g.edges"
+        assert run_cli("generate", "--family", "lattice4", "--rows", "3",
+                       "--cols", "3", "--output", str(path)).returncode == 0
+        proc = run_cli("spectral", "--graph", str(path), "--family", "lattice4",
+                       "--rows", "3", "--cols", "3", *self.COMMON)
+        assert proc.returncode == 2
+        payload = stderr_error(proc)
+        assert payload["type"] == "ConfigError" and payload["field"] == "graph"
+
+    @pytest.mark.parametrize("family,given", [
+        ("binomial", ("--n", "10")),
+        ("powerlaw", ("--n", "10")),
+        ("exponential", ("--lam", "0.5")),
+        ("lattice4", ("--rows", "4")),
+    ])
+    def test_missing_family_parameter_names_graph_field(self, tmp_path, family, given):
+        proc = run_cli("generate", "--family", family, *given,
+                       "--output", str(tmp_path / "g.edges"))
+        assert proc.returncode == 2
+        payload = stderr_error(proc)
+        assert payload["type"] == "ConfigError" and payload["field"] == "graph"
+        assert family in payload["error"]
+        assert not (tmp_path / "g.edges").exists()
+
+    def test_negative_meanfield_steps_is_a_validation_error(self, tmp_path):
+        out = tmp_path / "mf.csv"
+        proc = run_cli("meanfield", "--family", "powerlaw", "--n", "50", "--m", "2",
+                       "--seed", "1", *self.COMMON, "--steps", "-5",
+                       "--output", str(out))
+        assert proc.returncode == 2
+        payload = stderr_error(proc)
+        assert payload["type"] == "ValueError" and "max_steps" in payload["error"]
+        assert not out.exists()
+
+
+class TestPinnedIsolateReports:
+    # SHA-256 of the report JSON, recorded from the tuple-set Graph before
+    # the isolation strategies moved to edge arrays.
+    REPORT_SHA256 = {
+        "greedy": "03ca4ac501b4c2aed0f333697d4a2e3c1690323d9d793541fe7c00243bc4195d",
+        "lattice": "de67ff6bc4814d965555b57c99fd406c7443cf939cef540972e7a628d4885a7e",
+    }
+
+    @pytest.mark.parametrize("strategy,extra", [("greedy", ("--k", "5")), ("lattice", ())])
+    def test_report_bytes(self, tmp_path, strategy, extra):
+        import hashlib
+
+        from netspread.graphs import gen_powerlaw, save_edge_list
+
+        graph = tmp_path / "g.edges"
+        save_edge_list(gen_powerlaw(200, 2, 3), graph)
+        report = tmp_path / "report.json"
+        proc = run_cli("isolate", "--graph", str(graph), "--beta", "0.1",
+                       "--gamma", "0.3", "--delta", "0.3", "--strategy", strategy,
+                       *extra, "--output-graph", str(tmp_path / "after.edges"),
+                       "--output-report", str(report))
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == self.REPORT_SHA256[strategy]

@@ -1,9 +1,11 @@
 """Graph generators, degree statistics and edge-list persistence."""
+import hashlib
 import io
 import math
 import subprocess
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -342,3 +344,121 @@ def test_exponential_invariants_hold_for_all_seeds(n, lam, seed):
     g = gen_exponential(n, lam, seed)
     assert_valid_graph(g)
     assert g.edges == gen_exponential(n, lam, seed).edges
+
+
+# ---------------------------------------------------------------------------
+# Pinned edge lists and networkx oracles for the array representation
+# ---------------------------------------------------------------------------
+
+# SHA-256 of save_edge_list output, recorded from the tuple-set Graph before
+# the graph became an edge array; any change in RNG use or ordering shows up.
+EDGE_LIST_SHA256 = {
+    "binomial": ("1c14147b21953085386a0d1fe6a18c4b3026fbae79fc052b694ca298fe4b3564",
+                 lambda: gen_binomial(300, 0.02, 3)),
+    "powerlaw": ("852dac31f7fa179dfb49f04107895487ecf3078f91647ede02ff4d7be2731b2b",
+                 lambda: gen_powerlaw(2000, 3, 7)),
+    "exponential": ("38d65a8aa501873e94c14681ecb18c88ae69105be55502c0572cb4e48b80331a",
+                    lambda: gen_exponential(2000, 0.5, 5)),
+    "lattice4": ("4da3890e5b70f82c4ed3e633c26199b6787f4b23c5a260234a7adcc99fab610b",
+                 lambda: gen_lattice4(7, 9)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EDGE_LIST_SHA256))
+def test_pinned_edge_list_bytes(family):
+    want, build = EDGE_LIST_SHA256[family]
+    buf = io.StringIO()
+    save_edge_list(build(), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == want
+
+
+@st.composite
+def graphs(draw, max_n=25):
+    """A graph plus the raw pair list it was built from (either order,
+    repeats allowed)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          max_size=3 * n))
+    return Graph.from_edges(n, pairs), pairs
+
+
+def nx_graph(n, pairs) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pairs)
+    return h
+
+
+@given(graphs())
+def test_csr_rows_match_networkx(drawn):
+    g, pairs = drawn
+    h = nx_graph(g.n, pairs)
+    indptr, indices = g.csr
+    assert g.num_edges == h.number_of_edges()
+    for i in range(g.n):
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == sorted(h.neighbors(i))
+    assert g.edge_array.tolist() == sorted(sorted(e) for e in h.edges)
+    # transpose maps each entry (i, j) to the entry (j, i)
+    rows = np.repeat(np.arange(g.n), np.diff(indptr))
+    assert np.array_equal(indices[g.transpose], rows)
+    assert np.array_equal(rows[g.transpose], indices)
+
+
+@given(graphs(max_n=40))
+def test_connected_components_match_networkx(drawn):
+    g, pairs = drawn
+    assert g.connected_components() == nx.number_connected_components(nx_graph(g.n, pairs))
+
+
+@given(graphs(), st.data())
+def test_remove_edges_matches_networkx(drawn, data):
+    g, pairs = drawn
+    present = sorted(g.edges)
+    doomed = data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []
+    flipped = [(v, u) if k % 2 else (u, v) for k, (u, v) in enumerate(doomed)]
+    h = nx_graph(g.n, pairs)
+    h.remove_edges_from(doomed)
+    after = g.remove_edges(flipped)
+    assert after.edges == {tuple(sorted(e)) for e in h.edges}
+    assert after.n == g.n and g.num_edges == len(present)  # input untouched
+
+
+def test_remove_missing_or_out_of_range_edge_names_it():
+    g = Graph.from_edges(4, [(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) not present"):
+        g.remove_edges([(2, 1)])
+    with pytest.raises(ValueError, match="not present"):
+        g.remove_edges([(-1, 1)])  # -1 * 4 + 1 would alias (0, 3) if unchecked
+
+
+def test_out_of_range_ids_are_never_edges():
+    g = Graph.from_edges(5, [(0, 4), (1, 2)])
+    # (-1, 1) and (1, -1) would alias (0, 4) through wrap-around indexing
+    # or row-major keys; neither is an edge.
+    for u, v in ((-1, 1), (1, -1), (5, 0), (0, 5), (-1, -1), (4, 4)):
+        assert not g.has_edge(u, v)
+    assert g.has_edge(4, 0) and g.has_edge(2, 1)
+    assert g.csr_positions([-1, 1, 0], [1, -1, 4]).tolist() == [-1, -1, 0]
+
+
+def test_views_are_read_only_and_match_arrays():
+    g = gen_powerlaw(30, 2, 1)
+    for arr in (g.edge_array, *g.csr, g.degrees, g.transpose, g.adjacency[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert g.edges == frozenset(map(tuple, g.edge_array.tolist()))
+    assert Graph(n=g.n, edges=g.edge_array) == g
+    assert Graph(n=g.n, edges=g.edges) == g and hash(Graph(n=g.n, edges=g.edges)) == hash(g)
+    assert Graph(n=g.n + 1, edges=g.edges) != g
+
+
+def test_constructor_accepts_arrays_and_rejects_bad_pairs():
+    assert Graph(n=3, edges=np.array([[1, 2], [0, 1], [1, 2]])).edge_array.tolist() == [
+        [0, 1], [1, 2]]
+    with pytest.raises(ValueError, match="violates"):
+        Graph(n=3, edges=[(2, 1)])  # the constructor does not normalise
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(n=3, edges=[(0, 1, 2)])
+    with pytest.raises(ValueError, match="integer pairs"):
+        Graph(n=3, edges=[(0.5, 1.7)])  # never truncated to (0, 1)

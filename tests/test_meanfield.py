@@ -1,6 +1,7 @@
 """Discrete-time mean-field dynamics: steps, bounds policy and runs."""
 import io
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from netspread.meanfield import (
     zeta,
 )
 
-from oracles import slow_warned_step, slow_zeta
+from oracles import slow_plain_step, slow_warned_step, slow_zeta
 
 
 def random_valid_state(n: int, rng: np.random.Generator, with_warned: bool) -> MfState:
@@ -453,3 +454,128 @@ def test_no_spontaneous_infection_property(seed):
         nxt = step_fn(state, LinkProbs.homogeneous(g, 1.0), params,
                       enforce_bounds=False)
         assert np.all(nxt.p == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The plain model against its own scalar oracle; run and step validation
+# ---------------------------------------------------------------------------
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sis_step_matches_plain_oracle_and_ignores_nu_chi(seed):
+    rng = np.random.default_rng(seed)
+    g = gen_binomial(12, 0.3, seed)
+    # nu < 1 and chi > 0 everywhere (chi + delta often > 1): "sis" must ignore both.
+    params = NodeParams(
+        r=rng.random(12), delta=rng.uniform(0.01, 1.0, 12), gamma=rng.random(12),
+        nu=rng.uniform(0.0, 0.9, 12), chi=rng.uniform(0.1, 1.0, 12),
+    )
+    links = LinkProbs.homogeneous(g, float(rng.random()))
+    state = random_valid_state(12, rng, with_warned=False)
+    nxt = sis_step(state, links, params, enforce_bounds=False)
+    sp, sq = slow_plain_step(state.p, state.q, zeta(state, links, params), params)
+    assert np.max(np.abs(nxt.p - sp)) < 1e-14
+    assert np.max(np.abs(nxt.q - sq)) < 1e-14
+    assert np.all(nxt.w == 0.0) and not np.any(np.signbit(nxt.w))
+
+
+def test_sis_run_writes_positive_zero_warning_column():
+    # chi + delta > 1: a warning term (1 - chi - delta) * 0 would be -0.0.
+    g = gen_binomial(20, 0.3, 3)
+    params = NodeParams.homogeneous(20, r=1.0, delta=0.6, gamma=0.2, nu=0.3, chi=0.9)
+    res = run("sis", MfState.uniform(20, p0=0.2), LinkProbs.homogeneous(g, 0.4),
+              params, max_steps=30, allow_negative_coefficients=True)
+    buf = io.StringIO()
+    res.trajectory.write_csv(buf)
+    rows = buf.getvalue().splitlines()
+    col = rows[0].split(",").index("mean_w")
+    assert {row.split(",")[col] for row in rows[1:]} == {"0.000000000000e+00"}
+
+
+class TestRunValidation:
+    def setup_method(self):
+        self.g = gen_powerlaw(20, 2, 1)
+        self.links = LinkProbs.homogeneous(self.g, 0.3)
+        self.params = NodeParams.homogeneous(20, r=1.0, delta=0.2, gamma=0.1)
+
+    def test_negative_max_steps_rejected(self):
+        for model in ("sis", "sirs"):
+            with pytest.raises(ValueError, match="max_steps"):
+                run(model, MfState.uniform(20, p0=0.1), self.links, self.params,
+                    max_steps=-5)
+
+    def test_zero_max_steps_returns_initial_state(self):
+        res = run("sis", MfState.uniform(20, p0=0.1), self.links, self.params,
+                  max_steps=0)
+        assert res.steps == 0 and len(res.trajectory) == 1
+
+    @pytest.mark.parametrize("reporting", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_state_rejected(self, bad, reporting):
+        p = np.full(20, 0.1)
+        p[3] = bad
+        state0 = MfState(p=p, q=np.full(20, 0.5), w=np.zeros(20))
+        with pytest.raises(ValueError, match=r"non-finite p\[3\]"):
+            run("sis", state0, self.links, self.params, max_steps=50,
+                allow_negative_coefficients=reporting)
+
+    def test_non_finite_step_stops_a_reporting_run(self):
+        # A huge but finite carrier mass overflows in the first step; the
+        # reporting run stops there instead of carrying infinity onward.
+        p = np.full(20, 0.1)
+        p[0] = 1e308
+        state0 = MfState(p=p, q=np.full(20, 0.5), w=np.zeros(20))
+        with pytest.raises(ValueError, match=r"step \d+ has a non-finite"):
+            run("sirs", state0, self.links, self.params, max_steps=50,
+                allow_negative_coefficients=True)
+
+
+# ---------------------------------------------------------------------------
+# CSR-aligned link tables against a networkx oracle
+# ---------------------------------------------------------------------------
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       symmetric=st.booleans())
+def test_from_mapping_precedence_matches_networkx(seed, symmetric):
+    rng = np.random.default_rng(seed)
+    g = gen_binomial(int(rng.integers(2, 16)), 0.4, seed)
+    # Name a random subset of directed links, in random order.
+    directed = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
+    named = [directed[i] for i in rng.permutation(len(directed))[: len(directed) // 2 + 1]]
+    mapping = {link: float(rng.random()) for link in named}
+    # Oracle: mirrored entries first, then explicit ones overwrite them.
+    oracle = nx.DiGraph()
+    if symmetric:
+        oracle.add_edges_from((v, u, {"beta": b}) for (u, v), b in mapping.items())
+    oracle.add_edges_from((u, v, {"beta": b}) for (u, v), b in mapping.items())
+    links = LinkProbs.from_mapping(g, mapping, symmetric=symmetric)
+    indptr, indices = g.csr
+    for i in range(g.n):
+        for k in range(indptr[i], indptr[i + 1]):
+            j = int(indices[k])
+            want_in = oracle.edges[j, i]["beta"] if oracle.has_edge(j, i) else 0.0
+            want_out = oracle.edges[i, j]["beta"] if oracle.has_edge(i, j) else 0.0
+            assert links.in_values[k] == want_in == links.value(j, i)
+            assert links.out_values[k] == want_out == links.value(i, j)
+
+
+def test_out_of_range_links_are_not_edges():
+    g = Graph.from_edges(4, [(0, 3), (1, 2)])
+    links = LinkProbs.from_mapping(g, {(0, 3): 0.5})
+    # Unchecked, a negative id would wrap around in indexing or form a
+    # row-major key equal to that of a real link: (-1, 1) -> (0, 3) at n = 4.
+    for src, dst in ((-1, 1), (1, -1), (3, 4), (4, 0), (0, 1)):
+        assert links.value(src, dst) == 0.0
+        assert not g.has_edge(src, dst)
+    assert links.value(3, 0) == 0.5
+    for bad in ({(-1, 1): 0.5}, {(1, -1): 0.5}, {(0, 4): 0.5}):
+        with pytest.raises(ValueError, match="not an edge"):
+            LinkProbs.from_mapping(g, bad)
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        LinkProbs(graph=g, table={(1, 2): 1.5})
+
+
+def test_link_arrays_are_read_only():
+    g = gen_binomial(10, 0.4, 1)
+    for links in (LinkProbs.homogeneous(g, 0.3), LinkProbs.from_mapping(g, {})):
+        with pytest.raises(ValueError):
+            links.in_values[0] = 1.0
