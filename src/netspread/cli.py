@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -36,6 +38,7 @@ from .meanfield import run as meanfield_run
 from .montecarlo import mc_ensemble
 from .ode import IntegrationInstabilityError, OdeParams, OdeState, integrate
 from .spectral import survivability_score
+from .trajectory import _write_csv, _write_text
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -77,9 +80,7 @@ def _inputs(args: argparse.Namespace) -> tuple[Graph, NodeParams, LinkProbs]:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
@@ -152,13 +153,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     result = survivability_score(g, links, params)
     print(f"s={result.score:.12g} fast_extinction={result.status}")
     if args.eigenvector_csv:
-        from .spectral import build_system_matrix, largest_eigenvalue_magnitude
-
-        res = largest_eigenvalue_magnitude(build_system_matrix(g, links, params))
-        lines = ["node,value"]
-        lines.extend(f"{i},{res.vector[i]:.12e}" for i in range(g.n))
-        with open(args.eigenvector_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(
+            args.eigenvector_csv, ["node", "value"], [np.arange(g.n), result.vector]
+        )
     return 0
 
 

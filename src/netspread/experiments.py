@@ -31,6 +31,7 @@ from .meanfield import run as meanfield_run
 from .montecarlo import mc_ensemble
 from .ode import OdeParams, OdeState, integrate
 from .spectral import survivability_score
+from .trajectory import _write_text
 
 __all__ = [
     "ConfigError",
@@ -159,12 +160,21 @@ class ExperimentConfig:
     allow_negative_coefficients: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in ALL_MODELS:
+        if not isinstance(self.model, str) or self.model not in ALL_MODELS:
             raise ConfigError("model", f"unknown model {self.model!r}")
         if self.model not in ODE_MODELS and self.graph is None:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params", f"must be an object, got {self.params!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
+        if not isinstance(self.allow_negative_coefficients, bool):
+            raise ConfigError(
+                "allow_negative_coefficients",
+                f"must be true or false, got {self.allow_negative_coefficients!r}",
+            )
         for key, value in self.params.items():
-            if not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"params.{key}", f"must be numeric, got {value!r}")
             if key in _PROB_PARAMS and not (0.0 <= value <= 1.0):
                 raise ConfigError(f"params.{key}", f"must lie in [0, 1], got {value}")
@@ -176,6 +186,10 @@ class ExperimentConfig:
                     "beta", "gamma", "delta", "r", "nu", "chi", "mu", "p0", "w0"
                 ):
                     raise ConfigError("sweep.parameters", f"cannot sweep {name!r}")
+        # Stored as floats so that 1 and 1.0 give the same config hash.
+        object.__setattr__(
+            self, "params", {str(k): float(v) for k, v in self.params.items()}
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -197,33 +211,32 @@ class ExperimentConfig:
                 raise ConfigError("graph", str(exc)) from None
         sweep = None
         if d.get("sweep") is not None:
-            s = dict(d["sweep"])
-            if "parameter" in s:
-                s["parameters"] = [{"name": s.pop("parameter"), "base": s.pop("base")}]
             try:
+                s = dict(d["sweep"])
+                if "parameter" in s:
+                    s["parameters"] = [
+                        {"name": s.pop("parameter"), "base": s.pop("base")}
+                    ]
                 parameters = tuple(
                     (str(entry["name"]), float(entry["base"]))
                     for entry in s["parameters"]
                 )
-                sweep = SweepSpec(
-                    parameters=parameters,
-                    increment=float(s["increment"]),
-                    count=int(s["count"]),
-                )
-            except (KeyError, TypeError) as exc:
+                increment, count = float(s["increment"]), int(s["count"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("sweep", f"malformed sweep block: {exc}") from None
+            sweep = SweepSpec(parameters=parameters, increment=increment, count=count)
         try:
             run_spec = RunSpec(**d.get("run", {}))
         except TypeError as exc:
             raise ConfigError("run", str(exc)) from None
         return cls(
             model=d["model"],
-            params={str(k): float(v) for k, v in d.get("params", {}).items()},
+            params=d.get("params", {}),
             run=run_spec,
             graph=graph,
             sweep=sweep,
-            seed=int(d.get("seed", 0)),
-            allow_negative_coefficients=bool(d.get("allow_negative_coefficients", False)),
+            seed=d.get("seed", 0),
+            allow_negative_coefficients=d.get("allow_negative_coefficients", False),
         )
 
     @classmethod
@@ -407,9 +420,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> SweepRes
         "errors": [p.error for p in points],
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return SweepResult(
         config_hash=manifest["config_hash"],
         seed=config.seed,
@@ -513,5 +524,5 @@ def reproduce_figures(output_dir: str | Path) -> dict[str, SweepResult]:
             else:
                 terminal = f"error: {point.error}"
             summary_lines.append(f"{name},{k},{swept},{score},{terminal}")
-    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    _write_text(out / "summary.csv", "\n".join(summary_lines) + "\n")
     return results

@@ -21,6 +21,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .trajectory import _write_text
+
 __all__ = [
     "Graph",
     "DegreeDistribution",
@@ -351,11 +353,7 @@ def save_edge_list(g: Graph, destination: str | Path | IO[str]) -> None:
     """
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    _write_text(destination, "\n".join(lines) + "\n")
 
 
 def load_edge_list(source: str | Path | IO[str]) -> Graph:

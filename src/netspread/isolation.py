@@ -93,6 +93,33 @@ def _maybe_scores(
     return s_before, s_after, (s_before >= 1.0 and s_after < 1.0)
 
 
+def _report(
+    strategy: str,
+    before: Graph,
+    after: Graph,
+    beta_template: float | None,
+    params: NodeParams | None,
+) -> IsolationReport:
+    """Report of replacing ``before`` by ``after``; scores are computed only
+    when both ``beta_template`` and ``params`` are given."""
+    removed = _missing_edges(before, after)
+    score_before, score_after, crossed = _maybe_scores(
+        before, after, beta_template, params
+    )
+    return IsolationReport(
+        strategy=strategy,
+        edges_removed=len(removed),
+        removed_edges=removed,
+        edges_added=_missing_edges(after, before),
+        lambda1_before=adjacency_spectral_radius(before).value,
+        lambda1_after=adjacency_spectral_radius(after).value,
+        connectivity_after=after.connected_components(),
+        score_before=score_before,
+        score_after=score_after,
+        threshold_crossed=crossed,
+    )
+
+
 def greedy_edge_removal(
     g: Graph,
     k: int,
@@ -209,24 +236,7 @@ def prune_to_cycle(
         a, b = hops[missing[0]].tolist()
         raise ValueError(f"cycle step ({a}, {b}) is not an edge of the graph")
     pruned = Graph.from_edges(g.n, hops)
-    removed = _missing_edges(g, pruned)
-
-    lam_before = adjacency_spectral_radius(g).value
-    lam_after = adjacency_spectral_radius(pruned).value
-    score_before, score_after, crossed = _maybe_scores(g, pruned, beta_template, params)
-    report = IsolationReport(
-        strategy="cycle",
-        edges_removed=len(removed),
-        removed_edges=removed,
-        edges_added=[],
-        lambda1_before=lam_before,
-        lambda1_after=lam_after,
-        connectivity_after=pruned.connected_components(),
-        score_before=score_before,
-        score_after=score_after,
-        threshold_crossed=crossed,
-    )
-    return pruned, report
+    return pruned, _report("cycle", g, pruned, beta_template, params)
 
 
 def lattice_dimensions(n: int) -> tuple[int, int] | None:
@@ -284,24 +294,8 @@ def rewire_to_lattice(
             routes.extend(zip(route, route[1:]))
         kept = gen_lattice4(*dims).remove_edges(spliced).edge_array
         rewired = Graph.from_edges(g.n, np.concatenate((kept, routes)))
-    removed = _missing_edges(g, rewired)
-
-    lam_before = adjacency_spectral_radius(g).value
-    lam_after = adjacency_spectral_radius(rewired).value
-    score_before, score_after, crossed = _maybe_scores(g, rewired, beta_template, params)
-    report = IsolationReport(
-        strategy="lattice",
-        edges_removed=len(removed),
-        removed_edges=removed,
-        edges_added=_missing_edges(rewired, g),
-        lambda1_before=lam_before,
-        lambda1_after=lam_after,
-        connectivity_after=rewired.connected_components(),
-        score_before=score_before,
-        score_after=score_after,
-        threshold_crossed=crossed,
-        surplus_nodes=surplus,
-    )
+    report = _report("lattice", g, rewired, beta_template, params)
+    report.surplus_nodes = surplus
     return rewired, report
 
 
@@ -321,21 +315,4 @@ def evaluate_strategy(
     """
     if g_before.n != g_after.n:
         raise ValueError("graphs must share the same node set")
-    lam_before = adjacency_spectral_radius(g_before).value
-    lam_after = adjacency_spectral_radius(g_after).value
-    score_before, score_after, crossed = _maybe_scores(
-        g_before, g_after, beta_template, params
-    )
-    removed = _missing_edges(g_before, g_after)
-    return IsolationReport(
-        strategy=strategy,
-        edges_removed=len(removed),
-        removed_edges=removed,
-        edges_added=_missing_edges(g_after, g_before),
-        lambda1_before=lam_before,
-        lambda1_after=lam_after,
-        connectivity_after=g_after.connected_components(),
-        score_before=score_before,
-        score_after=score_after,
-        threshold_crossed=crossed,
-    )
+    return _report(strategy, g_before, g_after, beta_template, params)

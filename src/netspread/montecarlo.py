@@ -46,6 +46,7 @@ import numpy as np
 
 from .graphs import Graph
 from .meanfield import LinkProbs, NodeParams
+from .trajectory import Trajectory
 
 __all__ = [
     "NO_INFO",
@@ -63,6 +64,9 @@ __all__ = [
 
 NO_INFO, HAS_INFO, WARNED, DEAD = 0, 1, 2, 3
 STATE_NAMES = ("no_info", "has_info", "warned", "dead")
+_MEAN_COLUMNS = (
+    "frac_noinfo_mean", "frac_hasinfo_mean", "frac_warned_mean", "frac_dead_mean"
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -181,21 +185,13 @@ class EnsembleResult:
     seed: int
 
     def write_csv(self, destination: str | Path | IO[str]) -> None:
-        header = (
-            "t,frac_noinfo_mean,frac_hasinfo_mean,frac_warned_mean,"
-            "frac_dead_mean,frac_hasinfo_std"
+        """Write ``t``, the four mean state fractions and the carrier
+        fraction's standard deviation, one row per step."""
+        columns = dict(zip(_MEAN_COLUMNS, self.mean.T))
+        columns["frac_hasinfo_std"] = self.std[:, HAS_INFO]
+        Trajectory(times=np.arange(len(self.mean)), columns=columns).write_csv(
+            destination
         )
-        lines = [header]
-        for t in range(self.mean.shape[0]):
-            cells = [str(t)]
-            cells.extend(f"{self.mean[t, j]:.12e}" for j in range(4))
-            cells.append(f"{self.std[t, HAS_INFO]:.12e}")
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if hasattr(destination, "write"):
-            destination.write(text)  # type: ignore[union-attr]
-        else:
-            Path(destination).write_text(text, encoding="utf-8")
 
 
 def mc_ensemble(

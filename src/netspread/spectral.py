@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,12 +73,17 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class SurvivabilityResult:
-    """Survivability score with its threshold classification."""
+    """Survivability score with its threshold classification.
+
+    ``vector`` is the dominant eigenvector of the system matrix that the
+    score was computed from (unit norm, largest entry positive).
+    """
 
     score: float
     fast_extinction: bool
     critical: bool
     residual: float
+    vector: np.ndarray
 
     @property
     def status(self) -> str:
@@ -113,20 +119,20 @@ class SystemMatrix:
     indices: np.ndarray
     data: np.ndarray
 
+    @cached_property
+    def _nonempty_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows with off-diagonal entries and their CSR start offsets, kept
+        because power iteration calls ``matvec`` hundreds of times."""
+        mask = np.diff(self.indptr) > 0
+        return mask, self.indptr[:-1][mask]
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         contrib = self.data * v[self.indices]
-        mask = np.diff(self.indptr) > 0
         if contrib.size:
-            out[mask] += np.add.reduceat(contrib, self.indptr[:-1][mask])
+            mask, starts = self._nonempty_rows
+            out[mask] += np.add.reduceat(contrib, starts)
         return out
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diag.astype(float))
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                dense[i, self.indices[k]] += self.data[k]
-        return dense
 
 
 def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> SystemMatrix:
@@ -263,6 +269,7 @@ def survivability_score(
         fast_extinction=score < 1.0,
         critical=abs(score - 1.0) <= critical_band,
         residual=res.residual,
+        vector=res.vector,
     )
 
 

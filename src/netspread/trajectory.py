@@ -1,19 +1,40 @@
-"""Shared trajectory container with deterministic CSV serialisation."""
+"""Shared trajectory container and the text output every netspread file
+goes through: one sink for "path or open handle", one CSV cell format."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
 __all__ = ["Trajectory"]
 
 
-def _format_value(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12e}"
+def _write_text(destination: str | Path | IO[str], text: str) -> None:
+    """Write ``text`` to an open text handle, or as UTF-8 to the file at a path."""
+    if hasattr(destination, "write"):
+        destination.write(text)  # type: ignore[union-attr]
+    else:
+        Path(destination).write_text(text, encoding="utf-8")
+
+
+def _write_csv(
+    destination: str | Path | IO[str],
+    names: Sequence[str],
+    columns: Sequence[np.ndarray],
+) -> None:
+    """Write a header of ``names`` and one row per index of ``columns``.
+
+    Integer columns are written as ``%d``; every other column as ``%.12e``
+    (13 significant digits), so reruns give identical bytes.
+    """
+    row = ",".join(
+        "%d" if np.issubdtype(col.dtype, np.integer) else "%.12e" for col in columns
+    )
+    lines = [",".join(names)]
+    lines.extend(row % values for values in zip(*(col.tolist() for col in columns)))
+    _write_text(destination, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -46,17 +67,6 @@ class Trajectory:
 
     def write_csv(self, destination: str | Path | IO[str]) -> None:
         """Write ``t,<columns...>`` rows; floats carry 13 significant digits."""
-        header = "t," + ",".join(self.columns)
-        lines = [header]
-        cols = list(self.columns.values())
-        time_is_int = np.issubdtype(self.times.dtype, np.integer)
-        for k in range(len(self.times)):
-            t = int(self.times[k]) if time_is_int else self.times[k]
-            cells = [_format_value(t)]
-            cells.extend(_format_value(c[k]) for c in cols)
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if hasattr(destination, "write"):
-            destination.write(text)  # type: ignore[union-attr]
-        else:
-            Path(destination).write_text(text, encoding="utf-8")
+        _write_csv(
+            destination, ["t", *self.columns], [self.times, *self.columns.values()]
+        )

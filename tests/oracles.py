@@ -152,6 +152,15 @@ def dense_system_matrix(g: Graph, beta_of, params) -> np.ndarray:
     return s
 
 
+def system_matrix_to_dense(s) -> np.ndarray:
+    """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by entry."""
+    dense = np.diag(s.diag.astype(float))
+    for i in range(s.n):
+        for k in range(s.indptr[i], s.indptr[i + 1]):
+            dense[i, s.indices[k]] += s.data[k]
+    return dense
+
+
 def is_hamiltonian_cycle(g: Graph, cycle: list[int]) -> bool:
     """Edge-membership scan: visits every node once, all hops are edges."""
     if len(cycle) != g.n or set(cycle) != set(range(g.n)):

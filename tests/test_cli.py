@@ -318,6 +318,33 @@ class TestSweepAndFigures:
         assert payload["type"] == "ConfigError"
         assert payload["field"] == "model"
 
+    @pytest.mark.parametrize("change,field", [
+        ({"params": {"beta": None, "gamma": 0.1, "delta": 0.3}}, "params.beta"),
+        ({"params": [1]}, "params"),
+        ({"sweep": {"parameter": "beta", "increment": 0.1, "count": 2}}, "sweep"),
+        ({"params": {"beta": "abc", "gamma": 0.1, "delta": 0.3}}, "params.beta"),
+        ({"params": {"beta": "0.5", "gamma": 0.1, "delta": 0.3}}, "params.beta"),
+        ({"allow_negative_coefficients": "false"}, "allow_negative_coefficients"),
+        ({"seed": "7"}, "seed"),
+        ({"model": ["sis_meanfield"]}, "model"),
+    ], ids=["null", "list", "no_base", "word", "numeric_string", "bool_string",
+            "seed_string", "model_list"])
+    def test_malformed_config_value_names_field(self, tmp_path, change, field):
+        config = {
+            "model": "sis_meanfield",
+            "params": {"beta": 0.2, "gamma": 0.1, "delta": 0.3},
+            "graph": {"family": "binomial", "n": 30, "p": 0.2},
+            **change,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        proc = run_cli("sweep", "--config", str(cfg_path),
+                       "--output-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        payload = stderr_error(proc)
+        assert payload["type"] == "ConfigError"
+        assert payload["field"] == field
+
     def test_sweep_missing_config_file(self, tmp_path):
         proc = run_cli("sweep", "--config", str(tmp_path / "nope.json"),
                        "--output-dir", str(tmp_path / "out"))
