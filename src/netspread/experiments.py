@@ -62,6 +62,25 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+# Config values are JSON values: bool is not a number here.
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _require(check, field_name: str, value, kind: str) -> None:
+    """Raise a :class:`ConfigError` for ``field_name`` unless ``check(value)``."""
+    if not check(value):
+        raise ConfigError(field_name, f"must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Graph source: a generator family with parameters, or an edge-list path."""
@@ -86,6 +105,16 @@ class GraphSpec:
             "lattice4",
         ):
             raise ConfigError("graph.family", f"unknown family {self.family!r}")
+        for name, check, kind in (
+            ("path", _is_string, "a string"),
+            ("n", _is_integer, "an integer"), ("m", _is_integer, "an integer"),
+            ("p", _is_number, "numeric"), ("lam", _is_number, "numeric"),
+            ("rows", _is_integer, "an integer"), ("cols", _is_integer, "an integer"),
+            ("seed", _is_integer, "an integer"),
+        ):
+            value = getattr(self, name)
+            if value is not None:
+                _require(check, f"graph.{name}", value, kind)
 
     def build(self, default_seed: int) -> Graph:
         seed = self.seed if self.seed is not None else default_seed
@@ -117,10 +146,19 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
+        for name, base in self.parameters:
+            _require(_is_string, "sweep.parameters", name, "a parameter name")
+            _require(_is_number, "sweep.base", base, f"numeric for {name!r}")
+        _require(_is_number, "sweep.increment", self.increment, "numeric")
+        _require(_is_integer, "sweep.count", self.count, "an integer")
         if self.count < 1:
             raise ConfigError("sweep.count", f"must be >= 1, got {self.count}")
         if not self.parameters:
             raise ConfigError("sweep.parameters", "must name at least one parameter")
+        # Stored as floats so that 1 and 1.0 give the same config hash.
+        object.__setattr__(self, "parameters", tuple(
+            (name, float(base)) for name, base in self.parameters))
+        object.__setattr__(self, "increment", float(self.increment))
 
     def point_values(self, k: int) -> dict[str, float]:
         return {name: base + k * self.increment for name, base in self.parameters}
@@ -137,11 +175,16 @@ class RunSpec:
     runs: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("steps", "runs"):
+            _require(_is_integer, f"run.{name}", getattr(self, name), "an integer")
+        for name in ("dt", "t_end", "tol"):
+            _require(_is_number, f"run.{name}", getattr(self, name), "numeric")
         if self.steps < 1:
             raise ConfigError("run.steps", f"must be >= 1, got {self.steps}")
-        if self.dt <= 0:
+        # "not > 0" rejects NaN as well.
+        if not self.dt > 0:
             raise ConfigError("run.dt", f"must be positive, got {self.dt}")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ConfigError("run.t_end", f"must be positive, got {self.t_end}")
         if self.runs < 1:
             raise ConfigError("run.runs", f"must be >= 1, got {self.runs}")
@@ -166,16 +209,14 @@ class ExperimentConfig:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
         if not isinstance(self.params, dict):
             raise ConfigError("params", f"must be an object, got {self.params!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
+        _require(_is_integer, "seed", self.seed, "an integer")
         if not isinstance(self.allow_negative_coefficients, bool):
             raise ConfigError(
                 "allow_negative_coefficients",
                 f"must be true or false, got {self.allow_negative_coefficients!r}",
             )
         for key, value in self.params.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"params.{key}", f"must be numeric, got {value!r}")
+            _require(_is_number, f"params.{key}", value, "numeric")
             if key in _PROB_PARAMS and not (0.0 <= value <= 1.0):
                 raise ConfigError(f"params.{key}", f"must lie in [0, 1], got {value}")
             if key in ("beta", "gamma", "mu") and value < 0:
@@ -218,10 +259,9 @@ class ExperimentConfig:
                         {"name": s.pop("parameter"), "base": s.pop("base")}
                     ]
                 parameters = tuple(
-                    (str(entry["name"]), float(entry["base"]))
-                    for entry in s["parameters"]
+                    (entry["name"], entry["base"]) for entry in s["parameters"]
                 )
-                increment, count = float(s["increment"]), int(s["count"])
+                increment, count = s["increment"], s["count"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("sweep", f"malformed sweep block: {exc}") from None
             sweep = SweepSpec(parameters=parameters, increment=increment, count=count)

@@ -21,6 +21,14 @@ The update rule is not a stochastic matrix when ``delta_i`` exceeds
 probabilities can leave ``[0, 1]``.  Steps detect this and fail loudly with a
 parameter-regime diagnostic; nothing is clamped.  Callers can opt into a
 reporting-only mode that records violations instead of raising.
+
+One update body serves :func:`run`, :func:`sis_step`, :func:`sirs_step` and
+:func:`zeta`.  It is prepared once per run (per call for the single-step
+functions): the CSR products ``r_j * beta_ji``, the ``reduceat`` row offsets
+and the per-node coefficients are computed before the first step, and each
+step gathers ``p`` over the CSR once and keeps ``p``, ``q``, ``w`` and the
+dead fraction in one ``(4, n)`` array.  The prepared run gives the same
+bits as stepping one state at a time.
 """
 from __future__ import annotations
 
@@ -238,20 +246,89 @@ def expected_carriers(state: MfState) -> float:
     return float(state.p.sum())
 
 
+def _check_sizes(state: MfState, links: LinkProbs, params: NodeParams) -> None:
+    n = links.graph.n
+    if params.n != n:
+        raise ValueError(f"node parameters cover {params.n} nodes but the graph has {n}")
+    if state.n != n:
+        raise ValueError(f"the state covers {state.n} nodes but the graph has {n}")
+
+
+class _Update:
+    """The update of the module docstring, prepared for one graph, link
+    table and parameter set.
+
+    What does not change between steps is computed here, once: the CSR
+    products ``r_j * beta_ji`` (bit-equal to the per-step product, since
+    ``r * beta * p`` evaluates left to right), the ``reduceat`` offsets of
+    the non-empty rows, the coefficients ``1 - delta``, ``1 - nu`` and
+    ``1 - chi - delta``, and a buffer for the CSR gather of ``p``.  A state
+    is a ``(4, n)`` array of rows ``p``, ``q``, ``w`` and
+    ``dead = 1 - p - q - w``, so ``dead`` is computed once per state.
+    """
+
+    def __init__(self, links: LinkProbs, params: NodeParams,
+                 nu: np.ndarray | float, chi: np.ndarray | float) -> None:
+        indptr, self.indices = links.graph.csr
+        self.rb = params.r[self.indices] * links.in_values
+        self.factors = np.empty_like(self.rb)
+        nonempty = np.diff(indptr) > 0
+        # None: every row has an in-neighbour, so reduceat fills all of zeta.
+        self.nonempty = None if nonempty.all() else nonempty
+        self.starts = indptr[:-1] if self.nonempty is None else indptr[:-1][nonempty]
+        self.n = links.graph.n
+        self.delta, self.gamma, self.nu, self.chi = params.delta, params.gamma, nu, chi
+        self.keep_p = 1.0 - params.delta
+        self.warn = 1.0 - nu
+        self.keep_w = 1.0 - chi - params.delta
+
+    def zeta(self, p: np.ndarray) -> np.ndarray:
+        # One buffer for the whole run keeps a CSR-sized allocation out of
+        # every step.  CSR indices lie in [0, n), so "clip" clips nothing;
+        # the default "raise" would copy through a second buffer.
+        factors = np.take(p, self.indices, out=self.factors, mode="clip")
+        np.multiply(self.rb, factors, out=factors)
+        np.subtract(1.0, factors, out=factors)
+        if self.nonempty is None:
+            return np.multiply.reduceat(factors, self.starts)
+        z = np.ones(self.n)
+        z[self.nonempty] = np.multiply.reduceat(factors, self.starts)
+        return z
+
+    def step(self, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The state after ``cur``, and the ``zeta`` it was computed with."""
+        p, q, w, dead = cur
+        z = self.zeta(p)
+        miss = 1.0 - z
+        nxt = np.empty_like(cur)
+        np.add(p * self.keep_p, q * miss * self.nu, out=nxt[0])
+        np.add(q * (z - self.delta) + dead * self.gamma, self.chi * w, out=nxt[1])
+        np.add(miss * self.warn * q, self.keep_w * w, out=nxt[2])
+        np.subtract(1.0 - nxt[0] - nxt[1], nxt[2], out=nxt[3])
+        return nxt, z
+
+
+def _stack(state: MfState) -> np.ndarray:
+    """``state`` as the ``(4, n)`` rows ``p, q, w, dead`` of :class:`_Update`."""
+    return np.stack([state.p, state.q, state.w, state.dead])
+
+
+def _in_bounds(rows: np.ndarray) -> bool:
+    """Whether :func:`bound_violations` finds nothing in the state ``rows``
+    (``p, q, w`` first); NaN fails every comparison here, as it does there."""
+    pqw = rows[:3]
+    return bool(pqw.min() >= -_BOUND_SLACK and pqw.max() <= 1.0 + _BOUND_SLACK
+                and (rows[0] + rows[1] + rows[2]).max() <= 1.0 + _BOUND_SLACK)
+
+
 def zeta(state: MfState, links: LinkProbs, params: NodeParams) -> np.ndarray:
     """Probability that each node receives nothing this step.
 
     ``zeta_i = prod over in-neighbours j of (1 - r_j * beta_ji * p_j)``;
     nodes with no neighbours get exactly 1.
     """
-    indptr, indices = links.graph.csr
-    factors = 1.0 - params.r[indices] * links.in_values * state.p[indices]
-    out = np.ones(links.graph.n)
-    row_len = np.diff(indptr)
-    mask = row_len > 0
-    if factors.size:
-        out[mask] = np.multiply.reduceat(factors, indptr[:-1][mask])
-    return out
+    _check_sizes(state, links, params)
+    return _Update(links, params, 1.0, 0.0).zeta(state.p)
 
 
 def bound_violations(state: MfState) -> list[BoundViolation]:
@@ -294,16 +371,24 @@ def _raise_bounds(violations: list[BoundViolation], zeta_t: np.ndarray,
     )
 
 
-def _step(state: MfState, links: LinkProbs, params: NodeParams,
-          nu: np.ndarray | float, chi: np.ndarray | float, enforce_bounds: bool) -> MfState:
-    """The synchronous update of the module docstring, with acceptance
-    ``nu`` and warning decay ``chi``."""
-    z = zeta(state, links, params)
-    dead = 1.0 - state.p - state.q - state.w
-    new_p = state.p * (1.0 - params.delta) + state.q * (1.0 - z) * nu
-    new_q = state.q * (z - params.delta) + dead * params.gamma + chi * state.w
-    new_w = (1.0 - z) * (1.0 - nu) * state.q + (1.0 - chi - params.delta) * state.w
-    nxt = MfState(p=new_p, q=new_q, w=new_w, t=state.t + 1)
+def _acceptance(model: str, params: NodeParams) -> tuple:
+    """``(nu, chi)`` of ``model``: "sis" is the update with ``nu = 1``, ``chi = 0``."""
+    return (1.0, 0.0) if model == "sis" else (params.nu, params.chi)
+
+
+def _require_empty_warning(state: MfState) -> None:
+    if np.any(state.w != 0.0):
+        raise ValueError("sis_step requires an empty warning state (w == 0)")
+
+
+def _step(model: str, state: MfState, links: LinkProbs, params: NodeParams,
+          enforce_bounds: bool) -> MfState:
+    """One step of ``model`` from ``state``, checked unless ``enforce_bounds``
+    is false."""
+    _check_sizes(state, links, params)
+    update = _Update(links, params, *_acceptance(model, params))
+    rows, z = update.step(_stack(state))
+    nxt = MfState(p=rows[0], q=rows[1], w=rows[2], t=state.t + 1)
     if enforce_bounds:
         bad = bound_violations(nxt)
         if bad:
@@ -319,9 +404,8 @@ def sis_step(
 
     Requires ``state.w == 0`` everywhere; the warning state must stay empty.
     """
-    if np.any(state.w != 0.0):
-        raise ValueError("sis_step requires an empty warning state (w == 0)")
-    return _step(state, links, params, 1.0, 0.0, enforce_bounds)
+    _require_empty_warning(state)
+    return _step("sis", state, links, params, enforce_bounds)
 
 
 def sirs_step(
@@ -332,7 +416,7 @@ def sirs_step(
     With ``nu = 1`` and an empty warning state this reduces exactly to
     :func:`sis_step`.
     """
-    return _step(state, links, params, params.nu, params.chi, enforce_bounds)
+    return _step("sirs", state, links, params, enforce_bounds)
 
 
 def validate_warning_params(params: NodeParams) -> None:
@@ -376,12 +460,6 @@ def _require_finite(found: list[BoundViolation]) -> list[BoundViolation]:
     return found
 
 
-def _aggregates(state: MfState) -> tuple:
-    """One trajectory row: ``t`` and the :data:`_COLUMNS` values."""
-    return (state.t, state.p.mean(), state.q.mean(), state.w.mean(),
-            state.dead.mean(), expected_carriers(state))
-
-
 def run(
     model: str,
     state0: MfState,
@@ -402,40 +480,60 @@ def run(
     ``chi + delta > 1`` are rejected before the first step).  A NaN or
     infinite component, at the start or in a reporting run, raises
     ``ValueError``.
+
+    The run is prepared once (see :class:`_Update`) and builds no
+    :class:`MfState` per step.  Each step checks bounds with one min/max scan
+    and calls :func:`bound_violations` only when that scan fails, records
+    the four row sums the trajectory's columns are made from, and measures
+    the change in place in the previous state, which it no longer needs.
+    The numbers are those of repeated :func:`sis_step` / :func:`sirs_step`
+    calls, bit for bit.
     """
     if model not in ("sis", "sirs"):
         raise ValueError(f"unknown mean-field model {model!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
+    _check_sizes(state0, links, params)
     if model == "sirs" and not allow_negative_coefficients:
         validate_warning_params(params)
-    step_fn = sis_step if model == "sis" else sirs_step
     enforce = not allow_negative_coefficients
 
-    state = state0
-    rows = [_aggregates(state)]
     initial = _require_finite(bound_violations(state0))
     violations: list[BoundViolation] = [] if enforce else initial
+    if max_steps and model == "sis":
+        # The "sis" update keeps w at zero, so only the start needs checking.
+        _require_empty_warning(state0)
+    cur = _stack(state0)
+    sums = [cur.sum(axis=1)]  # the mean of a row is its sum over n, bit for bit
+    t = state0.t
     converged = False
+    update = _Update(links, params, *_acceptance(model, params))
     for _ in range(max_steps):
-        nxt = step_fn(state, links, params, enforce_bounds=enforce)
-        if not enforce:
-            violations.extend(_require_finite(bound_violations(nxt)))
-        rows.append(_aggregates(nxt))
-        change = max(np.max(np.abs(new - old)) for new, old in
-                     ((nxt.p, state.p), (nxt.q, state.q), (nxt.w, state.w)))
-        state = nxt
+        nxt, z = update.step(cur)
+        t += 1
+        if not _in_bounds(nxt):
+            bad = bound_violations(MfState(p=nxt[0], q=nxt[1], w=nxt[2], t=t))
+            if enforce and bad:
+                _raise_bounds(bad, z, params)
+            violations.extend(_require_finite(bad))
+        sums.append(nxt.sum(axis=1))
+        # The change is measured in the old state's rows, which are not
+        # needed again; no reference to them outlives this line.
+        change = np.abs(np.subtract(nxt[:3], cur[:3], out=cur[:3]), out=cur[:3]).max()
+        cur = nxt
         if change < tol:
             converged = True
             break
-    times, *columns = zip(*rows)
+    steps = len(sums) - 1
+    totals = np.array(sums).T.copy()
+    means = totals / state0.n
     return MeanFieldRun(
         trajectory=Trajectory(
-            times=np.array(times, dtype=np.int64),
-            columns={name: np.array(col) for name, col in zip(_COLUMNS, columns)},
+            times=np.arange(state0.t, t + 1, dtype=np.int64),
+            columns=dict(zip(_COLUMNS, (*means, totals[0]))),
         ),
-        final_state=state,
+        final_state=MfState(p=cur[0], q=cur[1], w=cur[2], t=t) if steps else state0,
         converged=converged,
-        steps=len(rows) - 1,
+        steps=steps,
         violations=violations,
     )

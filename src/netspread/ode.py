@@ -10,6 +10,11 @@ Three classic models, each expressed as coupled ODEs over fractions:
   (s + i = 1 is conserved).
 
 Integration uses the classic fixed-step fourth-order Runge-Kutta scheme.
+Each model's right-hand side is one kernel on plain floats; the public
+``*_rhs`` functions wrap it for :class:`OdeState` / :class:`OdeParams`, and
+the RK4 loop calls it directly, so no state object is built per stage.  The
+loop checks each step's bounds with one chained comparison and calls the
+full check only to raise its error.
 """
 from __future__ import annotations
 
@@ -69,26 +74,44 @@ class OdeState:
     r: float = 0.0
 
 
+# Kernels on plain floats; the public ``*_rhs`` functions and the RK4 loop
+# of :func:`integrate` share them, so both evaluate the same expressions.
+
+def _sir_epidemic(s: float, i: float, beta: float, gamma: float,
+                  mu: float) -> tuple[float, float]:
+    infections = beta * i * s
+    recoveries = gamma * i
+    return (-infections, infections - recoveries)
+
+
+def _sir_endemic(s: float, i: float, beta: float, gamma: float,
+                 mu: float) -> tuple[float, float]:
+    infections = beta * i * s
+    ds = -infections + mu - mu * s
+    di = infections - (gamma + mu) * i
+    return (ds, di)
+
+
+def _sis(s: float, i: float, beta: float, gamma: float,
+         mu: float) -> tuple[float, float]:
+    infections = beta * i * s
+    recoveries = gamma * i
+    return (recoveries - infections, infections - recoveries)
+
+
 def sir_epidemic_rhs(state: OdeState, params: OdeParams) -> tuple[float, float]:
     """Time derivatives ``(ds, di)``; recovered evolves as 1 - s - i."""
-    infections = params.beta * state.i * state.s
-    recoveries = params.gamma * state.i
-    return (-infections, infections - recoveries)
+    return _sir_epidemic(state.s, state.i, params.beta, params.gamma, params.mu)
 
 
 def sir_endemic_rhs(state: OdeState, params: OdeParams) -> tuple[float, float]:
     """SIR with balanced birth/death rate ``mu``; newborns are susceptible."""
-    infections = params.beta * state.i * state.s
-    ds = -infections + params.mu - params.mu * state.s
-    di = infections - (params.gamma + params.mu) * state.i
-    return (ds, di)
+    return _sir_endemic(state.s, state.i, params.beta, params.gamma, params.mu)
 
 
 def sis_rhs(state: OdeState, params: OdeParams) -> tuple[float, float]:
     """Recovered individuals return directly to susceptible."""
-    infections = params.beta * state.i * state.s
-    recoveries = params.gamma * state.i
-    return (recoveries - infections, infections - recoveries)
+    return _sis(state.s, state.i, params.beta, params.gamma, params.mu)
 
 
 ODE_MODELS = {
@@ -96,6 +119,7 @@ ODE_MODELS = {
     "sir_endemic": sir_endemic_rhs,
     "sis": sis_rhs,
 }
+_KERNELS = {"sir_epidemic": _sir_epidemic, "sir_endemic": _sir_endemic, "sis": _sis}
 
 # Which models carry an explicit recovered compartment (r = 1 - s - i).
 _HAS_RECOVERED = {"sir_epidemic": True, "sir_endemic": True, "sis": False}
@@ -146,14 +170,15 @@ def integrate(
         raise ValueError(f"unknown model {model!r}; expected one of {sorted(ODE_MODELS)}")
     if dt <= 0 or t_end <= 0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
-    rhs = ODE_MODELS[model]
+    rhs = _KERNELS[model]
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end={t_end!r} is shorter than one step of dt={dt!r}")
 
     s, i = float(state0.s), float(state0.i)
     total0 = s + i
-    if not _HAS_RECOVERED[model] and abs(total0 - 1.0) > 1e-9:
+    recovered = _HAS_RECOVERED[model]
+    if not recovered and abs(total0 - 1.0) > 1e-9:
         raise ValueError(f"SIS requires s + i = 1, got {total0!r}")
 
     s_out = np.empty(n_steps + 1)
@@ -161,21 +186,28 @@ def integrate(
     s_out[0], i_out[0] = s, i
     _check_state(model, s, i, step=0, t=0.0, total0=total0)
 
+    beta, gamma, mu = params.beta, params.gamma, params.mu
+    lo, hi = -_FRACTION_SLACK, 1.0 + _FRACTION_SLACK
     sixth = dt / 6.0
     half = dt / 2.0
     for k in range(1, n_steps + 1):
-        ks1, ki1 = rhs(OdeState(s, i), params)
-        ks2, ki2 = rhs(OdeState(s + half * ks1, i + half * ki1), params)
-        ks3, ki3 = rhs(OdeState(s + half * ks2, i + half * ki2), params)
-        ks4, ki4 = rhs(OdeState(s + dt * ks3, i + dt * ki3), params)
+        ks1, ki1 = rhs(s, i, beta, gamma, mu)
+        ks2, ki2 = rhs(s + half * ks1, i + half * ki1, beta, gamma, mu)
+        ks3, ki3 = rhs(s + half * ks2, i + half * ki2, beta, gamma, mu)
+        ks4, ki4 = rhs(s + dt * ks3, i + dt * ki3, beta, gamma, mu)
         s = s + sixth * (ks1 + 2.0 * ks2 + 2.0 * ks3 + ks4)
         i = i + sixth * (ki1 + 2.0 * ki2 + 2.0 * ki3 + ki4)
-        _check_state(model, s, i, step=k, t=k * dt, total0=total0)
+        # Exactly the conditions under which _check_state passes (NaN fails
+        # every comparison); it runs only to raise its error.
+        if not (lo <= s <= hi and lo <= i <= hi and (
+                lo <= 1.0 - s - i <= hi if recovered
+                else abs((s + i) - total0) <= _CONSERVATION_TOL * (1.0 + k * dt))):
+            _check_state(model, s, i, step=k, t=k * dt, total0=total0)
         s_out[k] = s
         i_out[k] = i
 
     times = np.arange(n_steps + 1) * dt
-    if _HAS_RECOVERED[model]:
+    if recovered:
         r_out = 1.0 - s_out - i_out
     else:
         r_out = np.zeros_like(s_out)

@@ -12,7 +12,18 @@ from collections import deque
 import numpy as np
 
 from netspread.graphs import Graph
+from netspread.meanfield import (
+    _COLUMNS,
+    MeanFieldRun,
+    MfState,
+    _raise_bounds,
+    _require_finite,
+    bound_violations,
+    validate_warning_params,
+)
 from netspread.montecarlo import DEAD, HAS_INFO, NO_INFO, WARNED
+from netspread.ode import _HAS_RECOVERED, OdeState, _check_state
+from netspread.trajectory import Trajectory
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -208,3 +219,161 @@ def mc_step_reference(states, graph, links, params, rng):
 
     new_states[died] = DEAD
     return new_states
+
+
+# ---------------------------------------------------------------------------
+# The mean-field run and the RK4 loop as they were before both were prepared
+# once per run: one MfState per step, zeta rebuilt from the CSR every step,
+# a full bound_violations scan per step, OdeState objects in the RK4 stages.
+# The package must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _zeta_reference(state, links, params):
+    indptr, indices = links.graph.csr
+    factors = 1.0 - params.r[indices] * links.in_values * state.p[indices]
+    out = np.ones(links.graph.n)
+    row_len = np.diff(indptr)
+    mask = row_len > 0
+    if factors.size:
+        out[mask] = np.multiply.reduceat(factors, indptr[:-1][mask])
+    return out
+
+
+def _step_reference(state, links, params, nu, chi, enforce_bounds):
+    z = _zeta_reference(state, links, params)
+    dead = 1.0 - state.p - state.q - state.w
+    new_p = state.p * (1.0 - params.delta) + state.q * (1.0 - z) * nu
+    new_q = state.q * (z - params.delta) + dead * params.gamma + chi * state.w
+    new_w = (1.0 - z) * (1.0 - nu) * state.q + (1.0 - chi - params.delta) * state.w
+    nxt = MfState(p=new_p, q=new_q, w=new_w, t=state.t + 1)
+    if enforce_bounds:
+        bad = bound_violations(nxt)
+        if bad:
+            _raise_bounds(bad, z, params)
+    return nxt
+
+
+def _sis_step_reference(state, links, params, *, enforce_bounds=True):
+    if np.any(state.w != 0.0):
+        raise ValueError("sis_step requires an empty warning state (w == 0)")
+    return _step_reference(state, links, params, 1.0, 0.0, enforce_bounds)
+
+
+def _sirs_step_reference(state, links, params, *, enforce_bounds=True):
+    return _step_reference(state, links, params, params.nu, params.chi, enforce_bounds)
+
+
+def _aggregates_reference(state):
+    return (state.t, state.p.mean(), state.q.mean(), state.w.mean(),
+            state.dead.mean(), float(state.p.sum()))
+
+
+def meanfield_run_reference(model, state0, links, params, max_steps=500, tol=1e-9,
+                            allow_negative_coefficients=False):
+    """``netspread.meanfield.run`` stepping one ``MfState`` at a time."""
+    if model not in ("sis", "sirs"):
+        raise ValueError(f"unknown mean-field model {model!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
+    if model == "sirs" and not allow_negative_coefficients:
+        validate_warning_params(params)
+    step_fn = _sis_step_reference if model == "sis" else _sirs_step_reference
+    enforce = not allow_negative_coefficients
+
+    state = state0
+    rows = [_aggregates_reference(state)]
+    initial = _require_finite(bound_violations(state0))
+    violations = [] if enforce else initial
+    converged = False
+    for _ in range(max_steps):
+        nxt = step_fn(state, links, params, enforce_bounds=enforce)
+        if not enforce:
+            violations.extend(_require_finite(bound_violations(nxt)))
+        rows.append(_aggregates_reference(nxt))
+        change = max(np.max(np.abs(new - old)) for new, old in
+                     ((nxt.p, state.p), (nxt.q, state.q), (nxt.w, state.w)))
+        state = nxt
+        if change < tol:
+            converged = True
+            break
+    times, *columns = zip(*rows)
+    return MeanFieldRun(
+        trajectory=Trajectory(
+            times=np.array(times, dtype=np.int64),
+            columns={name: np.array(col) for name, col in zip(_COLUMNS, columns)},
+        ),
+        final_state=state,
+        converged=converged,
+        steps=len(rows) - 1,
+        violations=violations,
+    )
+
+
+def _sir_epidemic_rhs_reference(state, params):
+    infections = params.beta * state.i * state.s
+    recoveries = params.gamma * state.i
+    return (-infections, infections - recoveries)
+
+
+def _sir_endemic_rhs_reference(state, params):
+    infections = params.beta * state.i * state.s
+    ds = -infections + params.mu - params.mu * state.s
+    di = infections - (params.gamma + params.mu) * state.i
+    return (ds, di)
+
+
+def _sis_rhs_reference(state, params):
+    infections = params.beta * state.i * state.s
+    recoveries = params.gamma * state.i
+    return (recoveries - infections, infections - recoveries)
+
+
+_ODE_RHS_REFERENCE = {
+    "sir_epidemic": _sir_epidemic_rhs_reference,
+    "sir_endemic": _sir_endemic_rhs_reference,
+    "sis": _sis_rhs_reference,
+}
+
+
+def integrate_reference(model, state0, params, dt=0.01, t_end=100.0):
+    """``netspread.ode.integrate`` with ``OdeState`` stages and a
+    ``_check_state`` call after every step."""
+    if model not in _ODE_RHS_REFERENCE:
+        raise ValueError(f"unknown model {model!r}; expected one of "
+                         f"{sorted(_ODE_RHS_REFERENCE)}")
+    if dt <= 0 or t_end <= 0:
+        raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
+    rhs = _ODE_RHS_REFERENCE[model]
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end={t_end!r} is shorter than one step of dt={dt!r}")
+
+    s, i = float(state0.s), float(state0.i)
+    total0 = s + i
+    if not _HAS_RECOVERED[model] and abs(total0 - 1.0) > 1e-9:
+        raise ValueError(f"SIS requires s + i = 1, got {total0!r}")
+
+    s_out = np.empty(n_steps + 1)
+    i_out = np.empty(n_steps + 1)
+    s_out[0], i_out[0] = s, i
+    _check_state(model, s, i, step=0, t=0.0, total0=total0)
+
+    sixth = dt / 6.0
+    half = dt / 2.0
+    for k in range(1, n_steps + 1):
+        ks1, ki1 = rhs(OdeState(s, i), params)
+        ks2, ki2 = rhs(OdeState(s + half * ks1, i + half * ki1), params)
+        ks3, ki3 = rhs(OdeState(s + half * ks2, i + half * ki2), params)
+        ks4, ki4 = rhs(OdeState(s + dt * ks3, i + dt * ki3), params)
+        s = s + sixth * (ks1 + 2.0 * ks2 + 2.0 * ks3 + ks4)
+        i = i + sixth * (ki1 + 2.0 * ki2 + 2.0 * ki3 + ki4)
+        _check_state(model, s, i, step=k, t=k * dt, total0=total0)
+        s_out[k] = s
+        i_out[k] = i
+
+    times = np.arange(n_steps + 1) * dt
+    if _HAS_RECOVERED[model]:
+        r_out = 1.0 - s_out - i_out
+    else:
+        r_out = np.zeros_like(s_out)
+    return Trajectory(times=times, columns={"s": s_out, "i": i_out, "r": r_out})

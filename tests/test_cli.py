@@ -429,3 +429,28 @@ class TestPinnedIsolateReports:
         assert proc.returncode == 0, proc.stderr
         digest = hashlib.sha256(report.read_bytes()).hexdigest()
         assert digest == self.REPORT_SHA256[strategy]
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"run": {"steps": 5.5}}, "run.steps"),
+    ({"sweep": {"parameter": "beta", "base": 0.2, "increment": 0.1, "count": 2.7}},
+     "sweep.count"),
+    ({"sweep": {"parameter": "beta", "base": "0.5", "increment": 0.1, "count": 2}},
+     "sweep.base"),
+    ({"graph": {"family": "binomial", "n": "30", "p": 0.2}}, "graph.n"),
+], ids=["float_steps", "float_count", "string_base", "string_n"])
+def test_sweep_rejects_mistyped_fields(tmp_path, change, field):
+    config = {
+        "model": "sis_meanfield",
+        "params": {"beta": 0.2, "gamma": 0.1, "delta": 0.3},
+        "graph": {"family": "binomial", "n": 30, "p": 0.2},
+        **change,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    proc = run_cli("sweep", "--config", str(cfg_path), "--output-dir", str(out_dir))
+    assert proc.returncode == 2, proc.stderr
+    payload = stderr_error(proc)
+    assert payload["type"] == "ConfigError" and payload["field"] == field
+    assert not out_dir.exists()

@@ -353,3 +353,86 @@ class TestFigures:
         for name in ("sirs_powerlaw_sweep", "sirs_lattice_sweep"):
             assert all(p.error is None for p in results[name].points)
             assert all(p.file is not None for p in results[name].points)
+
+
+# ---------------------------------------------------------------------------
+# Typed config fields
+# ---------------------------------------------------------------------------
+
+class TestConfigFieldTypes:
+    FIGURE_HASHES = {
+        "sir_phase": "a79e7c05d817d24724475dc780fff3b4a149ac93e7b690aefa67c347d0bf58e7",
+        "sis_phase": "f04b558ac95da8587fba3b611bccb5a5b57afe31f2e9cd7cf7af1c5fd0de2ec6",
+        "sis_powerlaw_coupled_sweep":
+            "1326cd1b9bc4369df4b105c1df7e10c9c0df512454d56fc61a167a9bf45b6474",
+        "sis_lattice_coupled_sweep":
+            "bf8d987c9db386bec90283e163e16c20a98f6df8a0c8c97a1514ae6106fe2abc",
+        "sis_powerlaw_death_sweep":
+            "b790aa1ddb0766626c0f3a25e4be292f92ec2fbd3c5547ac7df2bec2d591a757",
+        "sis_lattice_death_sweep":
+            "c79aaff5f2d48917b3d780696fbd0639e621f16ea5bdbd1aa460f29bfa6b61ce",
+        "sirs_powerlaw_sweep": "b4104a3da81d0471f03bbede5fad26045ae054587972289a8b61e663e1913a94",
+        "sirs_lattice_sweep": "360c2d337176547776885e8eeaf223b7e886f72b906815c08d2d9372cc5a29bd",
+    }
+
+    def test_figure_config_hashes_are_pinned(self):
+        hashes = {name: cfg.config_hash() for name, cfg in FIGURE_BUILDERS().items()}
+        assert hashes == self.FIGURE_HASHES
+
+    @pytest.mark.parametrize("run,field", [
+        ({"steps": 5.5}, "run.steps"),
+        ({"steps": 5.0}, "run.steps"),
+        ({"steps": True}, "run.steps"),
+        ({"steps": "50"}, "run.steps"),
+        ({"runs": 2.5}, "run.runs"),
+        ({"runs": False}, "run.runs"),
+        ({"dt": "0.1"}, "run.dt"),
+        ({"t_end": None}, "run.t_end"),
+        ({"tol": True}, "run.tol"),
+        ({"dt": float("nan")}, "run.dt"),
+        ({"t_end": float("nan")}, "run.t_end"),
+    ])
+    def test_run_fields_are_validated(self, run, field):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(meanfield_config(run=run))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("sweep,field", [
+        ({"parameter": "beta", "base": 0.2, "increment": 0.1, "count": 2.7}, "sweep.count"),
+        ({"parameter": "beta", "base": 0.2, "increment": 0.1, "count": True}, "sweep.count"),
+        ({"parameter": "beta", "base": 0.2, "increment": 0.1, "count": "2"}, "sweep.count"),
+        ({"parameter": "beta", "base": "0.5", "increment": 0.1, "count": 2}, "sweep.base"),
+        ({"parameters": [{"name": "beta", "base": None}], "increment": 0.1, "count": 2},
+         "sweep.base"),
+        ({"parameter": "beta", "base": 0.2, "increment": "0.1", "count": 2}, "sweep.increment"),
+        ({"parameters": [{"name": 3, "base": 0.2}], "increment": 0.1, "count": 2},
+         "sweep.parameters"),
+    ])
+    def test_sweep_fields_are_not_coerced(self, sweep, field):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(meanfield_config(sweep=sweep))
+        assert exc.value.field == field
+
+    def test_integer_sweep_values_hash_as_floats(self):
+        ints = meanfield_config(sweep={"parameter": "r", "base": 1, "increment": 0,
+                                       "count": 1})
+        floats = meanfield_config(sweep={"parameter": "r", "base": 1.0, "increment": 0.0,
+                                         "count": 1})
+        assert (ExperimentConfig.from_dict(ints).config_hash()
+                == ExperimentConfig.from_dict(floats).config_hash())
+
+    @pytest.mark.parametrize("graph,field", [
+        ({"family": "binomial", "n": "30", "p": 0.2}, "graph.n"),
+        ({"family": "binomial", "n": 30.0, "p": 0.2}, "graph.n"),
+        ({"family": "binomial", "n": 30, "p": "0.2"}, "graph.p"),
+        ({"family": "powerlaw", "n": 30, "m": True}, "graph.m"),
+        ({"family": "exponential", "n": 30, "lam": [0.5]}, "graph.lam"),
+        ({"family": "lattice4", "rows": 4, "cols": 4.5}, "graph.cols"),
+        ({"family": "lattice4", "rows": "4", "cols": 4}, "graph.rows"),
+        ({"family": "binomial", "n": 30, "p": 0.2, "seed": 1.5}, "graph.seed"),
+        ({"path": 7}, "graph.path"),
+    ])
+    def test_graph_fields_are_typed(self, graph, field):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(meanfield_config(graph=graph))
+        assert exc.value.field == field

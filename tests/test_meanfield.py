@@ -579,3 +579,25 @@ def test_link_arrays_are_read_only():
     for links in (LinkProbs.homogeneous(g, 0.3), LinkProbs.from_mapping(g, {})):
         with pytest.raises(ValueError):
             links.in_values[0] = 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, l, p: run("sis", s, l, p, max_steps=3),
+    lambda s, l, p: run("sirs", s, l, p, max_steps=0),
+    lambda s, l, p: sis_step(s, l, p),
+    lambda s, l, p: sirs_step(s, l, p),
+    lambda s, l, p: zeta(s, l, p),
+], ids=["run_sis", "run_sirs_no_steps", "sis_step", "sirs_step", "zeta"])
+def test_state_params_and_graph_sizes_must_agree(call):
+    # A one-node graph once broadcast against five-node parameters and
+    # returned a five-node state.
+    for n_graph, n_params, n_state, message in (
+        (20, 21, 20, "cover 21 nodes but the graph has 20"),
+        (20, 20, 19, "state covers 19 nodes but the graph has 20"),
+        (1, 5, 1, "cover 5 nodes but the graph has 1"),
+        (1, 1, 5, "state covers 5 nodes but the graph has 1"),
+    ):
+        g = gen_powerlaw(n_graph, 2, 1) if n_graph > 1 else Graph.from_edges(1, [])
+        params = NodeParams.homogeneous(n_params, r=1.0, delta=0.2, gamma=0.1)
+        with pytest.raises(ValueError, match=message):
+            call(MfState.uniform(n_state, p0=0.1), LinkProbs.homogeneous(g, 0.3), params)

@@ -1,0 +1,234 @@
+"""The prepared mean-field run and the float-kernel RK4 loop against the
+step-at-a-time loops they replaced (``tests/oracles.py``), bit for bit:
+outputs, counters, and the type and message of every exception."""
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
+from netspread.meanfield import (
+    LinkProbs,
+    MfState,
+    NodeParams,
+    run,
+    sirs_step,
+    sis_step,
+    zeta,
+)
+from netspread.ode import ODE_MODELS, OdeParams, OdeState, integrate
+from netspread.trajectory import Trajectory
+
+from oracles import (
+    _ODE_RHS_REFERENCE,
+    _sirs_step_reference,
+    _sis_step_reference,
+    _zeta_reference,
+    integrate_reference,
+    meanfield_run_reference,
+)
+
+GRAPH_KINDS = ("binomial", "powerlaw", "lattice", "isolated_tail", "no_edges")
+STARTS = ("valid", "warned", "out_of_bounds", "huge", "nan", "inf")
+
+
+def make_graph(kind: str, rng: np.random.Generator) -> Graph:
+    n = int(rng.integers(2, 40))
+    if kind == "binomial":  # sparse, so isolated nodes (empty CSR rows) are common
+        return gen_binomial(n, float(rng.uniform(0.0, 0.15)), rng)
+    if kind == "powerlaw":
+        return gen_powerlaw(max(n, 4), 2, rng)
+    if kind == "lattice":
+        return gen_lattice4(int(rng.integers(3, 6)), int(rng.integers(3, 6)))
+    if kind == "isolated_tail":  # the last rows of the CSR are empty
+        core = max(2, n // 2)
+        pairs = {(int(a), int(b)) for a, b in rng.integers(0, core, (2 * core, 2)) if a != b}
+        return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, [])
+
+
+def make_links(g: Graph, rng: np.random.Generator) -> LinkProbs:
+    if rng.random() < 0.5 or g.num_edges == 0:
+        return LinkProbs.homogeneous(g, float(rng.random()))
+    indptr, indices = g.csr
+    dst = np.repeat(np.arange(g.n), np.diff(indptr))
+    mapping = {(int(s), int(d)): float(b)
+               for s, d, b in zip(indices, dst, rng.random(len(indices)))}
+    return LinkProbs.from_mapping(g, mapping, symmetric=False)
+
+
+def make_params(n: int, rng: np.random.Generator) -> NodeParams:
+    """Per-node or homogeneous rates; mostly with chi + delta <= 1, which
+    strict "sirs" runs require."""
+    size = n if rng.random() < 0.5 else 1
+    delta = rng.random(size)
+    chi = rng.random(size) * (1.0 - delta if rng.random() < 0.8 else 1.0)
+    return NodeParams(r=rng.random(size) * np.ones(n), delta=delta * np.ones(n),
+                      gamma=rng.random(size) * np.ones(n), nu=rng.random(size) * np.ones(n),
+                      chi=chi * np.ones(n))
+
+
+def make_state(n: int, start: str, rng: np.random.Generator) -> MfState:
+    """A start state of kind ``start``; only "warned" has w != 0, which a
+    "sis" run rejects."""
+    cuts = np.sort(rng.random((n, 3)), axis=1)
+    p, q, w = cuts[:, 0], cuts[:, 1] - cuts[:, 0], cuts[:, 2] - cuts[:, 1]
+    if start != "warned":
+        w = np.zeros(n)
+    if start == "out_of_bounds":
+        p = p + 1.5 * rng.random(n)
+    elif start == "huge":  # finite, but the first step overflows
+        p[int(rng.integers(n))] = 1e308
+    elif start in ("nan", "inf"):
+        p[int(rng.integers(n))] = np.nan if start == "nan" else np.inf
+    return MfState(p=p, q=q, w=w, t=int(rng.integers(0, 3)))
+
+
+def violation_key(violations):
+    return [(v.step, v.kind, v.node, np.float64(v.value).tobytes()) for v in violations]
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, as bytes wherever it holds arrays, or the type,
+    message and attached details of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc), violation_key(getattr(exc, "violations", [])),
+                getattr(exc, "step", None), getattr(exc, "t", None))
+    if isinstance(out, np.ndarray):
+        return ("ok", out.tobytes())
+    if isinstance(out, MfState):
+        return ("ok", out.p.tobytes(), out.q.tobytes(), out.w.tobytes(), out.t)
+    if isinstance(out, Trajectory):
+        return ("ok", out.times.tobytes(),
+                [(name, col.tobytes()) for name, col in out.columns.items()])
+    buf = io.StringIO()
+    out.trajectory.write_csv(buf)
+    return ("ok", buf.getvalue(), outcome(lambda: out.trajectory),
+            outcome(lambda: out.final_state), out.steps, out.converged,
+            violation_key(out.violations))
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(("sis", "sirs")),
+    reporting=st.booleans(),
+    tol=st.sampled_from((0.0, 1e-9, 1e-4)),
+    kind=st.sampled_from(GRAPH_KINDS),
+    start=st.sampled_from(STARTS),
+)
+def test_meanfield_run_matches_step_loop(seed, model, reporting, tol, kind, start):
+    rng = np.random.default_rng(seed)
+    g = make_graph(kind, rng)
+    links, params = make_links(g, rng), make_params(g.n, rng)
+    state0 = make_state(g.n, start, rng)
+    args = (model, state0, links, params)
+    kwargs = dict(max_steps=int(rng.integers(0, 60)), tol=tol,
+                  allow_negative_coefficients=reporting)
+    expected = outcome(meanfield_run_reference, *args, **kwargs)
+    assert outcome(run, *args, **kwargs) == expected
+
+
+@pytest.mark.parametrize("reporting", [False, True])
+@pytest.mark.parametrize("delta", [0.5, 0.55, 0.6, 0.65, 0.7])
+def test_death_sweep_regime_matches_step_loop(delta, reporting):
+    # The bundled power-law death sweep: every point leaves [0, 1].
+    g = gen_powerlaw(1000, 2, 42)
+    links = LinkProbs.homogeneous(g, 0.4)
+    params = NodeParams.homogeneous(g.n, r=1.0, delta=delta, gamma=0.3)
+    args = ("sis", MfState.uniform(g.n, p0=0.1), links, params)
+    kwargs = dict(max_steps=500, allow_negative_coefficients=reporting)
+    expected = outcome(meanfield_run_reference, *args, **kwargs)
+    assert expected[0] == ("ok" if reporting else "raised")
+    assert outcome(run, *args, **kwargs) == expected
+
+
+SLACK = 1e-12  # bound_violations' tolerance
+
+
+@pytest.mark.parametrize("model", ["sis", "sirs"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("reporting", [False, True])
+@pytest.mark.parametrize("p_i,q_i", [
+    (1 + 0.5 * SLACK, 0.0),              # inside
+    (1 + 1.5 * SLACK, -0.9 * SLACK),     # p above, p + q + w inside
+    (-0.5 * SLACK, 0.5),                 # inside
+    (-1.5 * SLACK, 0.5),                 # p below
+    (0.5, -1.5 * SLACK),                 # q below
+    (0.5, 0.5 + 0.5 * SLACK),            # inside
+    (0.5, 0.5 + 1.5 * SLACK),            # only p + q + w above
+])
+def test_frozen_states_on_the_bounds_match_step_loop(model, tol, reporting, p_i, q_i):
+    # r = delta = gamma = chi = 0 and nu = 1: every step maps the state to
+    # itself, so each step sees node 2 just inside or just outside one
+    # bound, and the change is exactly 0.
+    g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    p, q = np.full(6, 0.5), np.full(6, 0.25)
+    p[2], q[2] = p_i, q_i
+    params = NodeParams.homogeneous(g.n, r=0.0, delta=0.0, gamma=0.0)
+    args = (model, MfState(p=p, q=q, w=np.zeros(6)), LinkProbs.homogeneous(g, 0.5), params)
+    kwargs = dict(max_steps=3, tol=tol, allow_negative_coefficients=reporting)
+    expected = outcome(meanfield_run_reference, *args, **kwargs)
+    assert outcome(run, *args, **kwargs) == expected
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(GRAPH_KINDS),
+    start=st.sampled_from(STARTS),
+    enforce=st.booleans(),
+)
+def test_single_steps_and_zeta_match_reference(seed, kind, start, enforce):
+    rng = np.random.default_rng(seed)
+    g = make_graph(kind, rng)
+    links, params = make_links(g, rng), make_params(g.n, rng)
+    state = make_state(g.n, start, rng)
+    assert outcome(zeta, state, links, params) == outcome(
+        _zeta_reference, state, links, params)
+    for fn, ref in ((sis_step, _sis_step_reference), (sirs_step, _sirs_step_reference)):
+        assert outcome(fn, state, links, params, enforce_bounds=enforce) == \
+            outcome(ref, state, links, params, enforce_bounds=enforce)
+
+
+@settings(max_examples=100)
+@given(
+    model=st.sampled_from(sorted(ODE_MODELS)),
+    beta=st.one_of(st.floats(0.0, 5.0), st.sampled_from((40.0, 1e200))),
+    gamma=st.floats(0.0, 5.0),
+    mu=st.floats(0.0, 2.0),
+    i0=st.floats(0.0, 1.0),
+    s0=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    dt=st.sampled_from((0.01, 0.1, 0.5)),
+    t_end=st.sampled_from((0.005, 1.0, 10.0, 30.0)),
+)
+def test_integrate_matches_reference(model, beta, gamma, mu, i0, s0, dt, t_end):
+    # s0=None starts on the s + i = 1 line; a drawn s0 is off it, which SIS
+    # rejects and the SIR models may carry out of [0, 1].
+    state0 = OdeState(s=1.0 - i0 if s0 is None else s0, i=i0)
+    params = OdeParams(beta=beta, gamma=gamma, mu=mu)
+    args = (model, state0, params)
+    kwargs = dict(dt=dt, t_end=t_end)
+    assert outcome(integrate, *args, **kwargs) == \
+        outcome(integrate_reference, *args, **kwargs)
+
+
+@pytest.mark.parametrize("model", sorted(ODE_MODELS))
+def test_integrate_blow_up_matches_reference(model):
+    # beta * dt far beyond RK4's stability region: the run leaves [0, 1].
+    args = (model, OdeState(s=0.9, i=0.1), OdeParams(beta=40.0, gamma=0.1, mu=0.5))
+    expected = outcome(integrate_reference, *args, dt=0.5, t_end=50.0)
+    assert expected[0] == "raised"
+    assert outcome(integrate, *args, dt=0.5, t_end=50.0) == expected
+
+
+@given(s=st.floats(-2.0, 2.0), i=st.floats(-2.0, 2.0), beta=st.floats(0.0, 5.0),
+       gamma=st.floats(0.0, 5.0), mu=st.floats(0.0, 2.0))
+def test_public_rhs_matches_reference(s, i, beta, gamma, mu):
+    state, params = OdeState(s=s, i=i), OdeParams(beta=beta, gamma=gamma, mu=mu)
+    for model, rhs in ODE_MODELS.items():
+        got = np.array(rhs(state, params))
+        assert got.tobytes() == np.array(_ODE_RHS_REFERENCE[model](state, params)).tobytes()
