@@ -8,10 +8,8 @@ edge-isolation strategies, plus a config-driven experiment harness.
 __version__ = "0.1.0"
 
 from .graphs import (
-    DegreeDistribution,
     EdgeListFormatError,
     Graph,
-    degree_distribution,
     gen_binomial,
     gen_exponential,
     gen_lattice4,
@@ -25,7 +23,6 @@ from .meanfield import (
     MfState,
     NodeParams,
     ParamRegimeError,
-    expected_carriers,
     sis_step,
     sirs_step,
     zeta,
@@ -49,7 +46,6 @@ from .spectral import (
     adjacency_spectral_radius,
     build_system_matrix,
     homogeneous_threshold,
-    largest_eigenvalue_magnitude,
     survivability_score,
 )
 from .isolation import (

@@ -16,6 +16,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     GraphSpec,
+    _FAMILIES,
     _node_params,
     reproduce_figures,
     run_experiment,
@@ -52,9 +53,7 @@ _RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError)
 
 def _graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", help="path to an edge-list file")
-    parser.add_argument(
-        "--family", choices=["binomial", "powerlaw", "exponential", "lattice4"]
-    )
+    parser.add_argument("--family", choices=list(_FAMILIES))
     parser.add_argument("--n", type=int)
     parser.add_argument("--p", type=float, help="edge probability (binomial)")
     parser.add_argument("--m", type=int, help="attachment count (powerlaw)")

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .graphs import (
+from .graphs import (  # the generators are called through _FAMILIES
     Graph,
     gen_binomial,
     gen_exponential,
@@ -62,23 +64,66 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-# Config values are JSON values: bool is not a number here.
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# The check each declared field type gets.  Config values are JSON values:
+# bool is not a number here.
+_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+              "numeric"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+_FINITE = sys.float_info.max
+# Inclusive range (low, high, wording) of each bounded numeric value, checked
+# as "not low <= value <= high" so that NaN fails as well.  The least positive
+# float as the low end makes a range "> 0".
+_RANGES = {
+    **{f"params.{k}": (0.0, 1.0, "in [0, 1]") for k in _PROB_PARAMS},
+    **{f"params.{k}": (0.0, _FINITE, "finite and >= 0") for k in ("beta", "gamma", "mu")},
+    "sweep.base": (-_FINITE, _FINITE, "finite"),
+    "sweep.increment": (-_FINITE, _FINITE, "finite"),
+    "sweep.count": (1, math.inf, ">= 1"),
+    "run.steps": (1, math.inf, ">= 1"),
+    "run.runs": (1, math.inf, ">= 1"),
+    "run.dt": (math.ulp(0.0), _FINITE, "positive and finite"),
+    "run.t_end": (math.ulp(0.0), _FINITE, "positive and finite"),
+}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_string(value) -> bool:
-    return isinstance(value, str)
-
-
-def _require(check, field_name: str, value, kind: str) -> None:
-    """Raise a :class:`ConfigError` for ``field_name`` unless ``check(value)``."""
+def _check_value(name: str, value, type_name: str) -> None:
+    """Raise a :class:`ConfigError` for ``name`` unless ``value`` has the
+    type ``type_name`` and lies in its ``_RANGES`` entry, if it has one."""
+    check, kind = _TYPE_CHECKS[type_name]
     if not check(value):
-        raise ConfigError(field_name, f"must be {kind}, got {value!r}")
+        raise ConfigError(name, f"must be {kind}, got {value!r}")
+    if name in _RANGES:
+        low, high, wording = _RANGES[name]
+        if not low <= value <= high:
+            raise ConfigError(name, f"must be {wording}, got {value!r}")
+
+
+def _check_fields(spec, block: str) -> None:
+    """Check every field of the config dataclass ``spec`` declared as int,
+    float, str or bool (``| None`` when optional) against its type and range;
+    errors name the field ``block.name``, or ``name`` when ``block`` is empty.
+    Fields of other types are checked by their own dataclass or caller."""
+    for f in fields(spec):
+        type_name, _, optional = f.type.partition(" | ")
+        value = getattr(spec, f.name)
+        if type_name in _TYPE_CHECKS and not (optional and value is None):
+            _check_value(f"{block}.{f.name}" if block else f.name, value, type_name)
+
+
+# Each graph family's generator, by name so that it is looked up at call
+# time, and the GraphSpec fields it takes in call order ("seed" is the seed
+# resolved by GraphSpec.build).  The generators alone check value ranges.
+_FAMILIES = {
+    "binomial": ("gen_binomial", ("n", "p", "seed")),
+    "powerlaw": ("gen_powerlaw", ("n", "m", "seed")),
+    "exponential": ("gen_exponential", ("n", "lam", "seed")),
+    "lattice4": ("gen_lattice4", ("rows", "cols")),
+}
 
 
 @dataclass(frozen=True)
@@ -98,43 +143,26 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if (self.family is None) == (self.path is None):
             raise ConfigError("graph", "provide exactly one of 'family' or 'path'")
-        if self.family is not None and self.family not in (
-            "binomial",
-            "powerlaw",
-            "exponential",
-            "lattice4",
-        ):
+        _check_fields(self, "graph")
+        if self.family is not None and self.family not in _FAMILIES:
             raise ConfigError("graph.family", f"unknown family {self.family!r}")
-        for name, check, kind in (
-            ("path", _is_string, "a string"),
-            ("n", _is_integer, "an integer"), ("m", _is_integer, "an integer"),
-            ("p", _is_number, "numeric"), ("lam", _is_number, "numeric"),
-            ("rows", _is_integer, "an integer"), ("cols", _is_integer, "an integer"),
-            ("seed", _is_integer, "an integer"),
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                _require(check, f"graph.{name}", value, kind)
 
     def build(self, default_seed: int) -> Graph:
-        seed = self.seed if self.seed is not None else default_seed
+        """The graph of this spec; a generator's ``ValueError`` for an
+        out-of-range value becomes a :class:`ConfigError` for ``graph``."""
         if self.path is not None:
             return load_edge_list(self.path)
-        if self.family == "binomial":
-            if self.n is None or self.p is None:
-                raise ConfigError("graph", "binomial needs 'n' and 'p'")
-            return gen_binomial(self.n, self.p, seed)
-        if self.family == "powerlaw":
-            if self.n is None or self.m is None:
-                raise ConfigError("graph", "powerlaw needs 'n' and 'm'")
-            return gen_powerlaw(self.n, self.m, seed)
-        if self.family == "exponential":
-            if self.n is None or self.lam is None:
-                raise ConfigError("graph", "exponential needs 'n' and 'lam'")
-            return gen_exponential(self.n, self.lam, seed)
-        if self.rows is None or self.cols is None:
-            raise ConfigError("graph", "lattice4 needs 'rows' and 'cols'")
-        return gen_lattice4(self.rows, self.cols)
+        generator, names = _FAMILIES[self.family]
+        needed = [name for name in names if name != "seed"]
+        if any(getattr(self, name) is None for name in needed):
+            raise ConfigError(
+                "graph", f"{self.family} needs " + " and ".join(map(repr, needed)))
+        seed = self.seed if self.seed is not None else default_seed
+        args = [seed if name == "seed" else getattr(self, name) for name in names]
+        try:
+            return globals()[generator](*args)
+        except ValueError as exc:
+            raise ConfigError("graph", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -146,13 +174,10 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
+        _check_fields(self, "sweep")
         for name, base in self.parameters:
-            _require(_is_string, "sweep.parameters", name, "a parameter name")
-            _require(_is_number, "sweep.base", base, f"numeric for {name!r}")
-        _require(_is_number, "sweep.increment", self.increment, "numeric")
-        _require(_is_integer, "sweep.count", self.count, "an integer")
-        if self.count < 1:
-            raise ConfigError("sweep.count", f"must be >= 1, got {self.count}")
+            _check_value("sweep.parameters", name, "str")
+            _check_value("sweep.base", base, "float")
         if not self.parameters:
             raise ConfigError("sweep.parameters", "must name at least one parameter")
         # Stored as floats so that 1 and 1.0 give the same config hash.
@@ -175,19 +200,7 @@ class RunSpec:
     runs: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("steps", "runs"):
-            _require(_is_integer, f"run.{name}", getattr(self, name), "an integer")
-        for name in ("dt", "t_end", "tol"):
-            _require(_is_number, f"run.{name}", getattr(self, name), "numeric")
-        if self.steps < 1:
-            raise ConfigError("run.steps", f"must be >= 1, got {self.steps}")
-        # "not > 0" rejects NaN as well.
-        if not self.dt > 0:
-            raise ConfigError("run.dt", f"must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ConfigError("run.t_end", f"must be positive, got {self.t_end}")
-        if self.runs < 1:
-            raise ConfigError("run.runs", f"must be >= 1, got {self.runs}")
+        _check_fields(self, "run")
 
 
 @dataclass(frozen=True)
@@ -203,24 +216,15 @@ class ExperimentConfig:
     allow_negative_coefficients: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, str) or self.model not in ALL_MODELS:
+        _check_fields(self, "")
+        if self.model not in ALL_MODELS:
             raise ConfigError("model", f"unknown model {self.model!r}")
         if self.model not in ODE_MODELS and self.graph is None:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
         if not isinstance(self.params, dict):
             raise ConfigError("params", f"must be an object, got {self.params!r}")
-        _require(_is_integer, "seed", self.seed, "an integer")
-        if not isinstance(self.allow_negative_coefficients, bool):
-            raise ConfigError(
-                "allow_negative_coefficients",
-                f"must be true or false, got {self.allow_negative_coefficients!r}",
-            )
         for key, value in self.params.items():
-            _require(_is_number, f"params.{key}", value, "numeric")
-            if key in _PROB_PARAMS and not (0.0 <= value <= 1.0):
-                raise ConfigError(f"params.{key}", f"must lie in [0, 1], got {value}")
-            if key in ("beta", "gamma", "mu") and value < 0:
-                raise ConfigError(f"params.{key}", f"must be >= 0, got {value}")
+            _check_value(f"params.{key}", value, "float")
         if self.sweep is not None:
             for name, _ in self.sweep.parameters:
                 if name not in (
@@ -236,10 +240,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        unknown = set(d) - {
-            "model", "params", "run", "graph", "sweep", "seed",
-            "allow_negative_coefficients",
-        }
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError("config", f"unknown keys: {sorted(unknown)}")
         if "model" not in d:
@@ -269,15 +270,7 @@ class ExperimentConfig:
             run_spec = RunSpec(**d.get("run", {}))
         except TypeError as exc:
             raise ConfigError("run", str(exc)) from None
-        return cls(
-            model=d["model"],
-            params=d.get("params", {}),
-            run=run_spec,
-            graph=graph,
-            sweep=sweep,
-            seed=d.get("seed", 0),
-            allow_negative_coefficients=d.get("allow_negative_coefficients", False),
-        )
+        return cls(**{"params": {}, **d, "run": run_spec, "graph": graph, "sweep": sweep})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -422,14 +415,14 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> SweepRes
     Returns the sweep result; per-point runtime errors are captured in the
     manifest (and in the returned points) without aborting remaining points.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     graph: Graph | None = None
-    files: list[str] = []
     if config.model not in ODE_MODELS:
         assert config.graph is not None
         graph = config.graph.build(config.seed)
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    files: list[str] = []
+    if graph is not None:
         graph_file = "graph.edges"
         save_edge_list(graph, out / graph_file)
         files.append(graph_file)

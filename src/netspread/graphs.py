@@ -2,8 +2,8 @@
 
 Provides an immutable undirected simple graph type, four generator families
 (binomial/Erdos-Renyi, preferential-attachment power law, exponential-degree
-configuration model, 4-regular torus lattice), degree statistics, and a plain
-text edge-list format for persistence.
+configuration model, 4-regular torus lattice) and a plain text edge-list
+format for persistence.
 
 A :class:`Graph` stores its node count and its sorted edge array; the CSR
 adjacency the dynamics read is derived from it with array code.
@@ -13,8 +13,6 @@ same edge set in any process.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
@@ -25,14 +23,12 @@ from .trajectory import _write_text
 
 __all__ = [
     "Graph",
-    "DegreeDistribution",
     "EdgeListFormatError",
     "gen_binomial",
     "gen_powerlaw",
     "gen_exponential",
     "gen_lattice4",
     "sample_exponential_degrees",
-    "degree_distribution",
     "save_edge_list",
     "load_edge_list",
 ]
@@ -74,8 +70,8 @@ class Graph:
     array with each edge once as ``(u, v)``, ``u < v``, in lexicographic
     order (``edges`` may be any iterable of such pairs, or an array; repeats
     collapse).  ``csr``, ``degrees`` and ``transpose`` are derived from it
-    and cached.  ``edges`` (a set of tuples) and ``adjacency`` (CSR row
-    slices) are read-only views built on first access.
+    and cached.  ``edges`` (a set of tuples) is a read-only view built on
+    first access.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
@@ -160,12 +156,6 @@ class Graph:
         """Read-only view: the edge set as ``(u, v)`` tuples with ``u < v``."""
         return frozenset(map(tuple, self.edge_array.tolist()))
 
-    @cached_property
-    def adjacency(self) -> tuple[np.ndarray, ...]:
-        """Read-only view: per-node sorted neighbour arrays (CSR row slices)."""
-        indptr, indices = self.csr
-        return tuple(np.split(indices, indptr[1:-1]))
-
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
@@ -212,27 +202,6 @@ class Graph:
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
-
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Empirical degree histogram of a graph."""
-
-    histogram: dict[int, int]
-    n: int
-
-    @property
-    def mean(self) -> float:
-        total = sum(d * c for d, c in self.histogram.items())
-        return total / self.n
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.histogram) if self.histogram else 0
-
-
-def degree_distribution(g: Graph) -> DegreeDistribution:
-    return DegreeDistribution(histogram=dict(Counter(int(d) for d in g.degrees)), n=g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +266,7 @@ def sample_exponential_degrees(
     n: int, lam: float, seed: int | np.random.Generator
 ) -> np.ndarray:
     """Target degree sequence ``max(1, round(X))`` with ``X ~ Exp(lam)``."""
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError(f"rate lam must be positive, got {lam!r}")
     rng = _as_rng(seed)
     draws = rng.exponential(scale=1.0 / lam, size=n)

@@ -52,7 +52,6 @@ __all__ = [
     "sis_step",
     "sirs_step",
     "run",
-    "expected_carriers",
     "bound_violations",
 ]
 
@@ -239,11 +238,6 @@ class MfState:
     @property
     def dead(self) -> np.ndarray:
         return 1.0 - self.p - self.q - self.w
-
-
-def expected_carriers(state: MfState) -> float:
-    """Expected number of carriers: the sum of ``p`` over nodes."""
-    return float(state.p.sum())
 
 
 def _check_sizes(state: MfState, links: LinkProbs, params: NodeParams) -> None:

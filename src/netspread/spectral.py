@@ -38,7 +38,6 @@ __all__ = [
     "PowerIterationError",
     "build_system_matrix",
     "power_iteration",
-    "largest_eigenvalue_magnitude",
     "adjacency_spectral_radius",
     "survivability_score",
     "homogeneous_threshold",
@@ -160,8 +159,8 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
     return SystemMatrix(
         n=g.n,
         diag=1.0 - params.delta,
-        indptr=indptr.copy(),
-        indices=indices.copy(),
+        indptr=indptr,
+        indices=indices,
         data=data,
     )
 
@@ -212,20 +211,6 @@ def power_iteration(
     )
 
 
-def largest_eigenvalue_magnitude(
-    m: "SystemMatrix | np.ndarray",
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> SpectralResult:
-    """Power iteration on a system matrix or a dense square array."""
-    if isinstance(m, SystemMatrix):
-        return power_iteration(m.matvec, m.n, tol=tol, max_iter=max_iter)
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return power_iteration(lambda v: arr @ v, arr.shape[0], tol=tol, max_iter=max_iter)
-
-
 def adjacency_spectral_radius(
     g: Graph, tol: float = 1e-10, max_iter: int = 100_000
 ) -> SpectralResult:
@@ -262,7 +247,7 @@ def survivability_score(
     are additionally flagged critical (indeterminate in practice).
     """
     sm = build_system_matrix(g, links, params)
-    res = largest_eigenvalue_magnitude(sm, tol=tol, max_iter=max_iter)
+    res = power_iteration(sm.matvec, sm.n, tol=tol, max_iter=max_iter)
     score = res.value
     return SurvivabilityResult(
         score=score,

@@ -26,6 +26,12 @@ from netspread.ode import _HAS_RECOVERED, OdeState, _check_state
 from netspread.trajectory import Trajectory
 
 
+def adjacency(g: Graph) -> tuple[np.ndarray, ...]:
+    """Per-node sorted neighbour arrays (CSR row slices)."""
+    indptr, indices = g.csr
+    return tuple(np.split(indices, indptr[1:-1]))
+
+
 def dense_adjacency(g: Graph) -> np.ndarray:
     """Full symmetric 0/1 adjacency matrix."""
     a = np.zeros((g.n, g.n))
@@ -69,13 +75,14 @@ def final_size_fixed_point(s0: float, ratio: float) -> float:
 
 def bfs_ball(g: Graph, source: int, radius: int) -> set[int]:
     """All nodes at graph distance <= radius from ``source``."""
+    nbrs = adjacency(g)
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
         if dist[u] == radius:
             continue
-        for v in g.adjacency[u]:
+        for v in nbrs[u]:
             v = int(v)
             if v not in dist:
                 dist[v] = dist[u] + 1
@@ -100,9 +107,10 @@ def slow_zeta(p: np.ndarray, g: Graph, beta_of, r: np.ndarray) -> np.ndarray:
     ``beta_of(j, i)`` must return the transmission probability along the
     directed link j -> i.
     """
+    nbrs = adjacency(g)
     out = np.ones(g.n)
     for i in range(g.n):
-        for j in g.adjacency[i]:
+        for j in nbrs[i]:
             j = int(j)
             out[i] *= 1.0 - r[j] * beta_of(j, i) * p[j]
     return out
@@ -149,10 +157,11 @@ def splitmix_finalizer(x: int) -> int:
 
 def dense_system_matrix(g: Graph, beta_of, params) -> np.ndarray:
     """System matrix assembled entry by entry from its definition."""
+    nbrs = adjacency(g)
     s = np.zeros((g.n, g.n))
     for i in range(g.n):
         s[i, i] = 1.0 - params.delta[i]
-        for j in g.adjacency[i]:
+        for j in nbrs[i]:
             j = int(j)
             s[i, j] = (
                 params.r[j]

@@ -61,7 +61,8 @@ class TestGenerate:
         proc = run_cli("generate", "--family", "binomial", "--n", "10",
                        "--p", "1.5", "--output", str(tmp_path / "g.edges"))
         assert proc.returncode == 2
-        assert stderr_error(proc)["type"] == "ValueError"
+        payload = stderr_error(proc)
+        assert payload["type"] == "ConfigError" and payload["field"] == "graph"
 
 
 class TestOde:
@@ -327,8 +328,12 @@ class TestSweepAndFigures:
         ({"allow_negative_coefficients": "false"}, "allow_negative_coefficients"),
         ({"seed": "7"}, "seed"),
         ({"model": ["sis_meanfield"]}, "model"),
+        ({"params": {"beta": float("nan"), "gamma": 0.1, "delta": 0.3}}, "params.beta"),
+        ({"params": {"beta": 0.2, "gamma": float("inf"), "delta": 0.3}}, "params.gamma"),
+        ({"params": {"beta": 0.2, "gamma": 0.1, "delta": 0.3, "mu": float("nan")}},
+         "params.mu"),
     ], ids=["null", "list", "no_base", "word", "numeric_string", "bool_string",
-            "seed_string", "model_list"])
+            "seed_string", "model_list", "nan_beta", "infinite_gamma", "nan_mu"])
     def test_malformed_config_value_names_field(self, tmp_path, change, field):
         config = {
             "model": "sis_meanfield",
@@ -394,6 +399,19 @@ class TestSharedGraphArguments:
         assert family in payload["error"]
         assert not (tmp_path / "g.edges").exists()
 
+    @pytest.mark.parametrize("given", [
+        ("--family", "binomial", "--n", "0", "--p", "0.2"),
+        ("--family", "binomial", "--n", "10", "--p", "1.5"),
+        ("--family", "lattice4", "--rows", "2", "--cols", "5"),
+        ("--family", "exponential", "--n", "30", "--lam", "nan"),
+    ], ids=["zero_n", "p_above_one", "small_lattice", "nan_lam"])
+    def test_out_of_range_family_parameter_names_graph_field(self, tmp_path, given):
+        proc = run_cli("generate", *given, "--output", str(tmp_path / "g.edges"))
+        assert proc.returncode == 2
+        payload = stderr_error(proc)
+        assert payload["type"] == "ConfigError" and payload["field"] == "graph"
+        assert not (tmp_path / "g.edges").exists()
+
     def test_negative_meanfield_steps_is_a_validation_error(self, tmp_path):
         out = tmp_path / "mf.csv"
         proc = run_cli("meanfield", "--family", "powerlaw", "--n", "50", "--m", "2",
@@ -438,7 +456,11 @@ class TestPinnedIsolateReports:
     ({"sweep": {"parameter": "beta", "base": "0.5", "increment": 0.1, "count": 2}},
      "sweep.base"),
     ({"graph": {"family": "binomial", "n": "30", "p": 0.2}}, "graph.n"),
-], ids=["float_steps", "float_count", "string_base", "string_n"])
+    ({"graph": {"family": "binomial", "n": 0, "p": 0.2}}, "graph"),
+    ({"graph": {"family": "binomial", "n": 30, "p": 1.5}}, "graph"),
+    ({"graph": {"family": "lattice4", "rows": 2, "cols": 5}}, "graph"),
+], ids=["float_steps", "float_count", "string_base", "string_n", "zero_n",
+        "p_above_one", "small_lattice"])
 def test_sweep_rejects_mistyped_fields(tmp_path, change, field):
     config = {
         "model": "sis_meanfield",

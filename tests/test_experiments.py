@@ -391,6 +391,9 @@ class TestConfigFieldTypes:
         ({"tol": True}, "run.tol"),
         ({"dt": float("nan")}, "run.dt"),
         ({"t_end": float("nan")}, "run.t_end"),
+        ({"t_end": float("inf")}, "run.t_end"),
+        ({"dt": 0.0}, "run.dt"),
+        ({"runs": 0}, "run.runs"),
     ])
     def test_run_fields_are_validated(self, run, field):
         with pytest.raises(ConfigError) as exc:
@@ -407,6 +410,10 @@ class TestConfigFieldTypes:
         ({"parameter": "beta", "base": 0.2, "increment": "0.1", "count": 2}, "sweep.increment"),
         ({"parameters": [{"name": 3, "base": 0.2}], "increment": 0.1, "count": 2},
          "sweep.parameters"),
+        ({"parameter": "beta", "base": float("nan"), "increment": 0.1, "count": 2},
+         "sweep.base"),
+        ({"parameter": "beta", "base": 0.2, "increment": float("inf"), "count": 2},
+         "sweep.increment"),
     ])
     def test_sweep_fields_are_not_coerced(self, sweep, field):
         with pytest.raises(ConfigError) as exc:

@@ -4,6 +4,7 @@ import io
 import math
 import subprocess
 import sys
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -11,10 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netspread.graphs import (
-    DegreeDistribution,
     EdgeListFormatError,
     Graph,
-    degree_distribution,
     gen_binomial,
     gen_exponential,
     gen_lattice4,
@@ -24,7 +23,12 @@ from netspread.graphs import (
     save_edge_list,
 )
 
-from oracles import dense_adjacency, dense_spectral_radius_symmetric, mle_tail_exponent
+from oracles import (
+    adjacency,
+    dense_adjacency,
+    dense_spectral_radius_symmetric,
+    mle_tail_exponent,
+)
 
 
 def assert_valid_graph(g: Graph) -> None:
@@ -60,7 +64,7 @@ class TestGraphContainer:
     def test_degrees_and_adjacency(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees.tolist() == [3, 1, 1, 1]
-        assert g.adjacency[0].tolist() == [1, 2, 3]
+        assert adjacency(g)[0].tolist() == [1, 2, 3]
         assert g.degree(0) == 3
 
     def test_remove_edges(self):
@@ -181,6 +185,14 @@ class TestExponential:
         with pytest.raises(ValueError):
             gen_exponential(1, 0.5, 0)
 
+    def test_nan_rate_is_rejected_before_sampling(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lam must be positive"):
+                sample_exponential_degrees(30, math.nan, 0)
+            with pytest.raises(ValueError, match="lam must be positive"):
+                gen_exponential(30, math.nan, 0)
+
 
 # ---------------------------------------------------------------------------
 # Torus lattice
@@ -211,27 +223,23 @@ class TestLattice4:
 
 class TestDegreeDistribution:
     def test_empty_graph(self):
-        assert degree_distribution(Graph(n=4, edges=frozenset())).histogram == {0: 4}
+        assert Graph(n=4, edges=frozenset()).degrees.tolist() == [0, 0, 0, 0]
 
     def test_complete_graph(self):
         g = gen_binomial(5, 1.0, 0)
-        dist = degree_distribution(g)
-        assert dist.histogram == {4: 5}
-        assert dist.mean == 4.0
-        assert dist.max_degree == 4
+        assert g.degrees.tolist() == [4] * 5
+        assert g.degrees.mean() == 4.0
+        assert g.degrees.max() == 4
 
     def test_lattice_regularity(self):
-        assert degree_distribution(gen_lattice4(5, 5)).histogram == {4: 25}
+        assert gen_lattice4(5, 5).degrees.tolist() == [4] * 25
 
     def test_counts_sum_to_n(self):
         for seed in range(5):
             g = gen_binomial(60, 0.1, seed)
-            dist = degree_distribution(g)
-            assert sum(dist.histogram.values()) == g.n
-            assert all(d >= 0 for d in dist.histogram)
-
-    def test_empty_histogram_max_degree(self):
-        assert DegreeDistribution(histogram={}, n=0).max_degree == 0
+            assert len(g.degrees) == g.n
+            assert g.degrees.sum() == 2 * g.num_edges
+            assert g.degrees.min() >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +452,7 @@ def test_out_of_range_ids_are_never_edges():
 
 def test_views_are_read_only_and_match_arrays():
     g = gen_powerlaw(30, 2, 1)
-    for arr in (g.edge_array, *g.csr, g.degrees, g.transpose, g.adjacency[0]):
+    for arr in (g.edge_array, *g.csr, g.degrees, g.transpose, adjacency(g)[0]):
         with pytest.raises(ValueError):
             arr[0] = 0
     assert g.edges == frozenset(map(tuple, g.edge_array.tolist()))

@@ -14,7 +14,6 @@ from netspread.meanfield import (
     NodeParams,
     ParamRegimeError,
     bound_violations,
-    expected_carriers,
     run,
     sirs_step,
     sis_step,
@@ -102,15 +101,6 @@ class TestContainers:
         assert np.allclose(st0.dead, 0.0)
         with pytest.raises(ValueError):
             MfState.uniform(5, p0=0.8, w0=0.5)
-
-    def test_expected_carriers(self):
-        assert expected_carriers(MfState.uniform(10, p0=0.0)) == 0.0
-        assert expected_carriers(
-            MfState(p=np.ones(100), q=np.zeros(100), w=np.zeros(100))
-        ) == 100.0
-        assert expected_carriers(
-            MfState(p=np.array([0.2, 0.3, 0.5]), q=np.zeros(3), w=np.zeros(3))
-        ) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

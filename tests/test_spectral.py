@@ -11,7 +11,6 @@ from netspread.spectral import (
     adjacency_spectral_radius,
     build_system_matrix,
     homogeneous_threshold,
-    largest_eigenvalue_magnitude,
     power_iteration,
     survivability_score,
 )
@@ -76,10 +75,6 @@ class TestPowerIteration:
         assert exc.value.iterations == 2000
         assert exc.value.residual == pytest.approx(1.5, abs=1e-12)
         assert "did not converge" in str(exc.value)
-
-    def test_largest_eigenvalue_magnitude_accepts_ndarray(self):
-        m = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert largest_eigenvalue_magnitude(m).value == pytest.approx(3.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
