@@ -88,6 +88,7 @@ _RANGES = {
     "run.runs": (1, math.inf, ">= 1"),
     "run.dt": (math.ulp(0.0), _FINITE, "positive and finite"),
     "run.t_end": (math.ulp(0.0), _FINITE, "positive and finite"),
+    "run.tol": (0.0, _FINITE, "finite and >= 0"),
 }
 
 
@@ -231,6 +232,14 @@ class ExperimentConfig:
                     "beta", "gamma", "delta", "r", "nu", "chi", "mu", "p0", "w0"
                 ):
                     raise ConfigError("sweep.parameters", f"cannot sweep {name!r}")
+            # A swept value is monotone in k, so when the first and the last
+            # point lie in a parameter's range, every point does.
+            for k in (0, self.sweep.count - 1):
+                for name, value in self.sweep.point_values(k).items():
+                    try:
+                        _check_value(f"params.{name}", value, "float")
+                    except ConfigError as exc:
+                        raise ConfigError("sweep", f"point {k}: {exc}") from None
         # Stored as floats so that 1 and 1.0 give the same config hash.
         object.__setattr__(
             self, "params", {str(k): float(v) for k, v in self.params.items()}

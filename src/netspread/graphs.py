@@ -19,6 +19,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .rowops import RowLayout
 from .trajectory import _write_text
 
 __all__ = [
@@ -46,7 +47,8 @@ def _pair_array(pairs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise ValueError(f"edges must be integer pairs (u, v), got {arr.dtype} "
                          f"array of shape {arr.shape}")
-    return arr.astype(np.int64)
+    # A list was copied into arr already; only an array argument needs a copy.
+    return arr.astype(np.int64, copy=arr is pairs)
 
 
 def _find(keys: np.ndarray, n: int, rows, cols) -> np.ndarray:
@@ -69,9 +71,9 @@ class Graph:
     Stored state: ``n`` and ``edge_array``, a read-only ``(m, 2)`` int64
     array with each edge once as ``(u, v)``, ``u < v``, in lexicographic
     order (``edges`` may be any iterable of such pairs, or an array; repeats
-    collapse).  ``csr``, ``degrees`` and ``transpose`` are derived from it
-    and cached.  ``edges`` (a set of tuples) is a read-only view built on
-    first access.
+    collapse).  ``csr``, ``degrees``, ``transpose`` and ``row_layout`` are
+    derived from it and cached.  ``edges`` (a set of tuples) is a read-only
+    view built on first access.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
@@ -146,6 +148,12 @@ class Graph:
         return perm
 
     @cached_property
+    def row_layout(self) -> RowLayout:
+        """The CSR entries in the degree-bucketed order of the row
+        reductions (see :mod:`netspread.rowops`)."""
+        return RowLayout(*self.csr)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         degrees = np.diff(self.csr[0])
         degrees.flags.writeable = False
@@ -162,7 +170,10 @@ class Graph:
     @cached_property
     def _csr_keys(self) -> np.ndarray:
         """Row-major keys ``row * n + col`` of the CSR entries, ascending."""
-        return np.repeat(np.arange(self.n), self.degrees) * self.n + self.csr[1]
+        keys = np.repeat(np.arange(self.n), self.degrees)
+        keys *= self.n  # in place: one CSR-sized array at a time, not three
+        keys += self.csr[1]
+        return keys
 
     def csr_positions(self, rows, cols) -> np.ndarray:
         """CSR position of each entry ``(rows[i], cols[i])``, or -1 where it
@@ -173,7 +184,12 @@ class Graph:
         return bool(self.csr_positions(u, v) >= 0)
 
     def remove_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Return a copy with the given edges removed (edges must exist)."""
+        """Return a copy with the given edges removed (edges must exist).
+
+        The copy's edge array, CSR and CSR keys are this graph's with the
+        removed rows and entries deleted: deleting keeps every order they
+        are sorted in, so nothing is re-sorted or re-checked.
+        """
         arr = np.sort(_pair_array(pairs), axis=1)
         e = self.edge_array
         found = _find(e[:, 0] * self.n + e[:, 1], self.n, arr[:, 0], arr[:, 1])
@@ -181,9 +197,22 @@ class Graph:
         if missing.size:
             u, v = arr[missing[0]].tolist()
             raise ValueError(f"edge {(u, v)} not present in graph")
-        keep = np.ones(len(e), dtype=bool)
-        keep[found] = False
-        return Graph(n=self.n, edges=e[keep])
+        u, v = arr[:, 0], arr[:, 1]
+        indptr, indices = self.csr
+        keep = np.ones(len(indices), dtype=bool)  # both CSR entries of each edge go
+        keep[self.csr_positions(np.concatenate((u, v)), np.concatenate((v, u)))] = False
+        child = Graph.__new__(Graph)
+        child.n = self.n
+        child.edge_array = np.delete(e, found, axis=0)
+        # A row start moves back by the number of deleted entries before it.
+        child_indptr = indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
+        child_indices = indices[keep]
+        child_keys = self._csr_keys[keep]
+        for a in (child.edge_array, child_indptr, child_indices, child_keys):
+            a.flags.writeable = False
+        child.__dict__["csr"] = (child_indptr, child_indices)
+        child.__dict__["_csr_keys"] = child_keys
+        return child
 
     def connected_components(self) -> int:
         """Number of connected components (isolated nodes count)."""

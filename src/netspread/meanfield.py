@@ -24,11 +24,13 @@ reporting-only mode that records violations instead of raising.
 
 One update body serves :func:`run`, :func:`sis_step`, :func:`sirs_step` and
 :func:`zeta`.  It is prepared once per run (per call for the single-step
-functions): the CSR products ``r_j * beta_ji``, the ``reduceat`` row offsets
-and the per-node coefficients are computed before the first step, and each
-step gathers ``p`` over the CSR once and keeps ``p``, ``q``, ``w`` and the
-dead fraction in one ``(4, n)`` array.  The prepared run gives the same
-bits as stepping one state at a time.
+functions): a :class:`~netspread.rowops.RowOperator` on the graph's cached
+degree-bucketed layout, the products ``r_j * beta_ji`` in that layout and
+the per-node coefficients are computed before the first step.  Each step
+gathers ``p`` into the operator's buffer once, takes the row products of
+``zeta`` with the operator and keeps ``p``, ``q``, ``w`` and the dead
+fraction in one ``(4, n)`` array.  The prepared run gives the same bits as
+stepping one state at a time with a plain product over each CSR row.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _pair_array
+from .rowops import RowOperator
 from .trajectory import Trajectory
 
 __all__ = [
@@ -252,42 +255,31 @@ class _Update:
     """The update of the module docstring, prepared for one graph, link
     table and parameter set.
 
-    What does not change between steps is computed here, once: the CSR
-    products ``r_j * beta_ji`` (bit-equal to the per-step product, since
-    ``r * beta * p`` evaluates left to right), the ``reduceat`` offsets of
-    the non-empty rows, the coefficients ``1 - delta``, ``1 - nu`` and
-    ``1 - chi - delta``, and a buffer for the CSR gather of ``p``.  A state
-    is a ``(4, n)`` array of rows ``p``, ``q``, ``w`` and
-    ``dead = 1 - p - q - w``, so ``dead`` is computed once per state.
+    What does not change between steps is computed here, once: the row
+    operator (gather index and buffer) on the graph's layout, the products
+    ``r_j * beta_ji`` in layout order (bit-equal to the per-step product,
+    since ``r * beta * p`` evaluates left to right), and the coefficients
+    ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A state is a
+    ``(4, n)`` array of rows ``p``, ``q``, ``w`` and ``dead = 1 - p - q - w``,
+    so ``dead`` is computed once per state.
     """
 
     def __init__(self, links: LinkProbs, params: NodeParams,
                  nu: np.ndarray | float, chi: np.ndarray | float) -> None:
-        indptr, self.indices = links.graph.csr
-        self.rb = params.r[self.indices] * links.in_values
-        self.factors = np.empty_like(self.rb)
-        nonempty = np.diff(indptr) > 0
-        # None: every row has an in-neighbour, so reduceat fills all of zeta.
-        self.nonempty = None if nonempty.all() else nonempty
-        self.starts = indptr[:-1] if self.nonempty is None else indptr[:-1][nonempty]
-        self.n = links.graph.n
+        self.rows = RowOperator(links.graph.row_layout)
+        self.rb = params.r[self.rows.columns]
+        beta = self.rows.layout.permute(links.in_values, out=self.rows.buffer)
+        np.multiply(self.rb, beta, out=self.rb)
         self.delta, self.gamma, self.nu, self.chi = params.delta, params.gamma, nu, chi
         self.keep_p = 1.0 - params.delta
         self.warn = 1.0 - nu
         self.keep_w = 1.0 - chi - params.delta
 
     def zeta(self, p: np.ndarray) -> np.ndarray:
-        # One buffer for the whole run keeps a CSR-sized allocation out of
-        # every step.  CSR indices lie in [0, n), so "clip" clips nothing;
-        # the default "raise" would copy through a second buffer.
-        factors = np.take(p, self.indices, out=self.factors, mode="clip")
+        factors = self.rows.gather(p)
         np.multiply(self.rb, factors, out=factors)
         np.subtract(1.0, factors, out=factors)
-        if self.nonempty is None:
-            return np.multiply.reduceat(factors, self.starts)
-        z = np.ones(self.n)
-        z[self.nonempty] = np.multiply.reduceat(factors, self.starts)
-        return z
+        return self.rows.row_prod(factors)
 
     def step(self, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The state after ``cur``, and the ``zeta`` it was computed with."""

@@ -17,6 +17,15 @@ itself: its positive diagonal breaks the ``+/- lambda`` eigenvalue pairs that
 stall power iteration on bipartite adjacency structure.  The helper for raw
 adjacency spectral radii applies the same cure by iterating on ``A + I`` and
 shifting the estimate back.
+
+A :class:`SystemMatrix` is prepared once per solve: its off-diagonal entries
+are built directly in the graph's degree-bucketed row layout, and each
+product gathers ``v`` into the row operator's buffer, scales it and takes
+the row sums with the operator (see :mod:`netspread.rowops`, which also
+gives the summation-tree argument).  Power iteration keeps ``v``, ``w`` and
+the residual in buffers of its own.  Values, vectors, residuals and
+iteration counts are those of summing each CSR row with numpy and fresh
+arrays, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,6 +38,7 @@ import numpy as np
 
 from .graphs import Graph
 from .meanfield import LinkProbs, NodeParams
+from .rowops import RowOperator
 
 __all__ = [
     "SystemMatrix",
@@ -110,28 +120,41 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """Sparse system matrix: dense diagonal plus CSR off-diagonal entries."""
+    """Sparse system matrix: a dense diagonal plus one off-diagonal entry per
+    CSR entry of a graph, stored in the layout of the row operator ``rows``.
+
+    ``data[k]`` is the entry at layout position ``k``: column
+    ``rows.columns[k]`` of the row ``rows.layout.spread(np.arange(n))[k]``.
+    ``data`` is ``None`` when every off-diagonal entry is 1 (the adjacency
+    matrix).  Products reuse the operator's buffers, so a matrix serves one
+    thread at a time.
+    """
 
     n: int
     diag: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    rows: RowOperator
+    data: np.ndarray | None
 
     @cached_property
-    def _nonempty_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows with off-diagonal entries and their CSR start offsets, kept
-        because power iteration calls ``matvec`` hundreds of times."""
-        mask = np.diff(self.indptr) > 0
-        return mask, self.indptr[:-1][mask]
+    def _sums(self) -> np.ndarray:
+        """Buffer for the row sums, reused by every product: power iteration
+        calls ``matvec`` hundreds of times."""
+        return np.empty(self.n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        contrib = self.data * v[self.indices]
-        if contrib.size:
-            mask, starts = self._nonempty_rows
-            out[mask] += np.add.reduceat(contrib, starts)
-        return out
+        """``S v`` as a fresh array."""
+        return self._matvec_into(v, np.empty(self.n))
+
+    def _matvec_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``S v`` written to ``out``: ``diag * v`` plus each row's sum of
+        ``data * v[column]``.  Rows without entries add -0.0, which changes
+        no value, so they keep ``diag * v`` bit for bit."""
+        contrib = self.rows.gather(v)
+        if self.data is not None:
+            np.multiply(self.data, contrib, out=contrib)
+        sums = self.rows.row_sum(contrib, out=self._sums)
+        np.multiply(self.diag, v, out=out)
+        return np.add(out, sums, out=out)
 
 
 def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> SystemMatrix:
@@ -151,18 +174,15 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
             f"system matrix requires delta > 0 for every node; "
             f"node {int(zero[0])} has delta = 0"
         )
-    indptr, indices = g.csr
-    # Row i, entry k: in-edge from j = indices[k]; weight r_j * beta_ji * g_i.
+    rows = RowOperator(g.row_layout)
+    # Entry k: in-edge from j = columns[k] into row i; weight r_j * beta_ji * g_i,
+    # multiplied left to right and built in layout order directly, each
+    # factor staged in the operator's buffer.
     gain = params.gamma / (params.gamma + params.delta)
-    row_ids = np.repeat(np.arange(g.n), np.diff(indptr))
-    data = params.r[indices] * links.in_values * gain[row_ids]
-    return SystemMatrix(
-        n=g.n,
-        diag=1.0 - params.delta,
-        indptr=indptr,
-        indices=indices,
-        data=data,
-    )
+    data = params.r[rows.columns]
+    np.multiply(data, rows.layout.permute(links.in_values, out=rows.buffer), out=data)
+    np.multiply(data, rows.layout.spread(gain, out=rows.buffer), out=data)
+    return SystemMatrix(n=g.n, diag=1.0 - params.delta, rows=rows, data=data)
 
 
 def power_iteration(
@@ -180,35 +200,51 @@ def power_iteration(
     """
     if n < 1:
         raise ValueError("matrix dimension must be positive")
+    # v, the residual and (through matvec) w live in buffers reused by every
+    # iteration; the arithmetic is that of fresh arrays, operation for
+    # operation.
     v = np.full(n, 1.0 / math.sqrt(n))
+    scratch = np.empty(n)
     w = matvec(v)
     lam = float(v @ w)
-    residual = float(np.linalg.norm(w - lam * v))
+    residual = _residual(w, lam, v, scratch)
     for it in range(1, max_iter + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             # v is in the kernel: the dominant eigenvalue along the reachable
             # subspace is 0 (e.g. the zero matrix).
             return SpectralResult(value=0.0, vector=v, iterations=it, residual=0.0)
-        v_next = w / norm_w
-        w_next = matvec(v_next)
-        lam_next = float(v_next @ w_next)
-        residual = float(np.linalg.norm(w_next - lam_next * v_next))
+        v = np.divide(w, norm_w, out=v)
+        w = matvec(v)
+        lam_next = float(v @ w)
+        residual = _residual(w, lam_next, v, scratch)
         if abs(lam_next - lam) < tol and residual < tol:
-            vec = v_next
-            peak = np.argmax(np.abs(vec))
-            if vec[peak] < 0:
-                vec = -vec
+            peak = np.argmax(np.abs(v))
+            if v[peak] < 0:
+                v = -v
             return SpectralResult(
-                value=abs(lam_next), vector=vec, iterations=it, residual=residual
+                value=abs(lam_next), vector=v, iterations=it, residual=residual
             )
-        v, w, lam = v_next, w_next, lam_next
+        lam = lam_next
     raise PowerIterationError(
         f"power iteration did not converge in {max_iter} iterations "
         f"(last residual {residual:.3e}, tol {tol:.3e})",
         iterations=max_iter,
         residual=residual,
     )
+
+
+def _residual(w: np.ndarray, lam: float, v: np.ndarray, scratch: np.ndarray) -> float:
+    """``||w - lam * v||``, computed in ``scratch``."""
+    return float(np.linalg.norm(np.subtract(w, np.multiply(lam, v, out=scratch),
+                                            out=scratch)))
+
+
+def _solve(m: SystemMatrix, tol: float, max_iter: int) -> SpectralResult:
+    """Power iteration on ``m``, every product written to one buffer."""
+    w = np.empty(m.n)
+    return power_iteration(lambda v: m._matvec_into(v, w), m.n, tol=tol,
+                           max_iter=max_iter)
 
 
 def adjacency_spectral_radius(
@@ -221,10 +257,9 @@ def adjacency_spectral_radius(
     eigenvalue estimate back.  The reported residual is identical for both
     matrices.
     """
-    indptr, indices = g.csr
-    shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), indptr=indptr, indices=indices,
-                           data=np.ones(len(indices)))
-    res = power_iteration(shifted.matvec, g.n, tol=tol, max_iter=max_iter)
+    shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), rows=RowOperator(g.row_layout),
+                           data=None)
+    res = _solve(shifted, tol, max_iter)
     return SpectralResult(
         value=max(res.value - 1.0, 0.0),
         vector=res.vector,
@@ -246,8 +281,7 @@ def survivability_score(
     ``fast_extinction`` is ``s < 1``; scores within ``critical_band`` of 1
     are additionally flagged critical (indeterminate in practice).
     """
-    sm = build_system_matrix(g, links, params)
-    res = power_iteration(sm.matvec, sm.n, tol=tol, max_iter=max_iter)
+    res = _solve(build_system_matrix(g, links, params), tol, max_iter)
     score = res.value
     return SurvivabilityResult(
         score=score,

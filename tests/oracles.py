@@ -173,11 +173,13 @@ def dense_system_matrix(g: Graph, beta_of, params) -> np.ndarray:
 
 
 def system_matrix_to_dense(s) -> np.ndarray:
-    """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by entry."""
+    """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by
+    entry: layout position ``k`` is row ``spread(arange(n))[k]``, column
+    ``columns[k]``, value ``data[k]`` (1 when ``data`` is ``None``)."""
     dense = np.diag(s.diag.astype(float))
-    for i in range(s.n):
-        for k in range(s.indptr[i], s.indptr[i + 1]):
-            dense[i, s.indices[k]] += s.data[k]
+    rows = s.rows.layout.spread(np.arange(s.n))
+    for k in range(s.rows.layout.size):
+        dense[rows[k], s.rows.columns[k]] += 1.0 if s.data is None else s.data[k]
     return dense
 
 
@@ -386,3 +388,88 @@ def integrate_reference(model, state0, params, dt=0.01, t_end=100.0):
     else:
         r_out = np.zeros_like(s_out)
     return Trajectory(times=times, columns={"s": s_out, "i": i_out, "r": r_out})
+
+
+# ---------------------------------------------------------------------------
+# Power iteration and the system-matrix product as they were before the row
+# operator: CSR-ordered entries, one np.add.reduceat over the non-empty rows
+# per product, fresh arrays in every iteration, and greedy removal that
+# rebuilds each graph from its edge list.  The package must match them bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+class CsrSystemMatrixReference:
+    """Dense diagonal plus CSR off-diagonal entries."""
+
+    def __init__(self, n, diag, indptr, indices, data):
+        self.n, self.diag, self.indptr, self.indices, self.data = n, diag, indptr, indices, data
+        mask = np.diff(indptr) > 0
+        self._nonempty_rows = mask, indptr[:-1][mask]
+
+    def matvec(self, v):
+        out = self.diag * v
+        contrib = self.data * v[self.indices]
+        if contrib.size:
+            mask, starts = self._nonempty_rows
+            out[mask] += np.add.reduceat(contrib, starts)
+        return out
+
+
+def system_matrix_reference(g: Graph, links, params) -> CsrSystemMatrixReference:
+    indptr, indices = g.csr
+    gain = params.gamma / (params.gamma + params.delta)
+    row_ids = np.repeat(np.arange(g.n), np.diff(indptr))
+    data = params.r[indices] * links.in_values * gain[row_ids]
+    return CsrSystemMatrixReference(g.n, 1.0 - params.delta, indptr, indices, data)
+
+
+def power_iteration_reference(matvec, n, tol=1e-10, max_iter=100_000):
+    """``(value, vector, iterations, residual)``; raises ``RuntimeError``
+    when it does not converge."""
+    v = np.full(n, 1.0 / math.sqrt(n))
+    w = matvec(v)
+    lam = float(v @ w)
+    residual = float(np.linalg.norm(w - lam * v))
+    for it in range(1, max_iter + 1):
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0, v, it, 0.0
+        v_next = w / norm_w
+        w_next = matvec(v_next)
+        lam_next = float(v_next @ w_next)
+        residual = float(np.linalg.norm(w_next - lam_next * v_next))
+        if abs(lam_next - lam) < tol and residual < tol:
+            vec = v_next
+            peak = np.argmax(np.abs(vec))
+            if vec[peak] < 0:
+                vec = -vec
+            return abs(lam_next), vec, it, residual
+        v, w, lam = v_next, w_next, lam_next
+    raise RuntimeError(f"no convergence in {max_iter} iterations")
+
+
+def adjacency_radius_reference(g: Graph):
+    """``(value, vector, iterations, residual)`` of ``A + I``, shifted back."""
+    indptr, indices = g.csr
+    shifted = CsrSystemMatrixReference(g.n, np.ones(g.n), indptr, indices,
+                                       np.ones(len(indices)))
+    value, vector, iterations, residual = power_iteration_reference(shifted.matvec, g.n)
+    return max(value - 1.0, 0.0), vector, iterations, residual
+
+
+def greedy_reference(g: Graph, k: int):
+    """``(removed_edges, lambda1_steps)`` of greedy removal, each graph
+    rebuilt from its remaining edges."""
+    current, removed, steps = g, [], []
+    for _ in range(k):
+        value, vector, _, _ = adjacency_radius_reference(current)
+        steps.append(value)
+        if current.num_edges == 0:
+            break
+        x = np.abs(vector)
+        e = current.edge_array
+        best = np.argmax(x[e[:, 0]] * x[e[:, 1]])
+        removed.append(tuple(e[best].tolist()))
+        current = Graph(n=g.n, edges=np.delete(e, best, axis=0))
+    steps.append(adjacency_radius_reference(current)[0])
+    return removed, steps

@@ -420,6 +420,31 @@ class TestConfigFieldTypes:
             ExperimentConfig.from_dict(meanfield_config(sweep=sweep))
         assert exc.value.field == field
 
+    def test_nan_tolerance_is_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(meanfield_config(run={"tol": float("nan")}))
+        assert exc.value.field == "run.tol"
+
+    @pytest.mark.parametrize("sweep", [
+        {"parameter": "beta", "base": 0.2, "increment": -0.3, "count": 2},
+        {"parameter": "delta", "base": 0.5, "increment": 0.3, "count": 3},
+        {"parameters": [{"name": "beta", "base": 0.5}, {"name": "p0", "base": 0.9}],
+         "increment": 0.1, "count": 3},
+        {"parameter": "beta", "base": 0.0, "increment": 1e308, "count": 3},
+    ])
+    def test_swept_values_are_range_checked_before_any_point_runs(self, sweep):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(meanfield_config(sweep=sweep))
+        assert exc.value.field == "sweep"
+
+    def test_every_bundled_figure_config_loads(self):
+        """The sweep range check accepts every bundled config as it stands."""
+        configs = FIGURE_BUILDERS()
+        assert len(configs) == 8
+        for cfg in configs.values():
+            if cfg.sweep is not None:
+                ExperimentConfig.from_dict(cfg.canonical_dict())
+
     def test_integer_sweep_values_hash_as_floats(self):
         ints = meanfield_config(sweep={"parameter": "r", "base": 1, "increment": 0,
                                        "count": 1})

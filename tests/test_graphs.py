@@ -22,6 +22,7 @@ from netspread.graphs import (
     sample_exponential_degrees,
     save_edge_list,
 )
+from netspread.rowops import RowOperator
 
 from oracles import (
     adjacency,
@@ -430,6 +431,27 @@ def test_remove_edges_matches_networkx(drawn, data):
     after = g.remove_edges(flipped)
     assert after.edges == {tuple(sorted(e)) for e in h.edges}
     assert after.n == g.n and g.num_edges == len(present)  # input untouched
+
+
+@given(graphs(), st.data())
+def test_remove_edges_equals_a_rebuilt_graph_array_for_array(drawn, data):
+    """The copy is derived from this graph's cached arrays by deletion; every
+    array it holds or derives equals that of the graph built from scratch."""
+    g, _ = drawn
+    present = sorted(g.edges)
+    doomed = data.draw(st.lists(st.sampled_from(present))) if present else []
+    after = g.remove_edges(doomed)
+    rebuilt = Graph.from_edges(g.n, sorted(set(present) - set(doomed)))
+    pairs = [(after.edge_array, rebuilt.edge_array), (after._csr_keys, rebuilt._csr_keys),
+             (after.degrees, rebuilt.degrees), (after.transpose, rebuilt.transpose),
+             (RowOperator(after.row_layout).columns, RowOperator(rebuilt.row_layout).columns),
+             *zip(after.csr, rebuilt.csr)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    for got, want in [(after.edge_array, rebuilt.edge_array), *zip(after.csr, rebuilt.csr)]:
+        assert not got.flags.writeable and not want.flags.writeable
+    assert after == rebuilt and hash(after) == hash(rebuilt)
 
 
 def test_remove_missing_or_out_of_range_edge_names_it():
