@@ -13,7 +13,9 @@ same edge set in any process.
 """
 from __future__ import annotations
 
+from collections.abc import Sized
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -39,16 +41,36 @@ class EdgeListFormatError(ValueError):
     """Raised when an edge-list file violates the on-disk format."""
 
 
+# Pairs from a Python iterable are converted this many at a time: numpy
+# turns a list of tuples into an array through temporaries more than twice
+# the size of the result (24 MB beside the 9.6 MB result for the 6 * 10^5
+# links of a 10^5-node link table); one chunk's take about 1 MB.
+_PAIR_CHUNK = 1 << 14
+
+
 def _pair_array(pairs) -> np.ndarray:
     """A fresh ``(m, 2)`` int64 array from an iterable of pairs or an array."""
-    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
+    if isinstance(pairs, np.ndarray):
+        if pairs.size == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        # astype copies, so the result shares no memory with the caller's
+        # array, whatever ndarray subclass (a memmap, say) it is.
+        return _int_pairs(np.asarray(pairs)).astype(np.int64)
+    if not isinstance(pairs, Sized):
+        pairs = list(pairs)
+    out = np.empty((len(pairs), 2), dtype=np.int64)
+    it = iter(pairs)
+    for start in range(0, len(out), _PAIR_CHUNK):
+        out[start:start + _PAIR_CHUNK] = _int_pairs(np.asarray(list(islice(it, _PAIR_CHUNK))))
+    return out
+
+
+def _int_pairs(arr: np.ndarray) -> np.ndarray:
+    """``arr``, checked to be an ``(m, 2)`` integer array."""
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise ValueError(f"edges must be integer pairs (u, v), got {arr.dtype} "
                          f"array of shape {arr.shape}")
-    # A list was copied into arr already; only an array argument needs a copy.
-    return arr.astype(np.int64, copy=arr is pairs)
+    return arr
 
 
 def _find(keys: np.ndarray, n: int, rows, cols) -> np.ndarray:

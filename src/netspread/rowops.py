@@ -64,14 +64,6 @@ _MAX_BUCKET_DEGREE = 129
 _SHORT_SUM_FROM_FIRST = bool(np.signbit(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0]))
 
 
-def _rows_key(rows: np.ndarray) -> np.ndarray | slice:
-    """``rows`` (ascending) as a slice when they are one contiguous range,
-    so that results land in the output without a scatter."""
-    if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
 class RowLayout:
     """Degree-bucketed order of the entries of a CSR ``(indptr, indices)``.
 
@@ -81,8 +73,7 @@ class RowLayout:
     block, entry ``c`` of every row in block row ``c``.  The remaining
     non-empty rows ``tail_rows`` follow from ``tail_start``, in CSR order,
     with ``reduceat`` offsets ``tail_offsets`` relative to ``tail_start``;
-    ``empty_rows`` have no entries.  Row sets are index arrays, or slices
-    where they are contiguous.
+    ``empty_rows`` have no entries.  Row sets are ascending index arrays.
 
     The layout holds no CSR-sized array of its own (``indptr`` and
     ``indices`` are the graph's): the permutation is applied bucket by bucket
@@ -104,7 +95,7 @@ class RowLayout:
         start = first = 0
         for d in np.flatnonzero(bucketed).tolist():
             m = int(counts[d])
-            buckets.append((d, start, m, _rows_key(by_degree[first:first + m])))
+            buckets.append((d, start, m, by_degree[first:first + m]))
             start += d * m
             first += m
         tail = np.flatnonzero(~in_bucket & (degrees > 0))
@@ -118,10 +109,10 @@ class RowLayout:
         self.indices = indices
         self.buckets = tuple(buckets)
         self.tail_start = start
-        self.tail_rows = _rows_key(tail)
+        self.tail_rows = tail
         self.tail_degrees = tail_degrees
         self.tail_offsets = tail_offsets
-        self.empty_rows = _rows_key(np.flatnonzero(degrees == 0))
+        self.empty_rows = np.flatnonzero(degrees == 0)
 
     def permute(self, csr_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``csr_values`` (one value per CSR entry) in layout order."""
@@ -188,38 +179,29 @@ class RowOperator:
         if out is None:
             out = np.empty(lay.n)
         for d, start, m, rows in lay.buckets:
-            block = values[start:start + d * m].reshape(d, m)
-            if isinstance(rows, slice):
-                columns(block, out[rows])
-            else:
-                out[rows] = columns(block, np.empty(m))
+            out[rows] = columns(values[start:start + d * m].reshape(d, m))
         tail = values[lay.tail_start:]
         if tail.size:
-            if isinstance(lay.tail_rows, slice):
-                ufunc.reduceat(tail, lay.tail_offsets, out=out[lay.tail_rows])
-            else:
-                out[lay.tail_rows] = ufunc.reduceat(tail, lay.tail_offsets)
+            out[lay.tail_rows] = ufunc.reduceat(tail, lay.tail_offsets)
         out[lay.empty_rows] = identity
         return out
 
 
-def _column_prod(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Products down the columns of a ``(d, m)`` bucket into ``out``, left
-    to right: ``d - 1`` multiplications."""
-    if len(block) == 1:
-        out[:] = block[0]
-        return out
-    np.multiply(block[0], block[1], out=out)
-    for row in block[2:]:
+def _column_prod(block: np.ndarray) -> np.ndarray:
+    """Products down the columns of a ``(d, m)`` bucket, left to right:
+    ``d - 1`` multiplications."""
+    out = block[0].copy()
+    for row in block[1:]:
         np.multiply(out, row, out=out)
     return out
 
 
-def _column_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sums down the columns of a ``(d, m)`` bucket into ``out`` in
-    ``add.reduceat``'s tree, ``a0 + pairwise(a1 .. a_{d-1})`` (see the module
+def _column_sum(block: np.ndarray) -> np.ndarray:
+    """Sums down the columns of a ``(d, m)`` bucket in ``add.reduceat``'s
+    tree, ``a0 + pairwise(a1 .. a_{d-1})`` (see the module
     docstring): ``d - 1`` additions, one more on numpy releases whose short
     pairwise sum starts from 0.0."""
+    out = np.empty(block.shape[1])
     rest = block[1:]
     if len(rest) == 0:
         out[:] = block[0]

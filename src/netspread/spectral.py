@@ -125,15 +125,14 @@ class SystemMatrix:
 
     ``data[k]`` is the entry at layout position ``k``: column
     ``rows.columns[k]`` of the row ``rows.layout.spread(np.arange(n))[k]``.
-    ``data`` is ``None`` when every off-diagonal entry is 1 (the adjacency
-    matrix).  Products reuse the operator's buffers, so a matrix serves one
-    thread at a time.
+    Products reuse the operator's buffers, so a matrix serves one thread at
+    a time.
     """
 
     n: int
     diag: np.ndarray
     rows: RowOperator
-    data: np.ndarray | None
+    data: np.ndarray
 
     @cached_property
     def _sums(self) -> np.ndarray:
@@ -150,8 +149,7 @@ class SystemMatrix:
         ``data * v[column]``.  Rows without entries add -0.0, which changes
         no value, so they keep ``diag * v`` bit for bit."""
         contrib = self.rows.gather(v)
-        if self.data is not None:
-            np.multiply(self.data, contrib, out=contrib)
+        np.multiply(self.data, contrib, out=contrib)
         sums = self.rows.row_sum(contrib, out=self._sums)
         np.multiply(self.diag, v, out=out)
         return np.add(out, sums, out=out)
@@ -197,6 +195,11 @@ def power_iteration(
     successive Rayleigh estimates to differ by less than ``tol`` and the
     residual ``||M v - lambda v||`` to fall below ``tol``; non-convergence
     raises :class:`PowerIterationError` carrying the last residual.
+
+    ``matvec`` is passed one buffer on every call, overwritten with the next
+    iterate in between, so it must not keep a reference to its argument (a
+    matvec that records iterates copies them).  Its result is read before
+    the next call, so it may return a buffer it reuses.
     """
     if n < 1:
         raise ValueError("matrix dimension must be positive")
@@ -258,7 +261,7 @@ def adjacency_spectral_radius(
     matrices.
     """
     shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), rows=RowOperator(g.row_layout),
-                           data=None)
+                           data=np.ones(g.row_layout.size))
     res = _solve(shifted, tol, max_iter)
     return SpectralResult(
         value=max(res.value - 1.0, 0.0),

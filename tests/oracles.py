@@ -175,11 +175,11 @@ def dense_system_matrix(g: Graph, beta_of, params) -> np.ndarray:
 def system_matrix_to_dense(s) -> np.ndarray:
     """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by
     entry: layout position ``k`` is row ``spread(arange(n))[k]``, column
-    ``columns[k]``, value ``data[k]`` (1 when ``data`` is ``None``)."""
+    ``columns[k]``, value ``data[k]``."""
     dense = np.diag(s.diag.astype(float))
     rows = s.rows.layout.spread(np.arange(s.n))
     for k in range(s.rows.layout.size):
-        dense[rows[k], s.rows.columns[k]] += 1.0 if s.data is None else s.data[k]
+        dense[rows[k], s.rows.columns[k]] += s.data[k]
     return dense
 
 

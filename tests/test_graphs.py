@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netspread.graphs import (
+    _PAIR_CHUNK,
     EdgeListFormatError,
     Graph,
     gen_binomial,
@@ -492,3 +493,24 @@ def test_constructor_accepts_arrays_and_rejects_bad_pairs():
         Graph(n=3, edges=[(0, 1, 2)])
     with pytest.raises(ValueError, match="integer pairs"):
         Graph(n=3, edges=[(0.5, 1.7)])  # never truncated to (0, 1)
+
+
+def test_edge_array_is_a_copy_of_an_array_subclass(tmp_path):
+    edges = np.array([[0, 1], [1, 2]])
+    mapped = np.memmap(tmp_path / "edges.bin", dtype=np.int64, mode="w+", shape=edges.shape)
+    mapped[:] = edges
+    for source in (mapped, edges.view(type("Sub", (np.ndarray,), {}))):
+        g = Graph(n=4, edges=source)
+        source[0] = (2, 3)
+        assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+        source[:] = edges
+
+
+def test_pair_conversion_crosses_chunks():
+    # More pairs than one conversion chunk holds; a bad pair in the last
+    # chunk is still rejected.
+    pairs = [(u, u + 1) for u in range(2 * _PAIR_CHUNK + 3)]
+    g = Graph(n=len(pairs) + 1, edges=iter(pairs))
+    assert g.edge_array.tolist() == [list(p) for p in pairs]
+    with pytest.raises(ValueError, match="integer pairs"):
+        Graph(n=len(pairs) + 1, edges=pairs[:-1] + [(0.5, 1.7)])

@@ -51,7 +51,7 @@ def csr_rows(draw):
     """A CSR ``(indptr, indices)`` made of groups of rows of equal degree;
     group sizes sit just below, at and just above the bucket threshold, or
     are small.  Rows are shuffled unless ``sorted_rows`` keeps each group
-    contiguous (bucket rows then form a slice)."""
+    contiguous."""
     groups = draw(st.lists(st.tuples(
         st.one_of(st.sampled_from(EDGE_DEGREES), st.integers(0, 140)),
         st.one_of(st.sampled_from((T - 1, T, T + 1)), st.integers(1, 4)),

@@ -67,6 +67,24 @@ class TestPowerIteration:
         assert res.iterations >= 1
         assert res.residual <= 1e-10
 
+    def test_matvec_argument_is_one_buffer_overwritten_between_calls(self):
+        m = np.array([[2.0, 1.0], [1.0, 3.0]])
+        seen, copies = [], []
+
+        def recording(v):
+            seen.append(v)
+            copies.append(v.copy())
+            return m @ v
+
+        res = power_iteration(recording, 2)
+        assert len(seen) == res.iterations + 1
+        # Every call got the same array, which ends as the last iterate ...
+        assert all(v is seen[0] for v in seen)
+        np.testing.assert_array_equal(seen[0], copies[-1])
+        # ... while copies taken inside matvec keep each iterate.
+        assert not np.array_equal(copies[0], copies[-1])
+        np.testing.assert_array_equal(copies[0], np.full(2, 1.0 / np.sqrt(2.0)))
+
     def test_nonconvergent_rotation_raises(self):
         # Eigenvalues are +/-2: the iterate oscillates forever.
         m = np.array([[0.0, 4.0], [1.0, 0.0]])
