@@ -11,17 +11,9 @@ Usage:
 """
 import argparse
 
-from netspread.graphs import gen_binomial, gen_lattice4, gen_powerlaw
+from netspread.experiments import GraphSpec
 from netspread.meanfield import LinkProbs, MeanFieldBoundsError, MfState, NodeParams, run
 from netspread.spectral import survivability_score
-
-
-def build_graph(args):
-    if args.family == "lattice4":
-        return gen_lattice4(args.rows, args.cols)
-    if args.family == "powerlaw":
-        return gen_powerlaw(args.n, args.m, args.seed)
-    return gen_binomial(args.n, args.p, args.seed)
 
 
 def main() -> None:
@@ -42,7 +34,8 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=2000)
     args = parser.parse_args()
 
-    g = build_graph(args)
+    g = GraphSpec(family=args.family, n=args.n, m=args.m, p=args.p, rows=args.rows,
+                  cols=args.cols).build(args.seed)
     params = NodeParams.homogeneous(
         g.n, r=1.0, delta=args.delta, gamma=args.gamma)
     print(f"graph: family={args.family} n={g.n} edges={g.num_edges}")

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .graphs import (  # the generators are called through _FAMILIES
     load_edge_list,
     save_edge_list,
 )
-from .meanfield import LinkProbs, MfState, NodeParams
+from .meanfield import LinkProbs, MfState, NodeParams, _acceptance
 from .meanfield import run as meanfield_run
 from .montecarlo import mc_ensemble
 from .ode import OdeParams, OdeState, integrate
@@ -50,8 +50,8 @@ __all__ = [
 
 ODE_MODELS = {"sir_ode": "sir_epidemic", "sir_endemic_ode": "sir_endemic", "sis_ode": "sis"}
 MEANFIELD_MODELS = {"sis_meanfield": "sis", "sirs_meanfield": "sirs"}
-MC_MODELS = {"sis_mc", "sirs_mc"}
-ALL_MODELS = set(ODE_MODELS) | set(MEANFIELD_MODELS) | MC_MODELS
+MC_MODELS = {"sis_mc": "sis", "sirs_mc": "sirs"}
+ALL_MODELS = set(ODE_MODELS) | set(MEANFIELD_MODELS) | set(MC_MODELS)
 
 _PROB_PARAMS = ("delta", "r", "nu", "chi", "p0", "w0", "init", "s0", "i0")
 
@@ -405,10 +405,11 @@ def _run_point(
         result.trajectory.write_csv(out_path)
         return score
 
+    nu, chi = _acceptance(MC_MODELS[model], node_params)
     ensemble = mc_ensemble(
         graph,
         links,
-        node_params,
+        replace(node_params, nu=nu, chi=chi),
         init=point_params.get("p0", 0.1),
         steps=config.run.steps,
         runs=config.run.runs,

@@ -25,12 +25,14 @@ reporting-only mode that records violations instead of raising.
 One update body serves :func:`run`, :func:`sis_step`, :func:`sirs_step` and
 :func:`zeta`.  It is prepared once per run (per call for the single-step
 functions): a :class:`~netspread.rowops.RowOperator` on the graph's cached
-degree-bucketed layout, the products ``r_j * beta_ji`` in that layout and
-the per-node coefficients are computed before the first step.  Each step
-gathers ``p`` into the operator's buffer once, takes the row products of
-``zeta`` with the operator and keeps ``p``, ``q``, ``w`` and the dead
-fraction in one ``(4, n)`` array.  The prepared run gives the same bits as
-stepping one state at a time with a plain product over each CSR row.
+degree-bucketed layout, the products ``r_j * beta_ji`` in that layout (from
+:func:`_transmission`, which the linearised system matrix of
+:mod:`netspread.spectral` is built from too) and the per-node coefficients
+are computed before the first step.  Each step gathers ``p`` into the
+operator's buffer once, takes the row products of ``zeta`` with the operator
+and keeps ``p``, ``q``, ``w`` and the dead fraction in one ``(4, n)`` array.
+The prepared run gives the same bits as stepping one state at a time with a
+plain product over each CSR row.
 """
 from __future__ import annotations
 
@@ -136,42 +138,36 @@ class NodeParams:
 class LinkProbs:
     """Per-link transmission probabilities supported on graph edges.
 
-    Stored state: ``graph`` and ``in_values``, one read-only float array
-    aligned with ``graph.csr``: entry ``k`` of row ``i`` holds
-    ``beta(indices[k] -> i)``.  ``out_values`` is the same array permuted by
-    ``graph.transpose``.  Build from one ``scalar`` (the same value on every
-    link, both ways) or a ``table`` keyed by ordered pairs ``(src, dst)``;
-    links a table does not name carry 0.
+    Stored state: ``graph`` and ``in_values``, a read-only array of one value
+    in [0, 1] per entry of ``graph.csr``: entry ``k`` of row ``i`` holds
+    ``beta(indices[k] -> i)``.  The constructor copies it from an array of
+    that shape or a single value; :meth:`homogeneous` and :meth:`from_mapping`
+    build it.  ``out_values`` is the array permuted by ``graph.transpose``.
     """
 
-    def __init__(self, graph: Graph, scalar: float | None = None,
-                 table: dict[tuple[int, int], float] | None = None) -> None:
-        if (scalar is None) == (table is None):
-            raise ValueError("provide exactly one of scalar or table")
-        if table is not None:
-            values = _table_in_values(graph, table, symmetric=False)
-        elif not (0.0 <= scalar <= 1.0):
-            raise ValueError(f"link probability must lie in [0, 1], got {scalar!r}")
-        else:
-            values = np.full(2 * graph.num_edges, float(scalar))
-            values.flags.writeable = False
+    def __init__(self, graph: Graph, in_values) -> None:
+        values = np.array(in_values, dtype=float)
+        bad = values[~((values >= 0.0) & (values <= 1.0))]
+        if bad.size:
+            raise ValueError(f"link probability must lie in [0, 1], got {float(bad[0])!r}")
+        if values.shape != (2 * graph.num_edges,):  # a single value, or a bad shape
+            values = np.broadcast_to(values, (2 * graph.num_edges,)).copy()
+        values.flags.writeable = False
         self.graph = graph
         self.in_values = values
 
     @classmethod
     def homogeneous(cls, graph: Graph, beta: float) -> "LinkProbs":
-        return cls(graph=graph, scalar=float(beta))
+        return cls(graph, float(beta))
 
     @classmethod
     def from_mapping(
         cls, graph: Graph, mapping: dict[tuple[int, int], float], symmetric: bool = True
     ) -> "LinkProbs":
-        """Links from ``mapping``; with ``symmetric`` each entry also sets the
-        reverse link unless the mapping names that link itself."""
-        links = cls.__new__(cls)
-        links.graph = graph
-        links.in_values = _table_in_values(graph, mapping, symmetric)
-        return links
+        """Links from ``mapping``; links it does not name carry 0.  With
+        ``symmetric`` each entry also sets the reverse link unless the mapping
+        names that link itself."""
+        return cls(graph, _table_in_values(graph, mapping, symmetric))
 
     def value(self, src: int, dst: int) -> float:
         """Transmission probability along the directed link ``src -> dst``."""
@@ -186,23 +182,19 @@ class LinkProbs:
 
 
 def _table_in_values(graph: Graph, table: dict, symmetric: bool) -> np.ndarray:
-    """CSR-aligned ``in_values`` for a table of directed links; with
+    """CSR-aligned values of a table of directed links, ranges unchecked; with
     ``symmetric``, entries also fill the reverse links the table leaves out."""
     pairs = _pair_array(table)
     betas = np.fromiter(table.values(), dtype=float, count=len(table))
     src, dst = pairs[:, 0], pairs[:, 1]
     pos = graph.csr_positions(dst, src)
-    bad = np.flatnonzero((pos < 0) | ~((betas >= 0.0) & (betas <= 1.0)))
+    bad = np.flatnonzero(pos < 0)
     if bad.size:
-        i = bad[0]
-        if pos[i] < 0:
-            raise ValueError(f"link ({src[i]}, {dst[i]}) is not an edge of the graph")
-        raise ValueError(f"link probability must lie in [0, 1], got {float(betas[i])!r}")
+        raise ValueError(f"link ({src[bad[0]]}, {dst[bad[0]]}) is not an edge of the graph")
     values = np.zeros(2 * graph.num_edges)
     if symmetric:
         values[graph.transpose[pos]] = betas
     values[pos] = betas  # explicit entries beat mirrored ones
-    values.flags.writeable = False
     return values
 
 
@@ -243,12 +235,32 @@ class MfState:
         return 1.0 - self.p - self.q - self.w
 
 
-def _check_sizes(state: MfState, links: LinkProbs, params: NodeParams) -> None:
-    n = links.graph.n
+def _check_inputs(graph: Graph, links: LinkProbs, params: NodeParams) -> None:
+    """Reject ``params`` that do not cover the nodes of ``graph`` and ``links``
+    built on another graph (an equal one is fine)."""
+    n = graph.n
     if params.n != n:
         raise ValueError(f"node parameters cover {params.n} nodes but the graph has {n}")
+    if links.graph is not graph and links.graph != graph:
+        raise ValueError("link probabilities were built for a different graph")
+
+
+def _check_sizes(state: MfState, links: LinkProbs, params: NodeParams) -> None:
+    n = links.graph.n
+    _check_inputs(links.graph, links, params)
     if state.n != n:
         raise ValueError(f"the state covers {state.n} nodes but the graph has {n}")
+
+
+def _transmission(links: LinkProbs, params: NodeParams) -> tuple[RowOperator, np.ndarray]:
+    """A row operator on the layout of ``links.graph`` and, in that layout,
+    ``r_j * beta_ji`` for each in-edge ``j -> i``: the factors of ``zeta`` and,
+    times the gains, the system matrix's off-diagonal.  ``r * beta`` comes
+    first, as in the per-step product ``r * beta * p`` read left to right."""
+    rows = RowOperator(links.graph.row_layout)
+    rb = params.r[rows.columns]
+    np.multiply(rb, rows.layout.permute(links.in_values, out=rows.buffer), out=rb)
+    return rows, rb
 
 
 class _Update:
@@ -256,20 +268,15 @@ class _Update:
     table and parameter set.
 
     What does not change between steps is computed here, once: the row
-    operator (gather index and buffer) on the graph's layout, the products
-    ``r_j * beta_ji`` in layout order (bit-equal to the per-step product,
-    since ``r * beta * p`` evaluates left to right), and the coefficients
-    ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A state is a
-    ``(4, n)`` array of rows ``p``, ``q``, ``w`` and ``dead = 1 - p - q - w``,
-    so ``dead`` is computed once per state.
+    operator and the products ``r_j * beta_ji`` of :func:`_transmission`, and
+    the coefficients ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A
+    state is a ``(4, n)`` array of rows ``p``, ``q``, ``w`` and
+    ``dead = 1 - p - q - w``, so ``dead`` is computed once per state.
     """
 
     def __init__(self, links: LinkProbs, params: NodeParams,
                  nu: np.ndarray | float, chi: np.ndarray | float) -> None:
-        self.rows = RowOperator(links.graph.row_layout)
-        self.rb = params.r[self.rows.columns]
-        beta = self.rows.layout.permute(links.in_values, out=self.rows.buffer)
-        np.multiply(self.rb, beta, out=self.rb)
+        self.rows, self.rb = _transmission(links, params)
         self.delta, self.gamma, self.nu, self.chi = params.delta, params.gamma, nu, chi
         self.keep_p = 1.0 - params.delta
         self.warn = 1.0 - nu

@@ -44,8 +44,8 @@ from typing import IO
 
 import numpy as np
 
-from .graphs import Graph
-from .meanfield import LinkProbs, NodeParams
+from .graphs import Graph, _as_rng
+from .meanfield import LinkProbs, NodeParams, _check_inputs
 from .trajectory import Trajectory
 
 __all__ = [
@@ -155,13 +155,8 @@ def mc_run(
     """Single run; returns fractions per state, shape ``(steps + 1, 4)``."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
-    if params.n != graph.n:
-        raise ValueError(
-            f"node parameters cover {params.n} nodes but the graph has {graph.n}"
-        )
-    if links.graph is not graph and links.graph != graph:
-        raise ValueError("link probabilities were built for a different graph")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _check_inputs(graph, links, params)
+    rng = _as_rng(seed)
     states = initial_states(graph.n, init, rng)
     fractions = np.empty((steps + 1, 4))
     fractions[0] = np.bincount(states, minlength=4) / graph.n

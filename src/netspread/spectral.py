@@ -19,7 +19,8 @@ adjacency spectral radii applies the same cure by iterating on ``A + I`` and
 shifting the estimate back.
 
 A :class:`SystemMatrix` is prepared once per solve: its off-diagonal entries
-are built directly in the graph's degree-bucketed row layout, and each
+are the mean-field update's ``r_j * beta_ji`` (``meanfield._transmission``,
+in the graph's degree-bucketed row layout) times the gains, and each
 product gathers ``v`` into the row operator's buffer, scales it and takes
 the row sums with the operator (see :mod:`netspread.rowops`, which also
 gives the summation-tree argument).  Power iteration keeps ``v``, ``w`` and
@@ -37,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Graph
-from .meanfield import LinkProbs, NodeParams
+from .meanfield import LinkProbs, NodeParams, _check_inputs, _transmission
 from .rowops import RowOperator
 
 __all__ = [
@@ -140,18 +141,14 @@ class SystemMatrix:
         calls ``matvec`` hundreds of times."""
         return np.empty(self.n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``S v`` as a fresh array."""
-        return self._matvec_into(v, np.empty(self.n))
-
-    def _matvec_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``S v`` written to ``out``: ``diag * v`` plus each row's sum of
-        ``data * v[column]``.  Rows without entries add -0.0, which changes
-        no value, so they keep ``diag * v`` bit for bit."""
+    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``S v``, written to ``out`` or to a fresh array: ``diag * v`` plus
+        each row's sum of ``data * v[column]``.  Rows without entries add
+        -0.0, which changes no value, so they keep ``diag * v`` bit for bit."""
         contrib = self.rows.gather(v)
         np.multiply(self.data, contrib, out=contrib)
         sums = self.rows.row_sum(contrib, out=self._sums)
-        np.multiply(self.diag, v, out=out)
+        out = np.multiply(self.diag, v, out=out)
         return np.add(out, sums, out=out)
 
 
@@ -162,23 +159,17 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
     ``gamma + delta`` and the score loses its extinction meaning without
     node failure).
     """
-    if params.n != g.n:
-        raise ValueError(f"params describe {params.n} nodes, graph has {g.n}")
-    if links.graph != g:
-        raise ValueError("links were built for a different graph")
+    _check_inputs(g, links, params)
     zero = np.flatnonzero(params.delta == 0.0)
     if zero.size:
         raise ValueError(
             f"system matrix requires delta > 0 for every node; "
             f"node {int(zero[0])} has delta = 0"
         )
-    rows = RowOperator(g.row_layout)
     # Entry k: in-edge from j = columns[k] into row i; weight r_j * beta_ji * g_i,
-    # multiplied left to right and built in layout order directly, each
-    # factor staged in the operator's buffer.
+    # multiplied left to right, the gains staged in the operator's buffer.
+    rows, data = _transmission(links, params)
     gain = params.gamma / (params.gamma + params.delta)
-    data = params.r[rows.columns]
-    np.multiply(data, rows.layout.permute(links.in_values, out=rows.buffer), out=data)
     np.multiply(data, rows.layout.spread(gain, out=rows.buffer), out=data)
     return SystemMatrix(n=g.n, diag=1.0 - params.delta, rows=rows, data=data)
 
@@ -243,16 +234,13 @@ def _residual(w: np.ndarray, lam: float, v: np.ndarray, scratch: np.ndarray) -> 
                                             out=scratch)))
 
 
-def _solve(m: SystemMatrix, tol: float, max_iter: int) -> SpectralResult:
+def _solve(m: SystemMatrix) -> SpectralResult:
     """Power iteration on ``m``, every product written to one buffer."""
     w = np.empty(m.n)
-    return power_iteration(lambda v: m._matvec_into(v, w), m.n, tol=tol,
-                           max_iter=max_iter)
+    return power_iteration(lambda v: m.matvec(v, w), m.n)
 
 
-def adjacency_spectral_radius(
-    g: Graph, tol: float = 1e-10, max_iter: int = 100_000
-) -> SpectralResult:
+def adjacency_spectral_radius(g: Graph) -> SpectralResult:
     """Spectral radius of the adjacency matrix of ``g``.
 
     Iterates on ``A + I`` (same eigenvectors, spectrum shifted by +1) so that
@@ -262,7 +250,7 @@ def adjacency_spectral_radius(
     """
     shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), rows=RowOperator(g.row_layout),
                            data=np.ones(g.row_layout.size))
-    res = _solve(shifted, tol, max_iter)
+    res = _solve(shifted)
     return SpectralResult(
         value=max(res.value - 1.0, 0.0),
         vector=res.vector,
@@ -275,8 +263,6 @@ def survivability_score(
     g: Graph,
     links: LinkProbs,
     params: NodeParams,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
     critical_band: float = CRITICAL_BAND,
 ) -> SurvivabilityResult:
     """Survivability score ``s = |lambda_1(S)|`` with its classification.
@@ -284,7 +270,7 @@ def survivability_score(
     ``fast_extinction`` is ``s < 1``; scores within ``critical_band`` of 1
     are additionally flagged critical (indeterminate in practice).
     """
-    res = _solve(build_system_matrix(g, links, params), tol, max_iter)
+    res = _solve(build_system_matrix(g, links, params))
     score = res.value
     return SurvivabilityResult(
         score=score,

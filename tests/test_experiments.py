@@ -468,3 +468,26 @@ class TestConfigFieldTypes:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(meanfield_config(graph=graph))
         assert exc.value.field == field
+
+
+def test_sis_mc_runs_without_warning_whatever_params_say(tmp_path):
+    # As sis_meanfield does, sis_mc runs with nu = 1 and chi = 0; sirs_mc
+    # takes nu and chi from params.
+    def point_csv(model, name, **acceptance):
+        cfg = ExperimentConfig.from_dict({
+            "model": model,
+            "params": {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0,
+                       "p0": 0.1, **acceptance},
+            "run": {"steps": 30, "runs": 4},
+            "graph": {"family": "powerlaw", "n": 300, "m": 2, "seed": 1},
+            "seed": 7,
+        })
+        run_experiment(cfg, tmp_path / name)
+        return (tmp_path / name / "point_000.csv").read_text()
+
+    warned = point_csv("sis_mc", "warned", nu=0.5, chi=0.3)
+    assert warned == point_csv("sis_mc", "plain", nu=1.0, chi=0.0)
+    rows = [line.split(",") for line in warned.splitlines()]
+    column = rows[0].index("frac_warned_mean")
+    assert all(float(row[column]) == 0.0 for row in rows[1:])
+    assert point_csv("sirs_mc", "sirs", nu=0.5, chi=0.3) != warned

@@ -59,14 +59,10 @@ class TestContainers:
 
     def test_link_probs_scalar_xor_table(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="exactly one"):
-            LinkProbs(graph=g)
-        with pytest.raises(ValueError, match="exactly one"):
-            LinkProbs(graph=g, scalar=0.5, table={(0, 1): 0.5})
         with pytest.raises(ValueError):
             LinkProbs.homogeneous(g, 1.5)
         with pytest.raises(ValueError, match="not an edge"):
-            LinkProbs(graph=g, table={(0, 2): 0.5})
+            LinkProbs.from_mapping(g, {(0, 2): 0.5}, symmetric=False)
 
     def test_link_probs_values(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -561,7 +557,7 @@ def test_out_of_range_links_are_not_edges():
         with pytest.raises(ValueError, match="not an edge"):
             LinkProbs.from_mapping(g, bad)
     with pytest.raises(ValueError, match=r"got 1\.5"):
-        LinkProbs(graph=g, table={(1, 2): 1.5})
+        LinkProbs.from_mapping(g, {(1, 2): 1.5}, symmetric=False)
 
 
 def test_link_arrays_are_read_only():
@@ -569,6 +565,24 @@ def test_link_arrays_are_read_only():
     for links in (LinkProbs.homogeneous(g, 0.3), LinkProbs.from_mapping(g, {})):
         with pytest.raises(ValueError):
             links.in_values[0] = 1.0
+
+
+def test_link_constructor_copies_and_checks_csr_aligned_values():
+    g = gen_binomial(10, 0.4, 1)
+    values = np.linspace(0.0, 1.0, 2 * g.num_edges)
+    links = LinkProbs(g, values)
+    values[0] = 0.5
+    assert links.in_values[0] == 0.0 and not links.in_values.flags.writeable
+    assert np.array_equal(links.out_values, links.in_values[g.transpose])
+    for bad, message in ((np.full(2 * g.num_edges, np.nan), "got nan"),
+                         (np.full(2 * g.num_edges, -0.1), r"got -0\.1")):
+        with pytest.raises(ValueError, match=message):
+            LinkProbs(g, bad)
+    with pytest.raises(ValueError):  # not one value per CSR entry
+        LinkProbs(g, np.zeros(2 * g.num_edges + 1))
+    # A single value is checked even where no link stores it.
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        LinkProbs.homogeneous(Graph.from_edges(3, []), 1.5)
 
 
 @pytest.mark.parametrize("call", [

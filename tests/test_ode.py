@@ -154,6 +154,34 @@ class TestIntegrate:
         assert exc.value.step == 1
         assert exc.value.t == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("model", ["sir_endemic", "sir_epidemic"])
+    def test_s_rising_past_one_raises_at_the_first_step(self, model):
+        # i < 0 makes -beta*i*s push s up: past 1 + 1e-9 at once.  Without the
+        # loop's own upper bound on s, the error came at step 46 (41).
+        with pytest.raises(IntegrationInstabilityError, match="fraction s=") as exc:
+            integrate(model, OdeState(s=1 + 1e-9, i=-1e-9),
+                      OdeParams(beta=1.0, gamma=5.0, mu=0.1), dt=0.01, t_end=1.0)
+        assert exc.value.step == 1
+
+    @pytest.mark.parametrize("model", ["sir_endemic", "sir_epidemic"])
+    def test_r_rising_past_one_raises_at_the_first_step(self, model):
+        # r = 1 - s - i can pass 1 + 1e-9 while s and i stay in bounds when a
+        # negative i grows, as it does with gamma*dt = 3, beyond RK4's
+        # stability limit of about 2.79.  Without the loop's upper bound on
+        # r, the error came at step 3, when i left [0, 1].
+        with pytest.raises(IntegrationInstabilityError, match="fraction r=") as exc:
+            integrate(model, OdeState(s=-5e-10, i=-4e-10),
+                      OdeParams(beta=0.0, gamma=300.0), dt=0.01, t_end=1.0)
+        assert exc.value.step == 1
+
+    def test_sis_conservation_drift_raises(self):
+        # Each step moves less than half an ulp of s, so s never changes while
+        # i decays: s + i drifts by about 5e-17 per step.
+        with pytest.raises(IntegrationInstabilityError, match="conservation") as exc:
+            integrate("sis", OdeState(s=1 - 5e-11, i=5e-11),
+                      OdeParams(beta=0.0, gamma=1.0), dt=1e-6, t_end=0.05)
+        assert exc.value.step == 20623
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
             integrate("nope", OdeState(0.9, 0.1), OdeParams(1.0, 0.1))

@@ -13,6 +13,8 @@ SRC = SCRIPTS.parent / "src"
 @pytest.mark.parametrize("script,args", [
     ("isolation_demo.py", ("--n", "200", "--k", "3")),
     ("threshold_scan.py", ("--points", "2", "--steps", "50")),
+    ("threshold_scan.py", ("--family", "powerlaw", "--n", "200", "--points", "2",
+                           "--steps", "50")),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)

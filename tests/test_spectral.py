@@ -330,3 +330,19 @@ def test_homogeneous_score_closed_form_property(seed, delta, gamma, beta):
     lam = dense_spectral_radius_symmetric(dense_adjacency(g))
     closed = (1 - delta) + beta * (gamma / (gamma + delta)) * lam
     assert res.score == pytest.approx(closed, abs=1e-7)
+
+
+@pytest.mark.parametrize("call", [build_system_matrix, survivability_score])
+def test_params_and_links_must_belong_to_the_graph(call):
+    # The check and wording that mc_run and the mean-field functions use.
+    g = gen_powerlaw(20, 2, 1)
+    other = gen_powerlaw(20, 2, 2)
+    assert other != g
+    params = NodeParams.homogeneous(20, r=1.0, delta=0.2, gamma=0.1)
+    with pytest.raises(ValueError, match="cover 21 nodes but the graph has 20"):
+        call(g, LinkProbs.homogeneous(g, 0.3),
+             NodeParams.homogeneous(21, r=1.0, delta=0.2, gamma=0.1))
+    with pytest.raises(ValueError,
+                       match="link probabilities were built for a different graph"):
+        call(g, LinkProbs.homogeneous(other, 0.3), params)
+    call(g, LinkProbs.homogeneous(Graph(n=g.n, edges=g.edges), 0.3), params)
