@@ -48,6 +48,15 @@ class EdgeListFormatError(ValueError):
 _PAIR_CHUNK = 1 << 14
 
 
+def _check_int(name: str, value: object, low: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int (not a
+    bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+
+
 def _pair_array(pairs) -> np.ndarray:
     """A fresh ``(m, 2)`` int64 array from an iterable of pairs or an array."""
     if isinstance(pairs, np.ndarray):
@@ -99,8 +108,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"node count must be a positive integer, got {n!r}")
+        _check_int("node count n", n, 1)
         arr = _pair_array(edges)
         u, v = arr[:, 0], arr[:, 1]
         bad = np.flatnonzero(~((0 <= u) & (u < v) & (v < n)))
@@ -267,8 +275,7 @@ def _as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
 
 def gen_binomial(n: int, p: float, seed: int | np.random.Generator) -> Graph:
     """Binomial random graph: each of the C(n, 2) pairs is an edge w.p. ``p``."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_int("n", n, 1)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p!r}")
     rng = _as_rng(seed)
@@ -279,6 +286,28 @@ def gen_binomial(n: int, p: float, seed: int | np.random.Generator) -> Graph:
         (lower, np.concatenate([np.empty(0, dtype=np.int64), *upper]))))
 
 
+# gen_powerlaw draws 32-bit words from its generator at most this many at a
+# time: larger batches are no faster and raise the peak memory of a
+# 10^5-node graph.
+_WORD_BATCH = 4096
+_LOW32 = 0xFFFFFFFF
+
+
+def _word_index(x: int, high: int, next_word) -> int:
+    """The index ``rng.integers(0, high)`` draws, for ``2 <= high < 2**32``,
+    from ``x = word * high`` for its first 32-bit word and from further words
+    ``next_word()`` when needed (Lemire's method, as numpy implements it):
+    ``x >> 32``, unless the low half of ``x`` falls below
+    ``(2**32 - high) % high``, where the index would be biased and a new word
+    is drawn.  A low half of at least ``high`` (all but a ``high / 2**32``
+    share of words) is accepted without computing that bound."""
+    if x & _LOW32 < high:
+        threshold = ((1 << 32) - high) % high
+        while x & _LOW32 < threshold:
+            x = next_word() * high
+    return x >> 32
+
+
 def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     """Preferential-attachment graph with power-law degree tail.
 
@@ -286,20 +315,41 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     attaches ``m`` edges to distinct existing nodes chosen with probability
     proportional to their current degree.  Edge count is therefore
     ``C(m+1, 2) + (n - m - 1) * m``.
+
+    Draw contract: each attachment attempt takes the same 32-bit words from
+    the generator, and gives the same index, as ``rng.integers(0, k)`` over
+    the ``k`` degree units; words are fetched in batches no longer than the
+    attempts still to come, so the graph and the generator's state afterwards
+    are those of one such call per attempt, on any numpy bit generator.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"attachment count m must be a positive integer, got {m!r}")
-    if not isinstance(n, int) or n < m + 1:
-        raise ValueError(f"n must be at least m + 1 = {m + 1}, got {n!r}")
+    _check_int("attachment count m", m, 1)
+    _check_int("n", n, m + 1)
     rng = _as_rng(seed)
     # One entry per unit of degree; sampling an entry uniformly realises
     # degree-proportional selection.
     repeated: list[int] = [u for u in range(m + 1) for _ in range(m)]
     attached: list[int] = []  # m targets per new node, in node order
+    targets: list[int] = []
+
+    def words():
+        # Every attempt still to come takes at least one word, so a batch
+        # never outruns the words the graph consumes.
+        while True:
+            left = m * (n - m - 1) - len(attached) - len(targets)
+            yield from rng.integers(0, 1 << 32, size=min(left, _WORD_BATCH),
+                                    dtype=np.uint32).tolist()
+
+    next_word = words().__next__
     for new in range(m + 1, n):
-        targets: list[int] = []
+        # m(m + 1) <= high < 2mn: at least 2, and 2**32 would take a list of
+        # over 4 * 10^9 entries, so numpy's two special cases, high = 1 (no
+        # word drawn) and high = 2**32 (the word itself), never arise.
+        high = len(repeated)
+        targets = []
         while len(targets) < m:
-            cand = repeated[int(rng.integers(0, len(repeated)))]
+            x = next_word() * high
+            # _word_index's first test, inlined: nearly every draw ends here.
+            cand = repeated[x >> 32 if x & _LOW32 >= high else _word_index(x, high, next_word)]
             if cand not in targets:
                 targets.append(cand)
         attached.extend(targets)
@@ -332,8 +382,7 @@ def gen_exponential(n: int, lam: float, seed: int | np.random.Generator) -> Grap
     self-loops and duplicate edges are discarded, so realised degrees can fall
     short of targets.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be at least 2, got {n!r}")
+    _check_int("n", n, 2)
     rng = _as_rng(seed)
     degrees = sample_exponential_degrees(n, lam, rng)
     if degrees.sum() % 2 == 1:
@@ -351,10 +400,8 @@ def gen_lattice4(rows: int, cols: int) -> Graph:
     graph has exactly ``2 * rows * cols`` edges.  Requires both dimensions
     to be at least 3 so that wrap-around creates no duplicate edges.
     """
-    if rows < 3 or cols < 3:
-        raise ValueError(
-            f"torus dimensions must both be >= 3, got rows={rows!r} cols={cols!r}"
-        )
+    _check_int("torus rows", rows, 3)
+    _check_int("torus cols", cols, 3)
     ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
     right, down = np.roll(ids, -1, axis=1), np.roll(ids, -1, axis=0)
     return Graph.from_edges(rows * cols, np.column_stack(

@@ -146,6 +146,23 @@ def slow_warned_step(p, q, w, zeta_vals, params):
     return np_, nq, nw
 
 
+def powerlaw_reference(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """Preferential attachment with one scalar ``rng.integers(0, k)`` call
+    per attachment attempt over the ``k`` degree units so far."""
+    repeated = [u for u in range(m + 1) for _ in range(m)]
+    edges = [(u, v) for v in range(m + 1) for u in range(v)]
+    for new in range(m + 1, n):
+        targets: list[int] = []
+        while len(targets) < m:
+            cand = repeated[int(rng.integers(0, len(repeated)))]
+            if cand not in targets:
+                targets.append(cand)
+        edges.extend((t, new) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([new] * m)
+    return Graph(n=n, edges=edges)
+
+
 def splitmix_finalizer(x: int) -> int:
     """Independent transcription of the 64-bit splitmix finaliser."""
     mask = (1 << 64) - 1

@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 
 from netspread.graphs import (
     _PAIR_CHUNK,
+    _WORD_BATCH,
+    _word_index,
     EdgeListFormatError,
     Graph,
     gen_binomial,
@@ -30,7 +32,11 @@ from oracles import (
     dense_adjacency,
     dense_spectral_radius_symmetric,
     mle_tail_exponent,
+    powerlaw_reference,
 )
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64)
 
 
 def assert_valid_graph(g: Graph) -> None:
@@ -154,6 +160,48 @@ class TestPowerlaw:
             gen_powerlaw(2, 2, 0)  # n <= m
         with pytest.raises(ValueError):
             gen_powerlaw(10, 0, 0)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("n,m,seed", [
+    (2, 1, 0),  # n = m + 1: the seed graph, no draw at all
+    (3, 1, 1),  # n = m + 2: one attempt
+    (60, 1, 2),
+    (4, 3, 3),  # n = m + 1
+    (5, 3, 4),  # n = m + 2
+    (300, 2, 5),
+    (200, 6, 6),  # many duplicate candidates while the graph is small
+    (_WORD_BATCH + 40, 1, 7),  # the words span two batches
+])
+def test_powerlaw_matches_scalar_draws_and_leaves_the_same_generator_state(
+        bit_generator, n, m, seed):
+    rng, ref_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    assert gen_powerlaw(n, m, rng) == powerlaw_reference(n, m, ref_rng)
+    # An odd uint32 batch first: a 64-bit generator that buffered a half
+    # word on one side only would differ here.
+    assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
+        ref_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("high", [2, 3, 7, 2**31 + 1, 2**32 - 1])
+def test_word_index_matches_numpy_bounded_draws(bit_generator, high):
+    rng, ref_rng = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+    words = 0
+
+    def next_word():
+        nonlocal words
+        words += 1
+        return int(rng.integers(0, 1 << 32, dtype=np.uint32))
+
+    draws = 400
+    got = [_word_index(next_word() * high, high, next_word) for _ in range(draws)]
+    assert got == [int(ref_rng.integers(0, high)) for _ in range(draws)]
+    assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
+        ref_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+    if high == 2**31 + 1:  # about half of all words fall in the biased zone
+        assert words > 1.3 * draws
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +552,24 @@ def test_edge_array_is_a_copy_of_an_array_subclass(tmp_path):
         source[0] = (2, 3)
         assert g.edge_array.tolist() == [[0, 1], [1, 2]]
         source[:] = edges
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: Graph(True, []), "node count n"),
+    (lambda: Graph(3.0, []), "node count n"),
+    (lambda: gen_binomial(True, 0.5, 0), "n"),
+    (lambda: gen_binomial(4.0, 0.5, 0), "n"),
+    (lambda: gen_powerlaw(10, True, 0), "attachment count m"),
+    (lambda: gen_powerlaw(10.0, 2, 0), "n"),
+    (lambda: gen_exponential(10.0, 0.5, 0), "n"),
+    (lambda: gen_lattice4(3.0, 4), "torus rows"),
+    (lambda: gen_lattice4(4, True), "torus cols"),
+], ids=["graph_bool", "graph_float", "binomial_bool", "binomial_float",
+        "powerlaw_bool_m", "powerlaw_float_n", "exponential_float",
+        "lattice_float_rows", "lattice_bool_cols"])
+def test_node_counts_and_sizes_must_be_integers(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build()
 
 
 def test_pair_conversion_crosses_chunks():
