@@ -31,11 +31,14 @@ degree-bucketed layout, the products ``r_j * beta_ji`` in that layout (from
 are computed before the first step.  Each step gathers ``p`` into the
 operator's buffer once, takes the row products of ``zeta`` with the operator
 and keeps ``p``, ``q``, ``w`` and the dead fraction in one ``(4, n)`` array.
-The prepared run gives the same bits as stepping one state at a time with a
-plain product over each CSR row.
+A run steps between two such arrays and keeps ``zeta`` and the step's
+temporaries in buffers of the prepared update; the single-step functions
+return fresh arrays.  The prepared run gives the same bits as stepping one
+state at a time with a plain product over each CSR row.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -271,7 +274,12 @@ class _Update:
     operator and the products ``r_j * beta_ji`` of :func:`_transmission`, and
     the coefficients ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A
     state is a ``(4, n)`` array of rows ``p``, ``q``, ``w`` and
-    ``dead = 1 - p - q - w``, so ``dead`` is computed once per state.
+    ``dead = 1 - p - q - w``, so ``dead`` is computed once per state.  The
+    update owns the buffers a step writes besides the next state: ``zeta``,
+    ``1 - zeta`` and two temporaries, one of which also holds the
+    ``p + q + w`` of :meth:`in_bounds`.  A step computes what the lines of
+    the module docstring compute with fresh arrays, operation for operation
+    and operand for operand.
     """
 
     def __init__(self, links: LinkProbs, params: NodeParams,
@@ -281,37 +289,59 @@ class _Update:
         self.keep_p = 1.0 - params.delta
         self.warn = 1.0 - nu
         self.keep_w = 1.0 - chi - params.delta
+        self.z, self.miss, self.a, self.b = np.empty((4, params.n))
 
     def zeta(self, p: np.ndarray) -> np.ndarray:
+        """``zeta`` of ``p``, in the update's ``zeta`` buffer."""
         factors = self.rows.gather(p)
         np.multiply(self.rb, factors, out=factors)
         np.subtract(1.0, factors, out=factors)
-        return self.rows.row_prod(factors)
+        return self.rows.row_prod(factors, out=self.z)
 
-    def step(self, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The state after ``cur``, and the ``zeta`` it was computed with."""
+    def step(self, cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """Write the state after ``cur`` to ``nxt`` and return the ``zeta`` it
+        was computed with."""
         p, q, w, dead = cur
+        a, b, miss = self.a, self.b, self.miss
         z = self.zeta(p)
-        miss = 1.0 - z
-        nxt = np.empty_like(cur)
-        np.add(p * self.keep_p, q * miss * self.nu, out=nxt[0])
-        np.add(q * (z - self.delta) + dead * self.gamma, self.chi * w, out=nxt[1])
-        np.add(miss * self.warn * q, self.keep_w * w, out=nxt[2])
-        np.subtract(1.0 - nxt[0] - nxt[1], nxt[2], out=nxt[3])
-        return nxt, z
+        np.subtract(1.0, z, out=miss)
+        # p * keep_p + q * miss * nu
+        np.multiply(p, self.keep_p, out=a)
+        np.multiply(q, miss, out=b)
+        np.multiply(b, self.nu, out=b)
+        np.add(a, b, out=nxt[0])
+        # q * (z - delta) + dead * gamma + chi * w
+        np.subtract(z, self.delta, out=a)
+        np.multiply(q, a, out=a)
+        np.multiply(dead, self.gamma, out=b)
+        np.add(a, b, out=a)
+        np.multiply(self.chi, w, out=b)
+        np.add(a, b, out=nxt[1])
+        # miss * warn * q + keep_w * w
+        np.multiply(miss, self.warn, out=a)
+        np.multiply(a, q, out=a)
+        np.multiply(self.keep_w, w, out=b)
+        np.add(a, b, out=nxt[2])
+        # 1 - p - q - w
+        np.subtract(1.0, nxt[0], out=a)
+        np.subtract(a, nxt[1], out=a)
+        np.subtract(a, nxt[2], out=nxt[3])
+        return z
+
+    def in_bounds(self, rows: np.ndarray) -> bool:
+        """Whether :func:`bound_violations` finds nothing in the state
+        ``rows`` (``p, q, w`` first); NaN fails every comparison here, as it
+        does there."""
+        pqw = rows[:3]
+        if not (pqw.min() >= -_BOUND_SLACK and pqw.max() <= 1.0 + _BOUND_SLACK):
+            return False
+        total = np.add(rows[0], rows[1], out=self.a)
+        return bool(np.add(total, rows[2], out=total).max() <= 1.0 + _BOUND_SLACK)
 
 
 def _stack(state: MfState) -> np.ndarray:
     """``state`` as the ``(4, n)`` rows ``p, q, w, dead`` of :class:`_Update`."""
     return np.stack([state.p, state.q, state.w, state.dead])
-
-
-def _in_bounds(rows: np.ndarray) -> bool:
-    """Whether :func:`bound_violations` finds nothing in the state ``rows``
-    (``p, q, w`` first); NaN fails every comparison here, as it does there."""
-    pqw = rows[:3]
-    return bool(pqw.min() >= -_BOUND_SLACK and pqw.max() <= 1.0 + _BOUND_SLACK
-                and (rows[0] + rows[1] + rows[2]).max() <= 1.0 + _BOUND_SLACK)
 
 
 def zeta(state: MfState, links: LinkProbs, params: NodeParams) -> np.ndarray:
@@ -380,7 +410,9 @@ def _step(model: str, state: MfState, links: LinkProbs, params: NodeParams,
     is false."""
     _check_sizes(state, links, params)
     update = _Update(links, params, *_acceptance(model, params))
-    rows, z = update.step(_stack(state))
+    cur = _stack(state)
+    rows = np.empty_like(cur)
+    z = update.step(cur, rows)
     nxt = MfState(p=rows[0], q=rows[1], w=rows[2], t=state.t + 1)
     if enforce_bounds:
         bad = bound_violations(nxt)
@@ -465,9 +497,10 @@ def run(
     """Iterate ``model`` (``"sis"`` or ``"sirs"``) from ``state0``.
 
     Stops early once the max-norm change of ``(p, q, w)`` over one step falls
-    below ``tol``.  The trajectory records per-step aggregates: mean ``p``,
-    mean ``q``, mean ``w``, mean dead fraction, and the expected carrier
-    count.  With ``allow_negative_coefficients`` the run records bound
+    below ``tol``, which must be finite and non-negative; ``max_steps`` must
+    be a non-negative integer.  The trajectory records per-step aggregates:
+    mean ``p``, mean ``q``, mean ``w``, mean dead fraction, and the expected
+    carrier count.  With ``allow_negative_coefficients`` the run records bound
     violations instead of failing; otherwise the first violation aborts the
     run with a diagnostic (and, for ``"sirs"``, parameter sets with
     ``chi + delta > 1`` are rejected before the first step).  A NaN or
@@ -475,17 +508,23 @@ def run(
     ``ValueError``.
 
     The run is prepared once (see :class:`_Update`) and builds no
-    :class:`MfState` per step.  Each step checks bounds with one min/max scan
-    and calls :func:`bound_violations` only when that scan fails, records
-    the four row sums the trajectory's columns are made from, and measures
-    the change in place in the previous state, which it no longer needs.
-    The numbers are those of repeated :func:`sis_step` / :func:`sirs_step`
-    calls, bit for bit.
+    :class:`MfState` per step.  It steps between two ``(4, n)`` states that
+    swap roles each step, so a step allocates no array of ``n`` values.  Each
+    step checks bounds with one min/max scan and calls
+    :func:`bound_violations` only when that scan fails, records the four row
+    sums the trajectory's columns are made from, and measures the change in
+    place in the previous state, which it no longer needs; with ``tol = 0``
+    it measures nothing, since no change is below 0.  The numbers are those
+    of repeated :func:`sis_step` / :func:`sirs_step` calls, bit for bit.
     """
     if model not in ("sis", "sirs"):
         raise ValueError(f"unknown mean-field model {model!r}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, (int, np.integer)):
+        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     _check_sizes(state0, links, params)
     if model == "sirs" and not allow_negative_coefficients:
         validate_warning_params(params)
@@ -497,24 +536,25 @@ def run(
         # The "sis" update keeps w at zero, so only the start needs checking.
         _require_empty_warning(state0)
     cur = _stack(state0)
+    nxt = np.empty_like(cur)
     sums = [cur.sum(axis=1)]  # the mean of a row is its sum over n, bit for bit
     t = state0.t
     converged = False
     update = _Update(links, params, *_acceptance(model, params))
     for _ in range(max_steps):
-        nxt, z = update.step(cur)
+        z = update.step(cur, nxt)
         t += 1
-        if not _in_bounds(nxt):
+        if not update.in_bounds(nxt):
             bad = bound_violations(MfState(p=nxt[0], q=nxt[1], w=nxt[2], t=t))
             if enforce and bad:
                 _raise_bounds(bad, z, params)
             violations.extend(_require_finite(bad))
         sums.append(nxt.sum(axis=1))
-        # The change is measured in the old state's rows, which are not
-        # needed again; no reference to them outlives this line.
-        change = np.abs(np.subtract(nxt[:3], cur[:3], out=cur[:3]), out=cur[:3]).max()
-        cur = nxt
-        if change < tol:
+        cur, nxt = nxt, cur
+        # The change is measured in the old state's rows, which the next
+        # step overwrites anyway.
+        if tol and np.abs(np.subtract(cur[:3], nxt[:3], out=nxt[:3]),
+                          out=nxt[:3]).max() < tol:
             converged = True
             break
     steps = len(sums) - 1

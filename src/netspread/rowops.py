@@ -6,7 +6,10 @@ row sum.  :class:`RowLayout` orders a graph's CSR entries once so that
 these reductions run as a few contiguous vector operations, and
 :class:`RowOperator` pairs the layout with a gather buffer and the two
 reductions.  Both reductions give the bits of ``np.multiply.reduceat`` and
-``np.add.reduceat`` over the CSR rows.
+``np.add.reduceat`` over the CSR rows.  They write their results, in layout
+row order, to one array the operator owns and place them in row order with
+one ``np.take``: no bucket scatters its results on its own, and a result
+array is allocated only when the caller passes no ``out``.
 
 The layout is bucket-major and column-major.  Rows of equal in-degree ``d``
 form a bucket when there are at least ``_MIN_BUCKET_ROWS`` of them and
@@ -75,6 +78,10 @@ class RowLayout:
     with ``reduceat`` offsets ``tail_offsets`` relative to ``tail_start``;
     ``empty_rows`` have no entries.  Row sets are ascending index arrays.
 
+    The non-empty rows in layout order (the rows of each bucket, then the
+    tail rows) number ``reduced_size``; ``placing[i]`` is the position of
+    row ``i`` in that order, and 0 for an empty row.
+
     The layout holds no CSR-sized array of its own (``indptr`` and
     ``indices`` are the graph's): the permutation is applied bucket by bucket
     when it is needed, which is once per :class:`RowOperator`.  A graph
@@ -113,6 +120,10 @@ class RowLayout:
         self.tail_degrees = tail_degrees
         self.tail_offsets = tail_offsets
         self.empty_rows = np.flatnonzero(degrees == 0)
+        self.reduced_size = self.n - len(self.empty_rows)
+        # Left writeable, as RowOperator.columns is.
+        self.placing = np.zeros(self.n, dtype=np.intp)
+        self.placing[np.concatenate([by_degree, tail])] = np.arange(self.reduced_size)
 
     def permute(self, csr_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``csr_values`` (one value per CSR entry) in layout order."""
@@ -142,13 +153,18 @@ class RowLayout:
 
 class RowOperator:
     """Row reductions over one :class:`RowLayout`, with the gather index
-    ``columns`` (the CSR columns in layout order) and a CSR-sized buffer of
-    its own, so operators on the same graph never share scratch memory.
+    ``columns`` (the CSR columns in layout order), a CSR-sized buffer and a
+    buffer of one value per non-empty row, both its own, so operators on the
+    same graph never share scratch memory.
 
     :meth:`gather` fills the buffer with ``v[columns]``; callers transform it
     in place and reduce it with :meth:`row_sum` or :meth:`row_prod`, which
-    take values in layout order and write one value per CSR row to ``out``.
-    Between products the buffer is free scratch space of layout size.
+    take values in layout order and write one value per CSR row to ``out``,
+    or to a fresh array.  Each bucket's column reduction and the tail's
+    ``reduceat`` land in the row buffer, in layout row order, and one
+    ``np.take`` through the layout's ``placing`` puts them in row order.
+    Between products the CSR-sized buffer is free scratch space of layout
+    size.
     """
 
     def __init__(self, layout: RowLayout) -> None:
@@ -157,6 +173,7 @@ class RowOperator:
         # call, a CSR-sized allocation per product.
         self.columns = layout.permute(layout.indices)
         self.buffer = np.empty(layout.size)
+        self.reduced = np.empty(layout.reduced_size)
 
     def gather(self, v: np.ndarray) -> np.ndarray:
         """``v[columns]`` in the operator's buffer.  Columns lie in
@@ -174,38 +191,42 @@ class RowOperator:
 
     def _reduce(self, columns, ufunc, values, out, identity):
         """Buckets through ``columns``, the tail through ``ufunc.reduceat``,
-        ``identity`` for empty rows."""
+        both into ``reduced``; then row order, and ``identity`` for empty
+        rows."""
         lay = self.layout
-        if out is None:
-            out = np.empty(lay.n)
-        for d, start, m, rows in lay.buckets:
-            out[rows] = columns(values[start:start + d * m].reshape(d, m))
+        reduced = self.reduced
+        first = 0
+        for d, start, m, _ in lay.buckets:
+            columns(values[start:start + d * m].reshape(d, m), reduced[first:first + m])
+            first += m
         tail = values[lay.tail_start:]
         if tail.size:
-            out[lay.tail_rows] = ufunc.reduceat(tail, lay.tail_offsets)
+            ufunc.reduceat(tail, lay.tail_offsets, out=reduced[first:])
+        if out is None:
+            out = np.empty(lay.n)
+        if reduced.size:  # an edgeless layout has nothing to take from
+            np.take(reduced, lay.placing, out=out, mode="clip")
         out[lay.empty_rows] = identity
         return out
 
 
-def _column_prod(block: np.ndarray) -> np.ndarray:
-    """Products down the columns of a ``(d, m)`` bucket, left to right:
-    ``d - 1`` multiplications."""
-    out = block[0].copy()
+def _column_prod(block: np.ndarray, out: np.ndarray) -> None:
+    """Products down the columns of a ``(d, m)`` bucket, left to right, into
+    ``out``: ``d - 1`` multiplications."""
+    out[:] = block[0]
     for row in block[1:]:
         np.multiply(out, row, out=out)
-    return out
 
 
-def _column_sum(block: np.ndarray) -> np.ndarray:
+def _column_sum(block: np.ndarray, out: np.ndarray) -> None:
     """Sums down the columns of a ``(d, m)`` bucket in ``add.reduceat``'s
     tree, ``a0 + pairwise(a1 .. a_{d-1})`` (see the module
-    docstring): ``d - 1`` additions, one more on numpy releases whose short
-    pairwise sum starts from 0.0."""
-    out = np.empty(block.shape[1])
+    docstring), into ``out``: ``d - 1`` additions, one more on numpy releases
+    whose short pairwise sum starts from 0.0."""
     rest = block[1:]
     if len(rest) == 0:
         out[:] = block[0]
-        return out
+        return
     if len(rest) < 8:
         acc = rest[0] if _SHORT_SUM_FROM_FIRST else np.add(0.0, rest[0], out=out)
         more = rest[1:]
@@ -223,4 +244,4 @@ def _column_sum(block: np.ndarray) -> np.ndarray:
         more = rest[8 * k:]
     for row in more:
         acc = np.add(acc, row, out=out)
-    return np.add(block[0], acc, out=out)
+    np.add(block[0], acc, out=out)

@@ -23,10 +23,13 @@ are the mean-field update's ``r_j * beta_ji`` (``meanfield._transmission``,
 in the graph's degree-bucketed row layout) times the gains, and each
 product gathers ``v`` into the row operator's buffer, scales it and takes
 the row sums with the operator (see :mod:`netspread.rowops`, which also
-gives the summation-tree argument).  Power iteration keeps ``v``, ``w`` and
-the residual in buffers of its own.  Values, vectors, residuals and
-iteration counts are those of summing each CSR row with numpy and fresh
-arrays, bit for bit.
+gives the summation-tree argument).  The sums land in the operator's row
+buffer and reach the matrix's own row-sum buffer through one ``np.take``,
+so a product given ``out`` allocates no array of ``n`` values.  Power
+iteration keeps ``v``, ``w`` and the residual in buffers of its own; its
+dot product and norms are the only BLAS calls.  Values, vectors, residuals
+and iteration counts are those of summing each CSR row with numpy and
+fresh arrays, bit for bit.
 """
 from __future__ import annotations
 

@@ -94,6 +94,18 @@ class TestOde:
 
 
 class TestMeanfield:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_tol_outside_finite_non_negative_is_a_validation_error(self, tmp_path, tol):
+        out = tmp_path / "mf.csv"
+        proc = run_cli("meanfield", "--family", "powerlaw", "--n", "50", "--m", "2",
+                       "--seed", "1", "--beta", "0.1", "--delta", "0.1",
+                       "--gamma", "0.1", "--steps", "20", f"--tol={tol}",
+                       "--output", str(out))
+        assert proc.returncode == 2
+        payload = stderr_error(proc)
+        assert payload["type"] == "ValueError" and "tol" in payload["error"]
+        assert not out.exists()
+
     def test_lattice_run(self, tmp_path):
         out = tmp_path / "mf.csv"
         proc = run_cli("meanfield", "--model", "sis", "--family", "lattice4",

@@ -489,6 +489,18 @@ class TestRunValidation:
                 run(model, MfState.uniform(20, p0=0.1), self.links, self.params,
                     max_steps=-5)
 
+    @pytest.mark.parametrize("max_steps", [True, False, 2.0, 1.5, "3"])
+    def test_max_steps_must_be_an_integer(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            run("sis", MfState.uniform(20, p0=0.1), self.links, self.params,
+                max_steps=max_steps)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            run("sis", MfState.uniform(20, p0=0.1), self.links, self.params,
+                max_steps=5, tol=tol)
+
     def test_zero_max_steps_returns_initial_state(self):
         res = run("sis", MfState.uniform(20, p0=0.1), self.links, self.params,
                   max_steps=0)
@@ -504,6 +516,7 @@ class TestRunValidation:
             run("sis", state0, self.links, self.params, max_steps=50,
                 allow_negative_coefficients=reporting)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_step_stops_a_reporting_run(self):
         # A huge but finite carrier mass overflows in the first step; the
         # reporting run stops there instead of carrying infinity onward.

@@ -243,3 +243,47 @@ def test_meanfield_run_matches_the_step_at_a_time_loop(model):
         assert same_bits(got.trajectory.columns[name], column), name
     for kind in ("p", "q", "w"):
         assert same_bits(getattr(got.final_state, kind), getattr(want.final_state, kind))
+
+
+# ---------------------------------------------------------------------------
+# Reused buffers never leak into results
+# ---------------------------------------------------------------------------
+
+def test_row_results_keep_their_bits_through_later_reductions():
+    g = GRAPHS["isolated_scattered"]
+    op = RowOperator(g.row_layout)
+    rng = np.random.default_rng(8)
+    first, second = (g.row_layout.permute(rng.standard_normal(g.row_layout.size))
+                     for _ in range(2))
+    sums = op.row_sum(first)
+    kept_sums = sums.copy()
+    prods = op.row_prod(first)
+    kept_prods = prods.copy()
+    op.row_sum(second)
+    op.row_prod(second)
+    assert same_bits(sums, kept_sums) and same_bits(prods, kept_prods)
+
+
+def test_meanfield_runs_share_no_storage():
+    g = GRAPHS["isolated_scattered"]
+    links, params = directed_links(g, 6), random_params(g.n, 7)
+    rng = np.random.default_rng(9)
+    p, w = rng.uniform(0.0, 0.3, g.n), rng.uniform(0.0, 0.2, g.n)
+    state0 = MfState(p=p, q=0.9 * (1.0 - p - w), w=w)
+    given = [getattr(state0, kind).copy() for kind in "pqw"]
+
+    def steps(k):
+        return run("sirs", state0, links, params, max_steps=k, tol=0.0,
+                   allow_negative_coefficients=True)
+
+    first = steps(7)
+    final = [getattr(first.final_state, kind).copy() for kind in "pqw"]
+    second = steps(7)
+    assert first.trajectory.times.tobytes() == second.trajectory.times.tobytes()
+    for name, column in first.trajectory.columns.items():
+        assert column.tobytes() == second.trajectory.columns[name].tobytes(), name
+    steps(4)  # ends in the other of a run's two states
+    for kind, want in zip("pqw", final):
+        assert getattr(first.final_state, kind).tobytes() == want.tobytes(), kind
+    for kind, want in zip("pqw", given):
+        assert getattr(state0, kind).tobytes() == want.tobytes(), kind

@@ -1,10 +1,11 @@
 """Spectral machinery: power iteration, system matrix, survivability score."""
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
-from netspread.meanfield import LinkProbs, NodeParams
+from netspread.meanfield import LinkProbs, MfState, NodeParams, run
 from netspread.spectral import (
     CRITICAL_BAND,
     PowerIterationError,
@@ -346,3 +347,48 @@ def test_params_and_links_must_belong_to_the_graph(call):
                        match="link probabilities were built for a different graph"):
         call(g, LinkProbs.homogeneous(other, 0.3), params)
     call(g, LinkProbs.homogeneous(Graph(n=g.n, edges=g.edges), 0.3), params)
+
+
+# ---------------------------------------------------------------------------
+# The score is the decay rate of the mean-field dynamics near p = 0
+# ---------------------------------------------------------------------------
+
+@st.composite
+def connected_graphs(draw):
+    family = draw(st.sampled_from(["powerlaw", "torus", "binomial"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "powerlaw":
+        g = gen_powerlaw(draw(st.integers(10, 80)), draw(st.integers(1, 3)), seed)
+    elif family == "torus":
+        g = gen_lattice4(draw(st.integers(3, 8)), draw(st.integers(3, 8)))
+    else:
+        g = gen_binomial(draw(st.integers(8, 60)), draw(st.floats(0.15, 0.5)), seed)
+    nxg = nx.Graph(list(g.edges))
+    nxg.add_nodes_from(range(g.n))
+    assume(nx.is_connected(nxg))
+    return g
+
+
+@settings(max_examples=40)
+@given(g=connected_graphs(), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([1e-6, 1e-7, 1e-8, 1e-9]))
+def test_one_step_from_the_eigenvector_decays_at_the_score(g, seed, eps):
+    # Near p = 0 with q = q* (1 - p), q* = gamma / (gamma + delta), the
+    # update linearises to p' = S p.  From p = eps * v, v the score's
+    # eigenvector, the carrier sum therefore changes by the factor s, up to
+    # terms of order eps (measured below 6e-7 relative on such graphs).
+    # eps stays at or above 1e-9: far smaller carrier levels reach the
+    # rounding floor of 1 - zeta, where infection stops.
+    rng = np.random.default_rng(seed)
+    n = g.n
+    params = NodeParams(r=rng.uniform(0.2, 1.0, n), delta=rng.uniform(0.05, 0.9, n),
+                        gamma=rng.uniform(0.05, 1.0, n), nu=np.ones(n), chi=np.zeros(n))
+    links = LinkProbs(g, rng.uniform(0.01, 1.0, 2 * g.num_edges))
+    result = survivability_score(g, links, params)
+    p = eps * result.vector
+    q_star = params.gamma / (params.gamma + params.delta)
+    state0 = MfState(p=p, q=q_star * (1.0 - p), w=np.zeros(n))
+    stepped = run("sis", state0, links, params, max_steps=1, tol=0.0)
+    carriers = stepped.trajectory.columns["carriers"]
+    assert stepped.steps == 1
+    assert carriers[1] / carriers[0] == pytest.approx(result.score, rel=1e-5)
