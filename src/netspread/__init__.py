@@ -23,9 +23,6 @@ from .meanfield import (
     MfState,
     NodeParams,
     ParamRegimeError,
-    sis_step,
-    sirs_step,
-    zeta,
 )
 from .meanfield import run as meanfield_run
 from .montecarlo import EnsembleResult, mc_ensemble, mc_run, mc_step

@@ -13,11 +13,14 @@ import sys
 import numpy as np
 
 from .experiments import (
+    MEANFIELD_MODELS,
+    ODE_MODELS,
     ConfigError,
     ExperimentConfig,
     GraphSpec,
     _FAMILIES,
-    _node_params,
+    _point_inputs,
+    _run_model,
     reproduce_figures,
     run_experiment,
 )
@@ -28,16 +31,8 @@ from .isolation import (
     prune_to_cycle,
     rewire_to_lattice,
 )
-from .meanfield import (
-    LinkProbs,
-    MeanFieldBoundsError,
-    MfState,
-    NodeParams,
-    ParamRegimeError,
-)
-from .meanfield import run as meanfield_run
-from .montecarlo import mc_ensemble
-from .ode import IntegrationInstabilityError, OdeParams, OdeState, integrate
+from .meanfield import MeanFieldBoundsError, ParamRegimeError
+from .ode import IntegrationInstabilityError
 from .spectral import survivability_score
 from .trajectory import _write_csv, _write_text
 
@@ -72,10 +67,15 @@ def _graph(args: argparse.Namespace) -> Graph:
     ).build(args.seed)
 
 
-def _inputs(args: argparse.Namespace) -> tuple[Graph, NodeParams, LinkProbs]:
-    """Graph, node parameters and homogeneous links, as a sweep point has."""
-    g = _graph(args)
-    return g, _node_params(g.n, vars(args)), LinkProbs.homogeneous(g, args.beta)
+def _params(args: argparse.Namespace) -> dict:
+    """The parsed arguments as a sweep point's flat params; an option left
+    unset (None) is left out, so the point's default applies."""
+    return {k: v for k, v in vars(args).items() if v is not None}
+
+
+def _sweep_model(table: dict[str, str], name: str) -> str:
+    """The sweep model that ``table`` runs as the library model ``name``."""
+    return next(model for model, library in table.items() if library == name)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -101,11 +101,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ode(args: argparse.Namespace) -> int:
-    params = OdeParams(beta=args.beta, gamma=args.gamma, mu=args.mu)
-    s0 = args.s0 if args.s0 is not None else 1.0 - args.i0
-    traj = integrate(
-        args.model, OdeState(s=s0, i=args.i0), params, dt=args.dt, t_end=args.t_end
-    )
+    traj = _run_model(_sweep_model(ODE_MODELS, args.model), _params(args), None,
+                      dt=args.dt, t_end=args.t_end)
     traj.write_csv(args.output)
     last = len(traj) - 1
     print(
@@ -117,10 +114,10 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    g, params, links = _inputs(args)
-    result = meanfield_run(
-        args.model, MfState.uniform(g.n, p0=args.p0, w0=args.w0), links, params,
-        max_steps=args.steps, tol=args.tol,
+    params = _params(args)
+    result = _run_model(
+        _sweep_model(MEANFIELD_MODELS, args.model), params,
+        _point_inputs(_graph(args), params), steps=args.steps, tol=args.tol,
         allow_negative_coefficients=args.allow_negative_coefficients,
     )
     result.trajectory.write_csv(args.output)
@@ -134,10 +131,10 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    g, params, links = _inputs(args)
-    ensemble = mc_ensemble(
-        g, links, params,
-        init=args.init, steps=args.steps, runs=args.runs, seed=args.master_seed,
+    params = _params(args)
+    ensemble = _run_model(
+        "sirs_mc", {**params, "p0": args.init}, _point_inputs(_graph(args), params),
+        steps=args.steps, runs=args.runs, seed=args.master_seed,
     )
     ensemble.write_csv(args.output)
     print(
@@ -148,7 +145,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    g, params, links = _inputs(args)
+    g, links, params = _point_inputs(_graph(args), _params(args))
     result = survivability_score(g, links, params)
     print(f"s={result.score:.12g} fast_extinction={result.status}")
     if args.eigenvector_csv:
@@ -159,7 +156,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    g, params, _ = _inputs(args)
+    g, _, params = _point_inputs(_graph(args), _params(args))
     if args.strategy == "greedy":
         modified, report = greedy_edge_removal(
             g, args.k, beta_template=args.beta, params=params
@@ -226,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("ode", help="integrate a continuous compartment model")
-    p.add_argument("--model", choices=["sir_epidemic", "sir_endemic", "sis"],
-                   required=True)
+    p.add_argument("--model", choices=list(ODE_MODELS.values()), required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--mu", type=float, default=0.0)
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ode)
 
     p = sub.add_parser("meanfield", help="run the discrete mean-field dynamics")
-    p.add_argument("--model", choices=["sis", "sirs"], default="sis")
+    p.add_argument("--model", choices=list(MEANFIELD_MODELS.values()), default="sis")
     _graph_arguments(p)
     _node_param_arguments(p)
     p.add_argument("--p0", type=float, default=0.1)

@@ -53,8 +53,6 @@ MEANFIELD_MODELS = {"sis_meanfield": "sis", "sirs_meanfield": "sirs"}
 MC_MODELS = {"sis_mc": "sis", "sirs_mc": "sirs"}
 ALL_MODELS = set(ODE_MODELS) | set(MEANFIELD_MODELS) | set(MC_MODELS)
 
-_PROB_PARAMS = ("delta", "r", "nu", "chi", "p0", "w0", "init", "s0", "i0")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the offending field."""
@@ -75,12 +73,21 @@ _TYPE_CHECKS = {
 }
 
 _FINITE = sys.float_info.max
+_PROB = (0.0, 1.0, "in [0, 1]")
+_RATE = (0.0, _FINITE, "finite and >= 0")
+# Every key a params block may hold: the keys some model reads (see
+# _run_model), each with its range and whether a sweep may advance it.
+_PARAMS = {
+    "beta": (_RATE, True), "gamma": (_RATE, True), "mu": (_RATE, True),
+    "delta": (_PROB, True), "r": (_PROB, True), "nu": (_PROB, True),
+    "chi": (_PROB, True), "p0": (_PROB, True), "w0": (_PROB, True),
+    "s0": (_PROB, False), "i0": (_PROB, False),
+}
 # Inclusive range (low, high, wording) of each bounded numeric value, checked
 # as "not low <= value <= high" so that NaN fails as well.  The least positive
 # float as the low end makes a range "> 0".
 _RANGES = {
-    **{f"params.{k}": (0.0, 1.0, "in [0, 1]") for k in _PROB_PARAMS},
-    **{f"params.{k}": (0.0, _FINITE, "finite and >= 0") for k in ("beta", "gamma", "mu")},
+    **{f"params.{k}": bounds for k, (bounds, _) in _PARAMS.items()},
     "sweep.base": (-_FINITE, _FINITE, "finite"),
     "sweep.increment": (-_FINITE, _FINITE, "finite"),
     "sweep.count": (1, math.inf, ">= 1"),
@@ -225,12 +232,13 @@ class ExperimentConfig:
         if not isinstance(self.params, dict):
             raise ConfigError("params", f"must be an object, got {self.params!r}")
         for key, value in self.params.items():
+            if key not in _PARAMS:
+                raise ConfigError(f"params.{key}", "no model reads this parameter; "
+                                  f"expected one of {sorted(_PARAMS)}")
             _check_value(f"params.{key}", value, "float")
         if self.sweep is not None:
             for name, _ in self.sweep.parameters:
-                if name not in (
-                    "beta", "gamma", "delta", "r", "nu", "chi", "mu", "p0", "w0"
-                ):
+                if name not in _PARAMS or not _PARAMS[name][1]:
                     raise ConfigError("sweep.parameters", f"cannot sweep {name!r}")
             # A swept value is monotone in k, so when the first and the last
             # point lie in a parameter's range, every point does.
@@ -343,14 +351,63 @@ def _required(params: dict[str, float], keys: list[str], model: str) -> None:
         raise ConfigError("params", f"model {model!r} requires {missing}")
 
 
-def _node_params(n: int, params: dict[str, float]) -> NodeParams:
-    return NodeParams.homogeneous(
-        n,
+def _point_inputs(graph: Graph, params: dict[str, float]) -> tuple[Graph, LinkProbs, NodeParams]:
+    """A network model's inputs at a point with flat ``params``: ``graph``,
+    links of rate ``beta`` and homogeneous node parameters (``r``, ``nu`` and
+    ``chi`` default to 1, 1 and 0), in the order the library functions take."""
+    node_params = NodeParams.homogeneous(
+        graph.n,
         r=params.get("r", 1.0),
         delta=params["delta"],
         gamma=params["gamma"],
         nu=params.get("nu", 1.0),
         chi=params.get("chi", 0.0),
+    )
+    return graph, LinkProbs.homogeneous(graph, params["beta"]), node_params
+
+
+def _run_model(model: str, params: dict[str, float],
+               inputs: tuple[Graph, LinkProbs, NodeParams] | None, **run):
+    """Run the sweep model ``model`` at a point with flat ``params``; a
+    network model runs on ``inputs`` from :func:`_point_inputs`.
+
+    This is where a point's parameters get their defaults: ``i0 = 0.01`` and
+    ``s0 = 1 - i0``, ``mu = 0``, ``p0 = 0.1`` (the start of mean-field and
+    Monte Carlo runs alike) and ``w0 = 0``.  ``run`` holds the settings the
+    model reads: ``dt`` and ``t_end`` (ODE), ``steps``, ``tol`` and
+    ``allow_negative_coefficients`` (mean field), ``steps``, ``runs`` and
+    ``seed`` (Monte Carlo).  Returns the ODE's :class:`Trajectory`, the
+    :class:`MeanFieldRun` or the :class:`EnsembleResult`.
+    """
+    if model in ODE_MODELS:
+        i0 = params.get("i0", 0.01)
+        return integrate(
+            ODE_MODELS[model],
+            OdeState(s=params.get("s0", 1.0 - i0), i=i0),
+            OdeParams(beta=params["beta"], gamma=params["gamma"], mu=params.get("mu", 0.0)),
+            dt=run["dt"],
+            t_end=run["t_end"],
+        )
+    graph, links, node_params = inputs
+    if model in MEANFIELD_MODELS:
+        return meanfield_run(
+            MEANFIELD_MODELS[model],
+            MfState.uniform(graph.n, p0=params.get("p0", 0.1), w0=params.get("w0", 0.0)),
+            links,
+            node_params,
+            max_steps=run["steps"],
+            tol=run["tol"],
+            allow_negative_coefficients=run["allow_negative_coefficients"],
+        )
+    nu, chi = _acceptance(MC_MODELS[model], node_params)
+    return mc_ensemble(
+        graph,
+        links,
+        replace(node_params, nu=nu, chi=chi),
+        init=params.get("p0", 0.1),
+        steps=run["steps"],
+        runs=run["runs"],
+        seed=run["seed"],
     )
 
 
@@ -361,61 +418,22 @@ def _run_point(
     out_path: Path,
 ) -> float | None:
     """Run one sweep point, write its CSV, return the survivability score."""
-    model = config.model
-    if model in ODE_MODELS:
-        _required(point_params, ["beta", "gamma"], model)
-        ode_params = OdeParams(
-            beta=point_params["beta"],
-            gamma=point_params["gamma"],
-            mu=point_params.get("mu", 0.0),
-        )
-        i0 = point_params.get("i0", 0.01)
-        s0 = point_params.get("s0", 1.0 - i0)
-        traj = integrate(
-            ODE_MODELS[model],
-            OdeState(s=s0, i=i0),
-            ode_params,
-            dt=config.run.dt,
-            t_end=config.run.t_end,
-        )
-        traj.write_csv(out_path)
-        return None
-
-    assert graph is not None
-    _required(point_params, ["beta", "gamma", "delta"], model)
-    node_params = _node_params(graph.n, point_params)
-    links = LinkProbs.homogeneous(graph, point_params["beta"])
-    score: float | None = None
-    if np.all(node_params.delta > 0.0):
-        score = survivability_score(graph, links, node_params).score
-
-    if model in MEANFIELD_MODELS:
-        state0 = MfState.uniform(
-            graph.n, p0=point_params.get("p0", 0.1), w0=point_params.get("w0", 0.0)
-        )
-        result = meanfield_run(
-            MEANFIELD_MODELS[model],
-            state0,
-            links,
-            node_params,
-            max_steps=config.run.steps,
-            tol=config.run.tol,
-            allow_negative_coefficients=config.allow_negative_coefficients,
-        )
-        result.trajectory.write_csv(out_path)
-        return score
-
-    nu, chi = _acceptance(MC_MODELS[model], node_params)
-    ensemble = mc_ensemble(
-        graph,
-        links,
-        replace(node_params, nu=nu, chi=chi),
-        init=point_params.get("p0", 0.1),
-        steps=config.run.steps,
-        runs=config.run.runs,
-        seed=config.seed,
+    inputs = score = None
+    if graph is None:
+        _required(point_params, ["beta", "gamma"], config.model)
+    else:
+        _required(point_params, ["beta", "gamma", "delta"], config.model)
+        inputs = _point_inputs(graph, point_params)
+        _, links, node_params = inputs
+        if np.all(node_params.delta > 0.0):
+            score = survivability_score(graph, links, node_params).score
+    result = _run_model(
+        config.model, point_params, inputs, **asdict(config.run), seed=config.seed,
+        allow_negative_coefficients=config.allow_negative_coefficients,
     )
-    ensemble.write_csv(out_path)
+    if config.model in MEANFIELD_MODELS:
+        result = result.trajectory
+    result.write_csv(out_path)
     return score
 
 

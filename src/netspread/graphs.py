@@ -48,13 +48,14 @@ class EdgeListFormatError(ValueError):
 _PAIR_CHUNK = 1 << 14
 
 
-def _check_int(name: str, value: object, low: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int (not a
-    bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _check_int(name: str, value: object, low: int, wording: str = "") -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
+    numpy integer (not a bool) of at least ``low``; the range error says
+    ``wording``, by default "at least <low>"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+        raise ValueError(f"{name} must be {wording or f'at least {low}'}, got {value!r}")
 
 
 def _pair_array(pairs) -> np.ndarray:

@@ -22,9 +22,8 @@ probabilities can leave ``[0, 1]``.  Steps detect this and fail loudly with a
 parameter-regime diagnostic; nothing is clamped.  Callers can opt into a
 reporting-only mode that records violations instead of raising.
 
-One update body serves :func:`run`, :func:`sis_step`, :func:`sirs_step` and
-:func:`zeta`.  It is prepared once per run (per call for the single-step
-functions): a :class:`~netspread.rowops.RowOperator` on the graph's cached
+:func:`run` is the one entry point.  It prepares the update once per run:
+a :class:`~netspread.rowops.RowOperator` on the graph's cached
 degree-bucketed layout, the products ``r_j * beta_ji`` in that layout (from
 :func:`_transmission`, which the linearised system matrix of
 :mod:`netspread.spectral` is built from too) and the per-node coefficients
@@ -32,9 +31,9 @@ are computed before the first step.  Each step gathers ``p`` into the
 operator's buffer once, takes the row products of ``zeta`` with the operator
 and keeps ``p``, ``q``, ``w`` and the dead fraction in one ``(4, n)`` array.
 A run steps between two such arrays and keeps ``zeta`` and the step's
-temporaries in buffers of the prepared update; the single-step functions
-return fresh arrays.  The prepared run gives the same bits as stepping one
-state at a time with a plain product over each CSR row.
+temporaries in buffers of the prepared update.  The prepared run gives the
+same bits as stepping one state at a time with a plain product over each
+CSR row.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _pair_array
+from .graphs import Graph, _check_int, _pair_array
 from .rowops import RowOperator
 from .trajectory import Trajectory
 
@@ -56,9 +55,6 @@ __all__ = [
     "MeanFieldBoundsError",
     "ParamRegimeError",
     "MeanFieldRun",
-    "zeta",
-    "sis_step",
-    "sirs_step",
     "run",
     "bound_violations",
 ]
@@ -248,13 +244,6 @@ def _check_inputs(graph: Graph, links: LinkProbs, params: NodeParams) -> None:
         raise ValueError("link probabilities were built for a different graph")
 
 
-def _check_sizes(state: MfState, links: LinkProbs, params: NodeParams) -> None:
-    n = links.graph.n
-    _check_inputs(links.graph, links, params)
-    if state.n != n:
-        raise ValueError(f"the state covers {state.n} nodes but the graph has {n}")
-
-
 def _transmission(links: LinkProbs, params: NodeParams) -> tuple[RowOperator, np.ndarray]:
     """A row operator on the layout of ``links.graph`` and, in that layout,
     ``r_j * beta_ji`` for each in-edge ``j -> i``: the factors of ``zeta`` and,
@@ -339,21 +328,6 @@ class _Update:
         return bool(np.add(total, rows[2], out=total).max() <= 1.0 + _BOUND_SLACK)
 
 
-def _stack(state: MfState) -> np.ndarray:
-    """``state`` as the ``(4, n)`` rows ``p, q, w, dead`` of :class:`_Update`."""
-    return np.stack([state.p, state.q, state.w, state.dead])
-
-
-def zeta(state: MfState, links: LinkProbs, params: NodeParams) -> np.ndarray:
-    """Probability that each node receives nothing this step.
-
-    ``zeta_i = prod over in-neighbours j of (1 - r_j * beta_ji * p_j)``;
-    nodes with no neighbours get exactly 1.
-    """
-    _check_sizes(state, links, params)
-    return _Update(links, params, 1.0, 0.0).zeta(state.p)
-
-
 def bound_violations(state: MfState) -> list[BoundViolation]:
     """All components of ``state`` outside ``[-1e-12, 1 + 1e-12]`` plus any
     node whose ``p + q + w`` exceeds ``1 + 1e-12``.  Non-finite values (NaN)
@@ -397,51 +371,6 @@ def _raise_bounds(violations: list[BoundViolation], zeta_t: np.ndarray,
 def _acceptance(model: str, params: NodeParams) -> tuple:
     """``(nu, chi)`` of ``model``: "sis" is the update with ``nu = 1``, ``chi = 0``."""
     return (1.0, 0.0) if model == "sis" else (params.nu, params.chi)
-
-
-def _require_empty_warning(state: MfState) -> None:
-    if np.any(state.w != 0.0):
-        raise ValueError("sis_step requires an empty warning state (w == 0)")
-
-
-def _step(model: str, state: MfState, links: LinkProbs, params: NodeParams,
-          enforce_bounds: bool) -> MfState:
-    """One step of ``model`` from ``state``, checked unless ``enforce_bounds``
-    is false."""
-    _check_sizes(state, links, params)
-    update = _Update(links, params, *_acceptance(model, params))
-    cur = _stack(state)
-    rows = np.empty_like(cur)
-    z = update.step(cur, rows)
-    nxt = MfState(p=rows[0], q=rows[1], w=rows[2], t=state.t + 1)
-    if enforce_bounds:
-        bad = bound_violations(nxt)
-        if bad:
-            _raise_bounds(bad, z, params)
-    return nxt
-
-
-def sis_step(
-    state: MfState, links: LinkProbs, params: NodeParams, *, enforce_bounds: bool = True
-) -> MfState:
-    """One synchronous carrier/susceptible update (no warning state): the
-    general update with ``nu = 1`` and ``chi = 0``, whatever ``params`` say.
-
-    Requires ``state.w == 0`` everywhere; the warning state must stay empty.
-    """
-    _require_empty_warning(state)
-    return _step("sis", state, links, params, enforce_bounds)
-
-
-def sirs_step(
-    state: MfState, links: LinkProbs, params: NodeParams, *, enforce_bounds: bool = True
-) -> MfState:
-    """One synchronous update of the variant with a warning state.
-
-    With ``nu = 1`` and an empty warning state this reduces exactly to
-    :func:`sis_step`.
-    """
-    return _step("sirs", state, links, params, enforce_bounds)
 
 
 def validate_warning_params(params: NodeParams) -> None:
@@ -505,7 +434,9 @@ def run(
     run with a diagnostic (and, for ``"sirs"``, parameter sets with
     ``chi + delta > 1`` are rejected before the first step).  A NaN or
     infinite component, at the start or in a reporting run, raises
-    ``ValueError``.
+    ``ValueError``.  ``"sis"`` is the update with ``nu = 1`` and ``chi = 0``,
+    whatever ``params`` say, and starts only from an empty warning state.
+    One step is ``run(..., max_steps=1, tol=0).final_state``.
 
     The run is prepared once (see :class:`_Update`) and builds no
     :class:`MfState` per step.  It steps between two ``(4, n)`` states that
@@ -515,27 +446,27 @@ def run(
     sums the trajectory's columns are made from, and measures the change in
     place in the previous state, which it no longer needs; with ``tol = 0``
     it measures nothing, since no change is below 0.  The numbers are those
-    of repeated :func:`sis_step` / :func:`sirs_step` calls, bit for bit.
+    of a loop that builds a fresh :class:`MfState` every step and takes each
+    ``zeta`` with a plain product over the CSR rows, bit for bit.
     """
     if model not in ("sis", "sirs"):
         raise ValueError(f"unknown mean-field model {model!r}")
-    if isinstance(max_steps, bool) or not isinstance(max_steps, (int, np.integer)):
-        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
+    _check_int("max_steps", max_steps, 0, "non-negative")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    _check_sizes(state0, links, params)
+    _check_inputs(links.graph, links, params)
+    if state0.n != params.n:
+        raise ValueError(f"the state covers {state0.n} nodes but the graph has {params.n}")
     if model == "sirs" and not allow_negative_coefficients:
         validate_warning_params(params)
     enforce = not allow_negative_coefficients
 
     initial = _require_finite(bound_violations(state0))
     violations: list[BoundViolation] = [] if enforce else initial
-    if max_steps and model == "sis":
+    if max_steps and model == "sis" and np.any(state0.w != 0.0):
         # The "sis" update keeps w at zero, so only the start needs checking.
-        _require_empty_warning(state0)
-    cur = _stack(state0)
+        raise ValueError("the sis model requires an empty warning state (w == 0)")
+    cur = np.stack([state0.p, state0.q, state0.w, state0.dead])
     nxt = np.empty_like(cur)
     sums = [cur.sum(axis=1)]  # the mean of a row is its sum over n, bit for bit
     t = state0.t

@@ -44,7 +44,7 @@ from typing import IO
 
 import numpy as np
 
-from .graphs import Graph, _as_rng
+from .graphs import Graph, _as_rng, _check_int
 from .meanfield import LinkProbs, NodeParams, _check_inputs
 from .trajectory import Trajectory
 
@@ -153,8 +153,7 @@ def mc_run(
     seed: int | np.random.Generator,
 ) -> np.ndarray:
     """Single run; returns fractions per state, shape ``(steps + 1, 4)``."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps!r}")
+    _check_int("steps", steps, 0, "non-negative")
     _check_inputs(graph, links, params)
     rng = _as_rng(seed)
     states = initial_states(graph.n, init, rng)
@@ -199,8 +198,7 @@ def mc_ensemble(
     seed: int,
 ) -> EnsembleResult:
     """Independent runs with per-run seeds derived via :func:`mix_seed`."""
-    if runs < 1:
-        raise ValueError(f"runs must be positive, got {runs!r}")
+    _check_int("runs", runs, 1, "positive")
     # Each mc_run validates its inputs before anything is allocated.
     trajectories = np.stack([
         mc_run(graph, links, params, init, steps,

@@ -283,7 +283,7 @@ def _step_reference(state, links, params, nu, chi, enforce_bounds):
 
 def _sis_step_reference(state, links, params, *, enforce_bounds=True):
     if np.any(state.w != 0.0):
-        raise ValueError("sis_step requires an empty warning state (w == 0)")
+        raise ValueError("the sis model requires an empty warning state (w == 0)")
     return _step_reference(state, links, params, 1.0, 0.0, enforce_bounds)
 
 

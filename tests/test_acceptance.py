@@ -24,7 +24,7 @@ from netspread.isolation import (
     prune_to_cycle,
     rewire_to_lattice,
 )
-from netspread.meanfield import LinkProbs, MfState, NodeParams, run, sirs_step, sis_step
+from netspread.meanfield import LinkProbs, MfState, NodeParams, run
 from netspread.montecarlo import HAS_INFO, mc_ensemble
 from netspread.ode import OdeParams, OdeState, integrate
 from netspread.spectral import adjacency_spectral_radius, power_iteration, survivability_score
@@ -172,8 +172,11 @@ def test_criterion_6_warned_model_reduces_to_plain_model_at_unit_acceptance():
         links = LinkProbs.homogeneous(g, float(rng.random()))
         cuts = np.sort(rng.random((30, 2)), axis=1)
         state = MfState(p=cuts[:, 0], q=cuts[:, 1] - cuts[:, 0], w=np.zeros(30))
-        plain = sis_step(state, links, params, enforce_bounds=False)
-        warned = sirs_step(state, links, params, enforce_bounds=False)
+        plain, warned = (
+            run(model, state, links, params, max_steps=1, tol=0,
+                allow_negative_coefficients=True).final_state
+            for model in ("sis", "sirs")
+        )
         assert np.max(np.abs(plain.p - warned.p)) <= 1e-15
         assert np.max(np.abs(plain.q - warned.q)) <= 1e-15
         assert np.all(warned.w == 0.0)

@@ -76,6 +76,14 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(bad)
         assert exc.value.field == "params.p0"
 
+    @pytest.mark.parametrize("key", ["init", "detla", "n"])
+    def test_params_no_model_reads_are_rejected(self, key):
+        bad = meanfield_config()
+        bad["params"][key] = 0.5
+        with pytest.raises(ConfigError, match="no model reads") as exc:
+            ExperimentConfig.from_dict(bad)
+        assert exc.value.field == f"params.{key}"
+
     def test_unsweepable_name_rejected(self):
         bad = meanfield_config()
         bad["sweep"] = {"parameters": [{"name": "n", "base": 10}],
@@ -491,3 +499,20 @@ def test_sis_mc_runs_without_warning_whatever_params_say(tmp_path):
     column = rows[0].index("frac_warned_mean")
     assert all(float(row[column]) == 0.0 for row in rows[1:])
     assert point_csv("sirs_mc", "sirs", nu=0.5, chi=0.3) != warned
+
+
+def test_mc_points_start_from_p0(tmp_path):
+    # A 200-node sis_mc point seeds round(p0 * n) carriers; p0 defaults to 0.1.
+    def first_row(name, **start):
+        cfg = ExperimentConfig.from_dict({
+            "model": "sis_mc",
+            "params": {"beta": 0.2, "delta": 0.1, "gamma": 0.1, **start},
+            "run": {"steps": 3, "runs": 2},
+            "graph": {"family": "powerlaw", "n": 200, "m": 2, "seed": 1},
+        })
+        run_experiment(cfg, tmp_path / name)
+        rows = (tmp_path / name / "point_000.csv").read_text().splitlines()
+        return dict(zip(rows[0].split(","), map(float, rows[1].split(","))))
+
+    assert first_row("default")["frac_hasinfo_mean"] == 0.1
+    assert first_row("p0", p0=0.9)["frac_hasinfo_mean"] == 0.9

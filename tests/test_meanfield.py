@@ -13,15 +13,27 @@ from netspread.meanfield import (
     MfState,
     NodeParams,
     ParamRegimeError,
+    _Update,
     bound_violations,
     run,
-    sirs_step,
-    sis_step,
     validate_warning_params,
-    zeta,
 )
 
 from oracles import slow_plain_step, slow_warned_step, slow_zeta
+
+
+def zeta(state: MfState, links: LinkProbs, params: NodeParams) -> np.ndarray:
+    """``zeta`` of ``state.p``, from the update a run prepares."""
+    return _Update(links, params, 1.0, 0.0).zeta(state.p)
+
+
+def one_step(model: str, state: MfState, links: LinkProbs, params: NodeParams,
+             allow_negative_coefficients: bool = False) -> MfState:
+    """The state after one step of ``model``: the final state of a one-step
+    run."""
+    return run(model, state, links, params, max_steps=1, tol=0,
+               allow_negative_coefficients=allow_negative_coefficients).final_state
+
 
 
 def random_valid_state(n: int, rng: np.random.Generator, with_warned: bool) -> MfState:
@@ -185,7 +197,7 @@ class TestSisStep:
         state = MfState(p=np.ones(9), q=np.zeros(9), w=np.zeros(9))
         links = LinkProbs.homogeneous(g, 0.7)
         for _ in range(10):
-            state = sis_step(state, links, params)
+            state = one_step("sis", state, links, params)
         assert np.all(state.p == 1.0)
 
     def test_no_broadcast_geometric_decay(self):
@@ -195,14 +207,15 @@ class TestSisStep:
         links = LinkProbs.homogeneous(g, 0.9)
         state = MfState(p=np.full(12, p0), q=np.full(12, 1 - p0), w=np.zeros(12))
         for t in range(1, 51):
-            state = sis_step(state, links, params, enforce_bounds=False)
+            state = one_step("sis", state, links, params,
+                             allow_negative_coefficients=True)
             assert np.max(np.abs(state.p - p0 * (1 - delta) ** t)) < 1e-12
 
     def test_no_spontaneous_infection(self):
         g = gen_binomial(10, 0.5, 4)
         params = NodeParams.homogeneous(10, r=1.0, delta=0.3, gamma=0.9)
         state = MfState(p=np.zeros(10), q=np.full(10, 0.5), w=np.zeros(10))
-        nxt = sis_step(state, LinkProbs.homogeneous(g, 1.0), params)
+        nxt = one_step("sis", state, LinkProbs.homogeneous(g, 1.0), params)
         assert np.all(nxt.p == 0.0)
 
     def test_rejects_nonempty_warned_state(self):
@@ -210,7 +223,7 @@ class TestSisStep:
         params = NodeParams.homogeneous(2, r=1.0, delta=0.1, gamma=0.1)
         state = MfState(p=np.zeros(2), q=np.full(2, 0.5), w=np.full(2, 0.1))
         with pytest.raises(ValueError, match="empty warning state"):
-            sis_step(state, LinkProbs.homogeneous(g, 0.5), params)
+            one_step("sis", state, LinkProbs.homogeneous(g, 0.5), params)
 
     def test_vertex_transitive_symmetry(self):
         # Torus + homogeneous parameters + uniform start: all nodes identical.
@@ -219,7 +232,7 @@ class TestSisStep:
         links = LinkProbs.homogeneous(g, 0.15)
         state = MfState.uniform(25, p0=0.1)
         for _ in range(50):
-            state = sis_step(state, links, params)
+            state = one_step("sis", state, links, params)
             for arr in (state.p, state.q):
                 assert arr.max() - arr.min() <= 1e-12
 
@@ -238,7 +251,7 @@ class TestBoundsPolicy:
         # 0.01 * (0.01 - 0.9) = -0.0089.
         _, params, links, state = self.make_hot_pair()
         with pytest.raises(MeanFieldBoundsError) as exc:
-            sis_step(state, links, params)
+            one_step("sis", state, links, params)
         msg = str(exc.value)
         assert "not clamped" in msg
         assert "delta" in msg and "zeta" in msg
@@ -292,8 +305,8 @@ class TestWarnedVariant:
             )
             links = LinkProbs.homogeneous(g, float(rng.random()))
             state = random_valid_state(20, rng, with_warned=False)
-            a = sis_step(state, links, params, enforce_bounds=False)
-            b = sirs_step(state, links, params, enforce_bounds=False)
+            a = one_step("sis", state, links, params, allow_negative_coefficients=True)
+            b = one_step("sirs", state, links, params, allow_negative_coefficients=True)
             assert np.max(np.abs(a.p - b.p)) <= 1e-15
             assert np.max(np.abs(a.q - b.q)) <= 1e-15
             assert np.all(b.w == 0.0)
@@ -303,7 +316,7 @@ class TestWarnedVariant:
         params = NodeParams.homogeneous(15, r=1.0, delta=0.2, gamma=0.1, nu=0.0)
         links = LinkProbs.homogeneous(g, 0.2)
         state = MfState.uniform(15, p0=0.2)
-        nxt = sirs_step(state, links, params)
+        nxt = one_step("sirs", state, links, params)
         assert np.allclose(nxt.p, state.p * 0.8, atol=1e-15)
         assert np.any(nxt.w > 0.0)  # refused receipts land in the warned pool
 
@@ -315,7 +328,7 @@ class TestWarnedVariant:
             links = LinkProbs.homogeneous(g, float(rng.random()))
             state = random_valid_state(15, rng, with_warned=True)
             z = zeta(state, links, params)
-            nxt = sirs_step(state, links, params, enforce_bounds=False)
+            nxt = one_step("sirs", state, links, params, allow_negative_coefficients=True)
             sp, sq, sw = slow_warned_step(state.p, state.q, state.w, z, params)
             assert np.max(np.abs(nxt.p - sp)) < 1e-14
             assert np.max(np.abs(nxt.q - sq)) < 1e-14
@@ -326,7 +339,7 @@ class TestWarnedVariant:
         params = NodeParams.homogeneous(10, r=1.0, delta=0.3, gamma=0.9,
                                         nu=0.5, chi=0.2)
         state = MfState(p=np.zeros(10), q=np.full(10, 0.5), w=np.full(10, 0.2))
-        nxt = sirs_step(state, LinkProbs.homogeneous(g, 1.0), params)
+        nxt = one_step("sirs", state, LinkProbs.homogeneous(g, 1.0), params)
         assert np.all(nxt.p == 0.0)
 
     def test_retention_overflow_rejected_at_configuration(self):
@@ -423,8 +436,8 @@ def test_unit_acceptance_reduction_property(seed):
     )
     links = LinkProbs.homogeneous(g, float(rng.random()))
     state = random_valid_state(10, rng, with_warned=False)
-    a = sis_step(state, links, params, enforce_bounds=False)
-    b = sirs_step(state, links, params, enforce_bounds=False)
+    a = one_step("sis", state, links, params, allow_negative_coefficients=True)
+    b = one_step("sirs", state, links, params, allow_negative_coefficients=True)
     assert np.max(np.abs(a.p - b.p)) <= 1e-15
     assert np.max(np.abs(a.q - b.q)) <= 1e-15
 
@@ -436,9 +449,9 @@ def test_no_spontaneous_infection_property(seed):
     params = random_params(10, rng)
     q0 = rng.random(10) * 0.8
     state = MfState(p=np.zeros(10), q=q0, w=np.zeros(10))
-    for step_fn in (sis_step, sirs_step):
-        nxt = step_fn(state, LinkProbs.homogeneous(g, 1.0), params,
-                      enforce_bounds=False)
+    for model in ("sis", "sirs"):
+        nxt = one_step(model, state, LinkProbs.homogeneous(g, 1.0), params,
+                       allow_negative_coefficients=True)
         assert np.all(nxt.p == 0.0)
 
 
@@ -457,7 +470,7 @@ def test_sis_step_matches_plain_oracle_and_ignores_nu_chi(seed):
     )
     links = LinkProbs.homogeneous(g, float(rng.random()))
     state = random_valid_state(12, rng, with_warned=False)
-    nxt = sis_step(state, links, params, enforce_bounds=False)
+    nxt = one_step("sis", state, links, params, allow_negative_coefficients=True)
     sp, sq = slow_plain_step(state.p, state.q, zeta(state, links, params), params)
     assert np.max(np.abs(nxt.p - sp)) < 1e-14
     assert np.max(np.abs(nxt.q - sq)) < 1e-14
@@ -601,10 +614,9 @@ def test_link_constructor_copies_and_checks_csr_aligned_values():
 @pytest.mark.parametrize("call", [
     lambda s, l, p: run("sis", s, l, p, max_steps=3),
     lambda s, l, p: run("sirs", s, l, p, max_steps=0),
-    lambda s, l, p: sis_step(s, l, p),
-    lambda s, l, p: sirs_step(s, l, p),
-    lambda s, l, p: zeta(s, l, p),
-], ids=["run_sis", "run_sirs_no_steps", "sis_step", "sirs_step", "zeta"])
+    lambda s, l, p: one_step("sis", s, l, p),
+    lambda s, l, p: one_step("sirs", s, l, p),
+], ids=["run_sis", "run_sirs_no_steps", "sis_one_step", "sirs_one_step"])
 def test_state_params_and_graph_sizes_must_agree(call):
     # A one-node graph once broadcast against five-node parameters and
     # returned a five-node state.

@@ -195,6 +195,24 @@ class TestRunInputs:
         with pytest.raises(ValueError, match="steps"):
             mc_ensemble(g, links, params, init=0.1, steps=steps, runs=2, seed=0)
 
+    @pytest.mark.parametrize("steps,runs,name", [
+        (True, 2, "steps"), (2.5, 2, "steps"), (np.float64(3.0), 2, "steps"),
+        (5, True, "runs"), (5, 2.0, "runs"), (5, "2", "runs"),
+    ])
+    def test_sizes_must_be_integers(self, steps, runs, name):
+        g, links, params = self.make()
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            mc_ensemble(g, links, params, init=0.1, steps=steps, runs=runs, seed=0)
+        if name == "steps":
+            with pytest.raises(ValueError, match="^steps must be an integer, got "):
+                mc_run(g, links, params, init=0.1, steps=steps, seed=0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g, links, params = self.make()
+        ens = mc_ensemble(g, links, params, init=0.1, steps=np.int64(3),
+                          runs=np.int32(2), seed=0)
+        assert ens.mean.shape == (4, 4) and ens.runs == 2
+
     def test_zero_steps_is_the_initial_row(self):
         g, links, params = self.make()
         traj = mc_run(g, links, params, init=0.1, steps=0, seed=0)

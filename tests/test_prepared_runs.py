@@ -12,18 +12,14 @@ from netspread.meanfield import (
     LinkProbs,
     MfState,
     NodeParams,
+    _Update,
     run,
-    sirs_step,
-    sis_step,
-    zeta,
 )
 from netspread.ode import ODE_MODELS, OdeParams, OdeState, integrate
 from netspread.trajectory import Trajectory
 
 from oracles import (
     _ODE_RHS_REFERENCE,
-    _sirs_step_reference,
-    _sis_step_reference,
     _zeta_reference,
     integrate_reference,
     meanfield_run_reference,
@@ -187,11 +183,14 @@ def test_single_steps_and_zeta_match_reference(seed, kind, start, enforce):
     g = make_graph(kind, rng)
     links, params = make_links(g, rng), make_params(g.n, rng)
     state = make_state(g.n, start, rng)
-    assert outcome(zeta, state, links, params) == outcome(
-        _zeta_reference, state, links, params)
-    for fn, ref in ((sis_step, _sis_step_reference), (sirs_step, _sirs_step_reference)):
-        assert outcome(fn, state, links, params, enforce_bounds=enforce) == \
-            outcome(ref, state, links, params, enforce_bounds=enforce)
+    assert outcome(lambda: _Update(links, params, 1.0, 0.0).zeta(state.p)) == \
+        outcome(_zeta_reference, state, links, params)
+    # A step is a one-step run; the reference run steps with the
+    # _sis_step_reference / _sirs_step_reference oracles.
+    kwargs = dict(max_steps=1, tol=0.0, allow_negative_coefficients=not enforce)
+    for model in ("sis", "sirs"):
+        assert outcome(run, model, state, links, params, **kwargs) == \
+            outcome(meanfield_run_reference, model, state, links, params, **kwargs)
 
 
 @settings(max_examples=100)
