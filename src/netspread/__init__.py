@@ -31,24 +31,18 @@ from .ode import (
     OdeParams,
     OdeState,
     integrate,
-    sir_endemic_rhs,
-    sir_epidemic_rhs,
-    sis_rhs,
 )
 from .spectral import (
     SpectralResult,
     SurvivabilityResult,
     SystemMatrix,
-    ThresholdResult,
     adjacency_spectral_radius,
     build_system_matrix,
-    homogeneous_threshold,
     survivability_score,
 )
 from .isolation import (
     CycleSearchResult,
     IsolationReport,
-    evaluate_strategy,
     greedy_edge_removal,
     nn_hamiltonian_cycle,
     prune_to_cycle,

@@ -24,26 +24,21 @@ from .experiments import (
     reproduce_figures,
     run_experiment,
 )
-from .graphs import EdgeListFormatError, Graph, save_edge_list
+from .graphs import Graph, save_edge_list
 from .isolation import (
     greedy_edge_removal,
     nn_hamiltonian_cycle,
     prune_to_cycle,
     rewire_to_lattice,
 )
-from .meanfield import MeanFieldBoundsError, ParamRegimeError
+from .meanfield import MeanFieldBoundsError
 from .ode import IntegrationInstabilityError
-from .spectral import survivability_score
+from .spectral import PowerIterationError, survivability_score
 from .trajectory import _write_csv, _write_text
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    EdgeListFormatError,
-    ParamRegimeError,
-    ValueError,
-    FileNotFoundError,
-)
-_RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError)
+# ConfigError, EdgeListFormatError and ParamRegimeError are ValueErrors.
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
+_RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError, PowerIterationError)
 
 
 def _graph_arguments(parser: argparse.ArgumentParser) -> None:

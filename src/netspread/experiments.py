@@ -45,13 +45,11 @@ __all__ = [
     "SweepResult",
     "run_experiment",
     "reproduce_figures",
-    "FIGURE_BUILDERS",
 ]
 
 ODE_MODELS = {"sir_ode": "sir_epidemic", "sir_endemic_ode": "sir_endemic", "sis_ode": "sis"}
 MEANFIELD_MODELS = {"sis_meanfield": "sis", "sirs_meanfield": "sirs"}
 MC_MODELS = {"sis_mc": "sis", "sirs_mc": "sirs"}
-ALL_MODELS = set(ODE_MODELS) | set(MEANFIELD_MODELS) | set(MC_MODELS)
 
 
 class ConfigError(ValueError):
@@ -82,6 +80,20 @@ _PARAMS = {
     "delta": (_PROB, True), "r": (_PROB, True), "nu": (_PROB, True),
     "chi": (_PROB, True), "p0": (_PROB, True), "w0": (_PROB, True),
     "s0": (_PROB, False), "i0": (_PROB, False),
+}
+# The keys of _PARAMS that each model reads; a params block holds no others.
+# A sis model runs with nu = 1 and chi = 0, and only mean-field runs start
+# from a warned fraction.
+_ODE_KEYS = ("beta", "gamma", "s0", "i0")
+_NETWORK_KEYS = ("beta", "gamma", "delta", "r", "p0")
+_MODEL_PARAMS = {
+    "sir_ode": _ODE_KEYS,
+    "sir_endemic_ode": (*_ODE_KEYS, "mu"),
+    "sis_ode": _ODE_KEYS,
+    "sis_meanfield": (*_NETWORK_KEYS, "w0"),
+    "sirs_meanfield": (*_NETWORK_KEYS, "w0", "nu", "chi"),
+    "sis_mc": _NETWORK_KEYS,
+    "sirs_mc": (*_NETWORK_KEYS, "nu", "chi"),
 }
 # Inclusive range (low, high, wording) of each bounded numeric value, checked
 # as "not low <= value <= high" so that NaN fails as well.  The least positive
@@ -225,21 +237,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, "")
-        if self.model not in ALL_MODELS:
+        if self.model not in _MODEL_PARAMS:
             raise ConfigError("model", f"unknown model {self.model!r}")
         if self.model not in ODE_MODELS and self.graph is None:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
         if not isinstance(self.params, dict):
             raise ConfigError("params", f"must be an object, got {self.params!r}")
+        reads = _MODEL_PARAMS[self.model]
         for key, value in self.params.items():
-            if key not in _PARAMS:
-                raise ConfigError(f"params.{key}", "no model reads this parameter; "
-                                  f"expected one of {sorted(_PARAMS)}")
+            if key not in reads:
+                raise ConfigError(f"params.{key}", f"model {self.model!r} does not read "
+                                  f"this parameter; expected one of {sorted(reads)}")
             _check_value(f"params.{key}", value, "float")
         if self.sweep is not None:
             for name, _ in self.sweep.parameters:
-                if name not in _PARAMS or not _PARAMS[name][1]:
-                    raise ConfigError("sweep.parameters", f"cannot sweep {name!r}")
+                if name not in reads or not _PARAMS[name][1]:
+                    raise ConfigError("sweep.parameters",
+                                      f"model {self.model!r} cannot sweep {name!r}")
             # A swept value is monotone in k, so when the first and the last
             # point lie in a parameter's range, every point does.
             for k in (0, self.sweep.count - 1):
@@ -558,9 +572,6 @@ def _figure_configs() -> dict[str, ExperimentConfig]:
         name: ExperimentConfig.from_dict({"seed": 42, **spec})
         for name, spec in specs.items()
     }
-
-
-FIGURE_BUILDERS = _figure_configs
 
 
 def reproduce_figures(output_dir: str | Path) -> dict[str, SweepResult]:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, gen_lattice4
+from .graphs import Graph, _check_int, gen_lattice4
 from .meanfield import LinkProbs, NodeParams
 from .spectral import adjacency_spectral_radius, survivability_score
 
@@ -27,7 +27,6 @@ __all__ = [
     "prune_to_cycle",
     "rewire_to_lattice",
     "lattice_dimensions",
-    "evaluate_strategy",
 ]
 
 
@@ -133,8 +132,7 @@ def greedy_edge_removal(
     (ties broken toward the lexicographically smallest pair).  Stops early
     if the graph runs out of edges.
     """
-    if k < 0:
-        raise ValueError(f"number of edges to remove must be >= 0, got {k!r}")
+    _check_int("k", k, 0, ">= 0")
     current = g
     removed: list[tuple[int, int]] = []
     lambda1_steps: list[float] = []
@@ -176,7 +174,8 @@ def nn_hamiltonian_cycle(g: Graph, start: int = 0) -> CycleSearchResult:
     (ties broken toward the lowest node id).  Succeeds when all ``n`` nodes
     are visited and an edge leads back to the start.
     """
-    if not (0 <= start < g.n):
+    _check_int("start", start, 0)
+    if start >= g.n:
         raise ValueError(f"start node {start!r} out of range for n={g.n}")
     degrees = g.degrees
     indptr, indices = g.csr
@@ -298,21 +297,3 @@ def rewire_to_lattice(
     report.surplus_nodes = surplus
     return rewired, report
 
-
-def evaluate_strategy(
-    g_before: Graph,
-    g_after: Graph,
-    beta_template: float,
-    params: NodeParams,
-    strategy: str = "custom",
-) -> IsolationReport:
-    """Compare two graphs under the same node parameters.
-
-    Link probabilities are re-instantiated homogeneously on each graph's
-    surviving edges.  Reports dominant eigenvalues, survivability scores,
-    connectivity of the modified graph, and whether the modification crossed
-    the extinction threshold from above.
-    """
-    if g_before.n != g_after.n:
-        raise ValueError("graphs must share the same node set")
-    return _report(strategy, g_before, g_after, beta_template, params)

@@ -10,11 +10,10 @@ Three classic models, each expressed as coupled ODEs over fractions:
   (s + i = 1 is conserved).
 
 Integration uses the classic fixed-step fourth-order Runge-Kutta scheme.
-Each model's right-hand side is one kernel on plain floats; the public
-``*_rhs`` functions wrap it for :class:`OdeState` / :class:`OdeParams`, and
-the RK4 loop calls it directly, so no state object is built per stage.  The
-loop checks each step's bounds with one chained comparison and calls the
-full check only to raise its error.
+Each model's right-hand side is one kernel on plain floats, which the RK4
+loop calls directly, so no state object is built per stage.  The loop checks
+each step's bounds with one chained comparison and calls the full check only
+to raise its error.
 """
 from __future__ import annotations
 
@@ -29,11 +28,7 @@ __all__ = [
     "OdeParams",
     "OdeState",
     "IntegrationInstabilityError",
-    "sir_epidemic_rhs",
-    "sir_endemic_rhs",
-    "sis_rhs",
     "integrate",
-    "ODE_MODELS",
 ]
 
 _BLOWUP_LIMIT = 10.0
@@ -67,15 +62,15 @@ class OdeParams:
 
 @dataclass(frozen=True)
 class OdeState:
-    """Compartment fractions; ``r`` is meaningful for the SIR variants only."""
+    """Susceptible and infected fractions; the SIR variants' recovered
+    fraction is ``1 - s - i``."""
 
     s: float
     i: float
-    r: float = 0.0
 
 
-# Kernels on plain floats; the public ``*_rhs`` functions and the RK4 loop
-# of :func:`integrate` share them, so both evaluate the same expressions.
+# Right-hand sides ``(ds, di)`` on plain floats, called by the RK4 loop of
+# :func:`integrate`.  ``mu`` is read by SIR endemic only.
 
 def _sir_epidemic(s: float, i: float, beta: float, gamma: float,
                   mu: float) -> tuple[float, float]:
@@ -99,34 +94,18 @@ def _sis(s: float, i: float, beta: float, gamma: float,
     return (recoveries - infections, infections - recoveries)
 
 
-def sir_epidemic_rhs(state: OdeState, params: OdeParams) -> tuple[float, float]:
-    """Time derivatives ``(ds, di)``; recovered evolves as 1 - s - i."""
-    return _sir_epidemic(state.s, state.i, params.beta, params.gamma, params.mu)
-
-
-def sir_endemic_rhs(state: OdeState, params: OdeParams) -> tuple[float, float]:
-    """SIR with balanced birth/death rate ``mu``; newborns are susceptible."""
-    return _sir_endemic(state.s, state.i, params.beta, params.gamma, params.mu)
-
-
-def sis_rhs(state: OdeState, params: OdeParams) -> tuple[float, float]:
-    """Recovered individuals return directly to susceptible."""
-    return _sis(state.s, state.i, params.beta, params.gamma, params.mu)
-
-
-ODE_MODELS = {
-    "sir_epidemic": sir_epidemic_rhs,
-    "sir_endemic": sir_endemic_rhs,
-    "sis": sis_rhs,
+# Each model's kernel, and whether it carries an explicit recovered
+# compartment (r = 1 - s - i).
+_MODELS = {
+    "sir_epidemic": (_sir_epidemic, True),
+    "sir_endemic": (_sir_endemic, True),
+    "sis": (_sis, False),
 }
-_KERNELS = {"sir_epidemic": _sir_epidemic, "sir_endemic": _sir_endemic, "sis": _sis}
-
-# Which models carry an explicit recovered compartment (r = 1 - s - i).
-_HAS_RECOVERED = {"sir_epidemic": True, "sir_endemic": True, "sis": False}
 
 
 def _check_state(model: str, s: float, i: float, step: int, t: float, total0: float) -> None:
-    r = (1.0 - s - i) if _HAS_RECOVERED[model] else 0.0
+    recovered = _MODELS[model][1]
+    r = (1.0 - s - i) if recovered else 0.0
     for name, value in (("s", s), ("i", i), ("r", r)):
         if not math.isfinite(value) or abs(value) > _BLOWUP_LIMIT:
             raise IntegrationInstabilityError(
@@ -141,7 +120,7 @@ def _check_state(model: str, s: float, i: float, step: int, t: float, total0: fl
                 step=step,
                 t=t,
             )
-    if not _HAS_RECOVERED[model]:
+    if not recovered:
         drift = abs((s + i) - total0)
         if drift > _CONSERVATION_TOL * (1.0 + t):
             raise IntegrationInstabilityError(
@@ -166,18 +145,17 @@ def integrate(
     (tolerance 1e-9), any value exceeds 10 in magnitude, or (for SIS) the
     ``s + i`` conservation identity drifts beyond 1e-12 per unit time.
     """
-    if model not in ODE_MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {sorted(ODE_MODELS)}")
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {sorted(_MODELS)}")
     if dt <= 0 or t_end <= 0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
-    rhs = _KERNELS[model]
+    rhs, recovered = _MODELS[model]
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end={t_end!r} is shorter than one step of dt={dt!r}")
 
     s, i = float(state0.s), float(state0.i)
     total0 = s + i
-    recovered = _HAS_RECOVERED[model]
     if not recovered and abs(total0 - 1.0) > 1e-9:
         raise ValueError(f"SIS requires s + i = 1, got {total0!r}")
 

@@ -12,11 +12,15 @@ score has the closed form ``(1 - delta) + r * beta * gamma / (gamma + delta)
 * lambda_1(adjacency)``.
 
 Eigenvalues are estimated by power iteration with a deterministic start
-vector (normalised all-ones).  Extinction decisions always iterate on ``S``
-itself: its positive diagonal breaks the ``+/- lambda`` eigenvalue pairs that
-stall power iteration on bipartite adjacency structure.  The helper for raw
-adjacency spectral radii applies the same cure by iterating on ``A + I`` and
-shifting the estimate back.
+vector (normalised all-ones), to the tolerance ``TOL`` within ``MAX_ITER``
+iterations.  Extinction decisions always iterate on ``S`` itself.  Its
+diagonal ``1 - delta_i`` is positive only when ``delta_i < 1``; a positive
+diagonal breaks the ``+/- lambda`` eigenvalue pairs that stall power
+iteration on bipartite adjacency structure.  With ``delta = 1`` at every
+node the diagonal is 0, and on a bipartite graph that is not regular (a
+star, say) the iteration stalls and raises :class:`PowerIterationError`.
+The helper for raw adjacency spectral radii iterates on ``A + I`` and shifts
+the estimate back, so it cannot stall this way.
 
 A :class:`SystemMatrix` is prepared once per solve: its off-diagonal entries
 are the mean-field update's ``r_j * beta_ji`` (``meanfield._transmission``,
@@ -48,16 +52,18 @@ __all__ = [
     "SystemMatrix",
     "SpectralResult",
     "SurvivabilityResult",
-    "ThresholdResult",
     "PowerIterationError",
     "build_system_matrix",
     "power_iteration",
     "adjacency_spectral_radius",
     "survivability_score",
-    "homogeneous_threshold",
 ]
 
 CRITICAL_BAND = 1e-3
+# Power iteration stops once successive eigenvalue estimates and the residual
+# both fall below TOL, and raises after MAX_ITER iterations.
+TOL = 1e-10
+MAX_ITER = 100_000
 
 
 class PowerIterationError(RuntimeError):
@@ -104,22 +110,6 @@ class SurvivabilityResult:
         if self.critical:
             return "critical"
         return "true" if self.fast_extinction else "false"
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Closed-form homogeneous threshold, in both published variants.
-
-    ``value`` is the printed form ``gamma / (delta * (gamma + delta)) *
-    lambda1``; ``rate_scaled_value`` additionally multiplies by ``r * beta``.
-    Neither is silently corrected; ``fast_extinction`` follows the printed
-    form's comparison with 1.
-    """
-
-    value: float
-    fast_extinction: bool
-    rate_scaled_value: float
-    rate_scaled_fast_extinction: bool
 
 
 @dataclass(frozen=True)
@@ -177,18 +167,13 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
     return SystemMatrix(n=g.n, diag=1.0 - params.delta, rows=rows, data=data)
 
 
-def power_iteration(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> SpectralResult:
+def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> SpectralResult:
     """Dominant-eigenpair estimate for the linear map ``matvec`` on R^n.
 
     Starts from the normalised all-ones vector.  Convergence requires both
-    successive Rayleigh estimates to differ by less than ``tol`` and the
-    residual ``||M v - lambda v||`` to fall below ``tol``; non-convergence
-    raises :class:`PowerIterationError` carrying the last residual.
+    successive Rayleigh estimates to differ by less than ``TOL`` and the
+    residual ``||M v - lambda v||`` to fall below ``TOL``; non-convergence
+    within ``MAX_ITER`` iterations raises :class:`PowerIterationError` carrying the last residual.
 
     ``matvec`` is passed one buffer on every call, overwritten with the next
     iterate in between, so it must not keep a reference to its argument (a
@@ -205,7 +190,7 @@ def power_iteration(
     w = matvec(v)
     lam = float(v @ w)
     residual = _residual(w, lam, v, scratch)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             # v is in the kernel: the dominant eigenvalue along the reachable
@@ -215,7 +200,7 @@ def power_iteration(
         w = matvec(v)
         lam_next = float(v @ w)
         residual = _residual(w, lam_next, v, scratch)
-        if abs(lam_next - lam) < tol and residual < tol:
+        if abs(lam_next - lam) < TOL and residual < TOL:
             peak = np.argmax(np.abs(v))
             if v[peak] < 0:
                 v = -v
@@ -224,9 +209,9 @@ def power_iteration(
             )
         lam = lam_next
     raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last residual {residual:.3e}, tol {tol:.3e})",
-        iterations=max_iter,
+        f"power iteration did not converge in {MAX_ITER} iterations "
+        f"(last residual {residual:.3e}, tol {TOL:.3e})",
+        iterations=MAX_ITER,
         residual=residual,
     )
 
@@ -263,14 +248,11 @@ def adjacency_spectral_radius(g: Graph) -> SpectralResult:
 
 
 def survivability_score(
-    g: Graph,
-    links: LinkProbs,
-    params: NodeParams,
-    critical_band: float = CRITICAL_BAND,
+    g: Graph, links: LinkProbs, params: NodeParams
 ) -> SurvivabilityResult:
     """Survivability score ``s = |lambda_1(S)|`` with its classification.
 
-    ``fast_extinction`` is ``s < 1``; scores within ``critical_band`` of 1
+    ``fast_extinction`` is ``s < 1``; scores within ``CRITICAL_BAND`` of 1
     are additionally flagged critical (indeterminate in practice).
     """
     res = _solve(build_system_matrix(g, links, params))
@@ -278,30 +260,8 @@ def survivability_score(
     return SurvivabilityResult(
         score=score,
         fast_extinction=score < 1.0,
-        critical=abs(score - 1.0) <= critical_band,
+        critical=abs(score - 1.0) <= CRITICAL_BAND,
         residual=res.residual,
         vector=res.vector,
     )
 
-
-def homogeneous_threshold(
-    delta: float, gamma: float, r: float, beta: float, lambda1: float
-) -> ThresholdResult:
-    """Homogeneous closed-form threshold, published form and scaled variant.
-
-    The printed form is ``gamma / (delta * (gamma + delta)) * lambda1``; the
-    variant multiplies in the transmission rates, ``r * beta * gamma /
-    (delta * (gamma + delta)) * lambda1``.  Both are reported as-is.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if gamma < 0 or r < 0 or beta < 0 or lambda1 < 0:
-        raise ValueError("gamma, r, beta and lambda1 must be non-negative")
-    base = gamma / (delta * (gamma + delta)) * lambda1
-    scaled = r * beta * base
-    return ThresholdResult(
-        value=base,
-        fast_extinction=base < 1.0,
-        rate_scaled_value=scaled,
-        rate_scaled_fast_extinction=scaled < 1.0,
-    )

@@ -22,7 +22,7 @@ from netspread.meanfield import (
     validate_warning_params,
 )
 from netspread.montecarlo import DEAD, HAS_INFO, NO_INFO, WARNED
-from netspread.ode import _HAS_RECOVERED, OdeState, _check_state
+from netspread.ode import _MODELS, OdeState, _check_state
 from netspread.trajectory import Trajectory
 
 
@@ -378,7 +378,8 @@ def integrate_reference(model, state0, params, dt=0.01, t_end=100.0):
 
     s, i = float(state0.s), float(state0.i)
     total0 = s + i
-    if not _HAS_RECOVERED[model] and abs(total0 - 1.0) > 1e-9:
+    recovered = _MODELS[model][1]
+    if not recovered and abs(total0 - 1.0) > 1e-9:
         raise ValueError(f"SIS requires s + i = 1, got {total0!r}")
 
     s_out = np.empty(n_steps + 1)
@@ -400,7 +401,7 @@ def integrate_reference(model, state0, params, dt=0.01, t_end=100.0):
         i_out[k] = i
 
     times = np.arange(n_steps + 1) * dt
-    if _HAS_RECOVERED[model]:
+    if recovered:
         r_out = 1.0 - s_out - i_out
     else:
         r_out = np.zeros_like(s_out)

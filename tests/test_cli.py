@@ -226,6 +226,22 @@ class TestSpectral:
         # vertex-transitive graph: dominant eigenvector is uniform
         assert max(values) - min(values) < 1e-8
 
+    @pytest.mark.parametrize("command", [
+        "spectral",
+        "isolate --strategy greedy --output-graph {tmp}/out.edges "
+        "--output-report {tmp}/report.json",
+    ], ids=["spectral", "isolate_greedy"])
+    def test_stalled_power_iteration_is_a_runtime_error(self, tmp_path, command):
+        # delta = 1 zeroes the diagonal of S; on a star (bipartite, not
+        # regular) the +/- lambda pair stalls power iteration.
+        star = tmp_path / "star.edges"
+        star.write_text("4\n0 1\n0 2\n0 3\n")
+        proc = run_cli(*command.format(tmp=tmp_path).split(), "--graph", str(star), "--beta", "0.3",
+                       "--delta", "1.0", "--gamma", "0.5")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert stderr_error(proc)["type"] == "PowerIterationError"
+
     def test_missing_edge_list_file(self):
         proc = run_cli("spectral", "--graph", "/nonexistent/g.edges",
                        "--beta", "0.4", "--delta", "0.65", "--gamma", "0.3")
@@ -342,8 +358,8 @@ class TestSweepAndFigures:
         ({"model": ["sis_meanfield"]}, "model"),
         ({"params": {"beta": float("nan"), "gamma": 0.1, "delta": 0.3}}, "params.beta"),
         ({"params": {"beta": 0.2, "gamma": float("inf"), "delta": 0.3}}, "params.gamma"),
-        ({"params": {"beta": 0.2, "gamma": 0.1, "delta": 0.3, "mu": float("nan")}},
-         "params.mu"),
+        ({"model": "sir_endemic_ode", "params": {"beta": 0.2, "gamma": 0.1,
+                                                  "mu": float("nan")}}, "params.mu"),
     ], ids=["null", "list", "no_base", "word", "numeric_string", "bool_string",
             "seed_string", "model_list", "nan_beta", "infinite_gamma", "nan_mu"])
     def test_malformed_config_value_names_field(self, tmp_path, change, field):

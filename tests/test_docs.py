@@ -1,5 +1,6 @@
 """The README's Python quick start runs as written and prints what it says,
-and every module's ``__all__`` names only what the module defines."""
+and every module's ``__all__`` names only what the module defines and what
+something outside the tests uses."""
 import contextlib
 import importlib
 import io
@@ -11,7 +12,8 @@ import pytest
 
 import netspread
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(netspread.__path__)
                  if m.name != "__main__")
 assert "meanfield" in MODULES
@@ -54,3 +56,26 @@ def test_star_import_and_all_agree(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
     assert set(getattr(module, "__all__", ())) <= set(namespace)
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # A use is a whole-word match in the package, the scripts, the benchmark
+    # or the README, other than the name's own def, class or assignment line,
+    # an ``__all__`` entry or a re-export in ``__init__.py``.
+    files = [p for p in sorted((ROOT / "src" / "netspread").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += [*sorted((ROOT / "scripts").glob("*.py")),
+              *sorted((ROOT / "benchmarks").glob("*.py")), README]
+    lines = []
+    for path in files:
+        text = re.sub(r"^__all__ = \[.*?\]$", "", path.read_text(encoding="utf-8"),
+                      flags=re.S | re.M)
+        lines += text.splitlines()
+    unused = []
+    for name in MODULES:
+        for public in getattr(importlib.import_module(f"netspread.{name}"), "__all__", ()):
+            word = re.compile(rf"\b{public}\b")
+            own = re.compile(rf"^\s*(def|class)\s+{public}\b|^\s*{public}\s*(:[^=]*)?=")
+            if not any(word.search(line) and not own.search(line) for line in lines):
+                unused.append(f"{name}.{public}")
+    assert unused == []

@@ -1,18 +1,22 @@
 """Config parsing, sweep execution, manifests, bundled figure set."""
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from netspread.experiments import (
-    FIGURE_BUILDERS,
     ConfigError,
     ExperimentConfig,
     GraphSpec,
     SweepSpec,
+    _figure_configs,
+    _point_inputs,
+    _run_model,
     reproduce_figures,
     run_experiment,
 )
+from netspread.graphs import gen_powerlaw
 
 
 def meanfield_config(**overrides) -> dict:
@@ -80,9 +84,48 @@ class TestConfigParsing:
     def test_params_no_model_reads_are_rejected(self, key):
         bad = meanfield_config()
         bad["params"][key] = 0.5
-        with pytest.raises(ConfigError, match="no model reads") as exc:
+        with pytest.raises(ConfigError, match="does not read") as exc:
             ExperimentConfig.from_dict(bad)
         assert exc.value.field == f"params.{key}"
+
+    # The params keys each model reads, and so takes.
+    MODEL_KEYS = {
+        "sir_ode": "beta gamma s0 i0",
+        "sis_ode": "beta gamma s0 i0",
+        "sir_endemic_ode": "beta gamma s0 i0 mu",
+        "sis_meanfield": "beta gamma delta r p0 w0",
+        "sirs_meanfield": "beta gamma delta r p0 w0 nu chi",
+        "sis_mc": "beta gamma delta r p0",
+        "sirs_mc": "beta gamma delta r p0 nu chi",
+    }
+
+    @staticmethod
+    def model_config(model, keys) -> dict:
+        cfg = {"model": model, "params": {key: 0.1 for key in keys}}
+        if not model.endswith("_ode"):
+            cfg["graph"] = {"family": "binomial", "n": 30, "p": 0.2}
+        return cfg
+
+    @pytest.mark.parametrize("model", sorted(MODEL_KEYS))
+    def test_each_model_takes_the_keys_it_reads(self, model):
+        keys = self.MODEL_KEYS[model].split()
+        cfg = ExperimentConfig.from_dict(self.model_config(model, keys))
+        assert sorted(cfg.params) == sorted(keys)
+
+    @pytest.mark.parametrize("model,key", [
+        ("sis_meanfield", "i0"), ("sis_meanfield", "mu"), ("sis_meanfield", "nu"),
+        ("sirs_mc", "w0"), ("sir_ode", "delta"), ("sir_ode", "mu"),
+    ])
+    def test_keys_the_model_does_not_read_are_rejected(self, model, key):
+        keys = self.MODEL_KEYS[model].split()
+        with pytest.raises(ConfigError, match="does not read") as exc:
+            ExperimentConfig.from_dict(self.model_config(model, [*keys, key]))
+        assert exc.value.field == f"params.{key}"
+        swept = {**self.model_config(model, keys),
+                 "sweep": {"parameter": key, "base": 0.1, "increment": 0.1, "count": 2}}
+        with pytest.raises(ConfigError, match="cannot sweep") as exc:
+            ExperimentConfig.from_dict(swept)
+        assert exc.value.field == "sweep.parameters"
 
     def test_unsweepable_name_rejected(self):
         bad = meanfield_config()
@@ -271,8 +314,8 @@ class TestFigures:
     ]
 
     def test_bundled_config_names(self):
-        assert sorted(FIGURE_BUILDERS()) == sorted(self.FIGURES)
-        for cfg in FIGURE_BUILDERS().values():
+        assert sorted(_figure_configs()) == sorted(self.FIGURES)
+        for cfg in _figure_configs().values():
             assert cfg.seed == 42
 
     def test_every_figure_gets_a_directory(self, figure_run):
@@ -384,7 +427,7 @@ class TestConfigFieldTypes:
     }
 
     def test_figure_config_hashes_are_pinned(self):
-        hashes = {name: cfg.config_hash() for name, cfg in FIGURE_BUILDERS().items()}
+        hashes = {name: cfg.config_hash() for name, cfg in _figure_configs().items()}
         assert hashes == self.FIGURE_HASHES
 
     @pytest.mark.parametrize("run,field", [
@@ -447,7 +490,7 @@ class TestConfigFieldTypes:
 
     def test_every_bundled_figure_config_loads(self):
         """The sweep range check accepts every bundled config as it stands."""
-        configs = FIGURE_BUILDERS()
+        configs = _figure_configs()
         assert len(configs) == 8
         for cfg in configs.values():
             if cfg.sweep is not None:
@@ -478,27 +521,27 @@ class TestConfigFieldTypes:
         assert exc.value.field == field
 
 
-def test_sis_mc_runs_without_warning_whatever_params_say(tmp_path):
+def test_sis_mc_runs_without_warning_whatever_params_say():
     # As sis_meanfield does, sis_mc runs with nu = 1 and chi = 0; sirs_mc
-    # takes nu and chi from params.
-    def point_csv(model, name, **acceptance):
-        cfg = ExperimentConfig.from_dict({
-            "model": model,
-            "params": {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0,
-                       "p0": 0.1, **acceptance},
-            "run": {"steps": 30, "runs": 4},
-            "graph": {"family": "powerlaw", "n": 300, "m": 2, "seed": 1},
-            "seed": 7,
-        })
-        run_experiment(cfg, tmp_path / name)
-        return (tmp_path / name / "point_000.csv").read_text()
+    # takes nu and chi from params.  A sis_mc config may not name nu or chi,
+    # so the point runner is called with them directly.
+    graph = gen_powerlaw(300, 2, 1)
 
-    warned = point_csv("sis_mc", "warned", nu=0.5, chi=0.3)
-    assert warned == point_csv("sis_mc", "plain", nu=1.0, chi=0.0)
+    def point_csv(model, **acceptance):
+        params = {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0, "p0": 0.1,
+                  **acceptance}
+        ensemble = _run_model(model, params, _point_inputs(graph, params),
+                              steps=30, runs=4, seed=7)
+        buf = io.StringIO()
+        ensemble.write_csv(buf)
+        return buf.getvalue()
+
+    warned = point_csv("sis_mc", nu=0.5, chi=0.3)
+    assert warned == point_csv("sis_mc", nu=1.0, chi=0.0)
     rows = [line.split(",") for line in warned.splitlines()]
     column = rows[0].index("frac_warned_mean")
     assert all(float(row[column]) == 0.0 for row in rows[1:])
-    assert point_csv("sirs_mc", "sirs", nu=0.5, chi=0.3) != warned
+    assert point_csv("sirs_mc", nu=0.5, chi=0.3) != warned
 
 
 def test_mc_points_start_from_p0(tmp_path):

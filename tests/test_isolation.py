@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
 from netspread.isolation import (
-    evaluate_strategy,
+    _report,
     greedy_edge_removal,
     lattice_dimensions,
     nn_hamiltonian_cycle,
@@ -226,18 +226,30 @@ class TestRewireToLattice:
         assert rep.strategy == "lattice"
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda g: greedy_edge_removal(g, True), "k"),
+    (lambda g: greedy_edge_removal(g, 2.0), "k"),
+    (lambda g: nn_hamiltonian_cycle(g, start=0.0), "start"),
+    (lambda g: nn_hamiltonian_cycle(g, start=True), "start"),
+], ids=["k_bool", "k_float", "start_float", "start_bool"])
+def test_non_integer_arguments_are_rejected(call, name):
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(g)
+
+
 # ---------------------------------------------------------------------------
 # Strategy comparison report
 # ---------------------------------------------------------------------------
 
-class TestEvaluateStrategy:
+class TestReport:
     def test_ring_overlay_report(self):
         base = gen_powerlaw(500, 2, 42)
         ring_edges = [(i, (i + 1) % 500) for i in range(500)]
         before = Graph.from_edges(500, list(base.edges) + ring_edges)
         after = Graph.from_edges(500, ring_edges)
         params = NodeParams.homogeneous(500, **PARAMS)
-        rep = evaluate_strategy(before, after, BETA, params, strategy="ring")
+        rep = _report("ring", before, after, BETA, params)
         assert before.num_edges == 1489
         assert rep.edges_removed == 989
         assert rep.edges_added == []
@@ -251,7 +263,7 @@ class TestEvaluateStrategy:
         before = Graph.from_edges(4, [(0, 1), (1, 2)])
         after = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         params = NodeParams.homogeneous(4, **PARAMS)
-        rep = evaluate_strategy(before, after, BETA, params)
+        rep = _report("custom", before, after, BETA, params)
         assert rep.edges_removed == 0
         assert rep.edges_added == [(2, 3)]
 

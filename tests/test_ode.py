@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netspread.ode import (
+    _MODELS,
     IntegrationInstabilityError,
-    ODE_MODELS,
     OdeParams,
     OdeState,
+    _sir_endemic,
+    _sir_epidemic,
+    _sis,
     integrate,
-    sir_endemic_rhs,
-    sir_epidemic_rhs,
-    sis_rhs,
 )
 from netspread.trajectory import Trajectory
 
@@ -32,25 +32,25 @@ def count_interior_maxima(values: np.ndarray) -> int:
 
 class TestRhs:
     def test_epidemic_hand_values(self):
-        ds, di = sir_epidemic_rhs(OdeState(s=0.9, i=0.1), OdeParams(beta=0.8, gamma=0.1))
+        ds, di = _sir_epidemic(s=0.9, i=0.1, beta=0.8, gamma=0.1, mu=0.0)
         assert ds == pytest.approx(-0.072, abs=1e-12)
         assert di == pytest.approx(0.062, abs=1e-12)
 
     def test_recovery_model_hand_values(self):
-        ds, di = sis_rhs(OdeState(s=0.5, i=0.5), OdeParams(beta=1.0, gamma=0.1))
+        ds, di = _sis(s=0.5, i=0.5, beta=1.0, gamma=0.1, mu=0.0)
         assert ds == pytest.approx(-0.2, abs=1e-15)
         assert di == pytest.approx(0.2, abs=1e-15)
 
     def test_recovery_model_is_exactly_antisymmetric(self):
-        ds, di = sis_rhs(OdeState(s=0.37, i=0.63), OdeParams(beta=1.7, gamma=0.23))
+        ds, di = _sis(s=0.37, i=0.63, beta=1.7, gamma=0.23, mu=0.0)
         assert ds == -di  # bitwise, by construction
 
     def test_endemic_reduces_to_epidemic_at_mu_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             s, i = rng.random(), rng.random()
-            p = OdeParams(beta=2 * rng.random(), gamma=rng.random())
-            assert sir_endemic_rhs(OdeState(s, i), p) == sir_epidemic_rhs(OdeState(s, i), p)
+            beta, gamma = 2 * rng.random(), rng.random()
+            assert _sir_endemic(s, i, beta, gamma, 0.0) == _sir_epidemic(s, i, beta, gamma, 0.0)
 
     def test_endemic_equilibrium_residual(self):
         # Closed-form equilibrium: s* = (gamma + mu) / beta,
@@ -58,7 +58,7 @@ class TestRhs:
         for beta, gamma, mu in ((0.8, 0.1, 0.05), (1.5, 0.3, 0.1), (2.0, 0.05, 0.2)):
             s_star = (gamma + mu) / beta
             i_star = mu * (beta - gamma - mu) / (beta * (gamma + mu))
-            ds, di = sir_endemic_rhs(OdeState(s_star, i_star), OdeParams(beta, gamma, mu))
+            ds, di = _sir_endemic(s_star, i_star, beta, gamma, mu)
             assert abs(ds) < 1e-12 and abs(di) < 1e-12
 
     def test_params_validation(self):
@@ -142,7 +142,7 @@ class TestIntegrate:
         assert traj.columns["i"][-1] == pytest.approx(i_star, abs=1e-10)
 
     def test_zero_infection_stays_zero(self):
-        for model in ODE_MODELS:
+        for model in _MODELS:
             traj = integrate(model, OdeState(s=1.0, i=0.0),
                              OdeParams(beta=0.9, gamma=0.2, mu=0.01), t_end=5.0)
             assert np.all(traj.columns["i"] == 0.0)

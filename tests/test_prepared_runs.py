@@ -15,7 +15,7 @@ from netspread.meanfield import (
     _Update,
     run,
 )
-from netspread.ode import ODE_MODELS, OdeParams, OdeState, integrate
+from netspread.ode import _MODELS, OdeParams, OdeState, integrate
 from netspread.trajectory import Trajectory
 
 from oracles import (
@@ -195,7 +195,7 @@ def test_single_steps_and_zeta_match_reference(seed, kind, start, enforce):
 
 @settings(max_examples=100)
 @given(
-    model=st.sampled_from(sorted(ODE_MODELS)),
+    model=st.sampled_from(sorted(_MODELS)),
     beta=st.one_of(st.floats(0.0, 5.0), st.sampled_from((40.0, 1e200))),
     gamma=st.floats(0.0, 5.0),
     mu=st.floats(0.0, 2.0),
@@ -215,7 +215,7 @@ def test_integrate_matches_reference(model, beta, gamma, mu, i0, s0, dt, t_end):
         outcome(integrate_reference, *args, **kwargs)
 
 
-@pytest.mark.parametrize("model", sorted(ODE_MODELS))
+@pytest.mark.parametrize("model", sorted(_MODELS))
 def test_integrate_blow_up_matches_reference(model):
     # beta * dt far beyond RK4's stability region: the run leaves [0, 1].
     args = (model, OdeState(s=0.9, i=0.1), OdeParams(beta=40.0, gamma=0.1, mu=0.5))
@@ -226,8 +226,8 @@ def test_integrate_blow_up_matches_reference(model):
 
 @given(s=st.floats(-2.0, 2.0), i=st.floats(-2.0, 2.0), beta=st.floats(0.0, 5.0),
        gamma=st.floats(0.0, 5.0), mu=st.floats(0.0, 2.0))
-def test_public_rhs_matches_reference(s, i, beta, gamma, mu):
+def test_kernels_match_reference(s, i, beta, gamma, mu):
     state, params = OdeState(s=s, i=i), OdeParams(beta=beta, gamma=gamma, mu=mu)
-    for model, rhs in ODE_MODELS.items():
-        got = np.array(rhs(state, params))
+    for model, (kernel, _) in _MODELS.items():
+        got = np.array(kernel(s, i, beta, gamma, mu))
         assert got.tobytes() == np.array(_ODE_RHS_REFERENCE[model](state, params)).tobytes()

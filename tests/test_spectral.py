@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
 from netspread.meanfield import LinkProbs, MfState, NodeParams, run
+from netspread import spectral
 from netspread.spectral import (
     CRITICAL_BAND,
+    MAX_ITER,
+    TOL,
     PowerIterationError,
     adjacency_spectral_radius,
     build_system_matrix,
-    homogeneous_threshold,
     power_iteration,
     survivability_score,
 )
@@ -86,11 +88,17 @@ class TestPowerIteration:
         assert not np.array_equal(copies[0], copies[-1])
         np.testing.assert_array_equal(copies[0], np.full(2, 1.0 / np.sqrt(2.0)))
 
-    def test_nonconvergent_rotation_raises(self):
-        # Eigenvalues are +/-2: the iterate oscillates forever.
+    def test_tolerance_and_budget_are_constants(self):
+        assert TOL == 1e-10
+        assert MAX_ITER == 100_000
+
+    def test_nonconvergent_rotation_raises(self, monkeypatch):
+        # Eigenvalues are +/-2: the iterate oscillates forever.  The budget is
+        # read at call time; a smaller one keeps the test fast.
+        monkeypatch.setattr(spectral, "MAX_ITER", 2000)
         m = np.array([[0.0, 4.0], [1.0, 0.0]])
         with pytest.raises(PowerIterationError) as exc:
-            power_iteration(lambda v: m @ v, 2, max_iter=2000)
+            power_iteration(lambda v: m @ v, 2)
         assert exc.value.iterations == 2000
         assert exc.value.residual == pytest.approx(1.5, abs=1e-12)
         assert "did not converge" in str(exc.value)
@@ -237,16 +245,6 @@ class TestSurvivability:
         assert res.status == "critical"
         assert CRITICAL_BAND == 1e-3
 
-    def test_critical_band_is_configurable(self):
-        # Score 0.8553 sits outside the default band but inside a wide one.
-        g = gen_lattice4(25, 40)
-        params = NodeParams.homogeneous(1000, **self.LATTICE_PARAMS)
-        links = LinkProbs.homogeneous(g, self.BETA)
-        assert survivability_score(g, links, params).critical is False
-        wide = survivability_score(g, links, params, critical_band=0.2)
-        assert wide.critical is True
-        assert wide.status == "critical"
-
     def test_heterogeneous_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         for seed in range(5):
@@ -270,39 +268,6 @@ class TestSurvivability:
             for r in (0.2, 0.5, 0.9)
         ]
         assert scores[0] < scores[1] < scores[2]
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous threshold report
-# ---------------------------------------------------------------------------
-
-class TestHomogeneousThreshold:
-    def test_rate_free_and_rate_scaled_forms(self):
-        t = homogeneous_threshold(delta=0.4, gamma=0.1, r=1.0, beta=0.1,
-                                  lambda1=10.0)
-        # gamma / (delta * (gamma + delta)) * lambda1
-        assert t.value == pytest.approx(0.1 / (0.4 * 0.5) * 10.0, abs=1e-12)
-        assert t.value == pytest.approx(5.0, abs=1e-12)
-        assert t.fast_extinction is False          # 5.0 >= 1
-        assert t.rate_scaled_value == pytest.approx(0.5, abs=1e-12)
-        assert t.rate_scaled_fast_extinction is True
-
-    def test_agrees_with_survivability_flip(self):
-        # Rate-scaled form < 1 exactly when the survivability score < 1.
-        t = homogeneous_threshold(delta=0.65, gamma=0.3, r=1.0, beta=0.4,
-                                  lambda1=4.0)
-        assert t.value == pytest.approx(1.9433198380566803, abs=1e-12)
-        assert t.fast_extinction is False
-        assert t.rate_scaled_value == pytest.approx(0.7773279352226722, abs=1e-12)
-        assert t.rate_scaled_fast_extinction is True
-        score = (1 - 0.65) + 1.0 * 0.4 * (0.3 / 0.95) * 4.0
-        assert (score < 1) == t.rate_scaled_fast_extinction
-
-    def test_boundary_is_not_fast_extinction(self):
-        t = homogeneous_threshold(delta=0.2, gamma=0.1, r=1.0, beta=0.1,
-                                  lambda1=6.0)
-        assert t.rate_scaled_value == pytest.approx(1.0, abs=1e-15)
-        assert t.rate_scaled_fast_extinction is False
 
 
 # ---------------------------------------------------------------------------
