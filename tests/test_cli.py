@@ -236,8 +236,8 @@ class TestSpectral:
         # regular) the +/- lambda pair stalls power iteration.
         star = tmp_path / "star.edges"
         star.write_text("4\n0 1\n0 2\n0 3\n")
-        proc = run_cli(*command.format(tmp=tmp_path).split(), "--graph", str(star), "--beta", "0.3",
-                       "--delta", "1.0", "--gamma", "0.5")
+        proc = run_cli(*command.format(tmp=tmp_path).split(), "--graph", str(star),
+                       "--beta", "0.3", "--delta", "1.0", "--gamma", "0.5")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert stderr_error(proc)["type"] == "PowerIterationError"
