@@ -19,6 +19,8 @@ from .experiments import (
     ExperimentConfig,
     GraphSpec,
     _FAMILIES,
+    _MODEL_PARAMS,
+    _PARAMS,
     _point_inputs,
     _run_model,
     reproduce_figures,
@@ -62,10 +64,20 @@ def _graph(args: argparse.Namespace) -> Graph:
     ).build(args.seed)
 
 
-def _params(args: argparse.Namespace) -> dict:
+def _params(args: argparse.Namespace, model: str | None = None) -> dict:
     """The parsed arguments as a sweep point's flat params; an option left
-    unset (None) is left out, so the point's default applies."""
-    return {k: v for k, v in vars(args).items() if v is not None}
+    unset (None) is left out, so the point's default applies.  With the
+    sweep ``model``, an option of a parameter that model does not read is a
+    :class:`ConfigError` naming the option, as the key is in a config."""
+    params = {k: v for k, v in vars(args).items() if v is not None}
+    if model is not None:
+        reads = _MODEL_PARAMS[model]
+        for key in _PARAMS:
+            if key in params and key not in reads:
+                options = ", ".join(f"--{k}" for k in sorted(reads))
+                raise ConfigError(f"--{key}", f"model {args.model!r} does not read this "
+                                  f"option; it reads {options}")
+    return params
 
 
 def _sweep_model(table: dict[str, str], name: str) -> str:
@@ -81,9 +93,11 @@ def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, required=True)
     parser.add_argument("--gamma", type=float, required=True)
     parser.add_argument("--delta", type=float, required=True)
-    parser.add_argument("--r", type=float, default=1.0)
-    parser.add_argument("--nu", type=float, default=1.0)
-    parser.add_argument("--chi", type=float, default=0.0)
+    # Unset by default, so that a model can reject what it does not read;
+    # the point's defaults are r = 1, nu = 1 and chi = 0.
+    parser.add_argument("--r", type=float)
+    parser.add_argument("--nu", type=float)
+    parser.add_argument("--chi", type=float)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -96,8 +110,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ode(args: argparse.Namespace) -> int:
-    traj = _run_model(_sweep_model(ODE_MODELS, args.model), _params(args), None,
-                      dt=args.dt, t_end=args.t_end)
+    model = _sweep_model(ODE_MODELS, args.model)
+    traj = _run_model(model, _params(args, model), None, dt=args.dt, t_end=args.t_end)
     traj.write_csv(args.output)
     last = len(traj) - 1
     print(
@@ -109,10 +123,10 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    params = _params(args)
+    model = _sweep_model(MEANFIELD_MODELS, args.model)
+    params = _params(args, model)
     result = _run_model(
-        _sweep_model(MEANFIELD_MODELS, args.model), params,
-        _point_inputs(_graph(args), params), steps=args.steps, tol=args.tol,
+        model, params, _point_inputs(_graph(args), params), steps=args.steps, tol=args.tol,
         allow_negative_coefficients=args.allow_negative_coefficients,
     )
     result.trajectory.write_csv(args.output)
@@ -221,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=list(ODE_MODELS.values()), required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--mu", type=float, default=0.0)
+    p.add_argument("--mu", type=float, help="birth/death rate (sir_endemic; default 0)")
     p.add_argument("--s0", type=float, default=None)
     p.add_argument("--i0", type=float, default=0.01)
     p.add_argument("--dt", type=float, default=0.01)

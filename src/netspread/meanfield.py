@@ -24,16 +24,19 @@ reporting-only mode that records violations instead of raising.
 
 :func:`run` is the one entry point.  It prepares the update once per run:
 a :class:`~netspread.rowops.RowOperator` on the graph's cached
-degree-bucketed layout, the products ``r_j * beta_ji`` in that layout (from
-:func:`_transmission`, which the linearised system matrix of
-:mod:`netspread.spectral` is built from too) and the per-node coefficients
-are computed before the first step.  Each step gathers ``p`` into the
-operator's buffer once, takes the row products of ``zeta`` with the operator
-and keeps ``p``, ``q``, ``w`` and the dead fraction in one ``(4, n)`` array.
-A run steps between two such arrays and keeps ``zeta`` and the step's
-temporaries in buffers of the prepared update.  The prepared run gives the
-same bits as stepping one state at a time with a plain product over each
-CSR row.
+degree-bucketed layout, weighted by the products ``r_j * beta_ji`` in that
+layout (from :func:`_transmission`, which the linearised system matrix of
+:mod:`netspread.spectral` is built from too), and the per-node coefficients
+are computed before the first step.  Each step takes ``zeta`` with the
+operator: when each ``r_j * beta_ji`` depends only on the source ``j``, as
+for homogeneous ``beta``, it computes ``1 - r_j * beta_ji * p_j`` on ``n``
+values and gathers them; otherwise it gathers ``p`` and computes the factors
+per CSR entry.  A state keeps ``p``, ``q``, ``w`` and the dead fraction in
+one ``(4, n)`` array; a run steps between two such arrays and keeps
+``zeta`` and the step's temporaries in buffers of the prepared update.  A
+``"sis"`` run from ``w = +0.0`` keeps ``w`` at +0.0, so its steps skip the
+``w`` row and the terms it feeds.  The prepared run gives the same bits as
+stepping one state at a time with a plain product over each CSR row.
 """
 from __future__ import annotations
 
@@ -260,21 +263,33 @@ class _Update:
     table and parameter set.
 
     What does not change between steps is computed here, once: the row
-    operator and the products ``r_j * beta_ji`` of :func:`_transmission`, and
-    the coefficients ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A
-    state is a ``(4, n)`` array of rows ``p``, ``q``, ``w`` and
-    ``dead = 1 - p - q - w``, so ``dead`` is computed once per state.  The
-    update owns the buffers a step writes besides the next state: ``zeta``,
-    ``1 - zeta`` and two temporaries, one of which also holds the
-    ``p + q + w`` of :meth:`in_bounds`.  A step computes what the lines of
-    the module docstring compute with fresh arrays, operation for operation
-    and operand for operand.
+    operator, weighted by the products ``r_j * beta_ji`` of
+    :func:`_transmission`, and the coefficients ``1 - delta``, ``1 - nu`` and
+    ``1 - chi - delta``.  A state is a ``(4, n)`` array of rows ``p``, ``q``,
+    ``w`` and ``dead = 1 - p - q - w``, so ``dead`` is computed once per
+    state.  The update owns the buffers a step writes besides the next
+    state: ``zeta``, ``1 - zeta`` and two temporaries, one of which also
+    holds the ``p + q + w`` of :meth:`in_bounds`.  A step computes what the
+    lines of the module docstring compute with fresh arrays, operation for
+    operation and operand for operand.
+
+    Without ``warned`` (a "sis" run, ``nu = 1`` and ``chi = 0``, whose ``w``
+    rows are all +0.0) a step leaves the ``w`` row as it is and skips the
+    terms it would feed, each of which changes no bit there: ``* nu`` is
+    ``* 1.0``, ``- w`` subtracts +0.0, and the new ``w`` would be
+    ``miss * 0.0 * q + (1 - delta) * (+0.0)``, a zero plus +0.0, which is
+    +0.0 while ``miss`` and ``q`` are finite.  Only ``+ chi * w`` stays, as
+    ``+ 0.0``, because it turns a -0.0 in ``q`` into +0.0.  A ``-0.0`` in
+    ``w`` would not stay put, so such a start takes the whole update.
     """
 
     def __init__(self, links: LinkProbs, params: NodeParams,
-                 nu: np.ndarray | float, chi: np.ndarray | float) -> None:
-        self.rows, self.rb = _transmission(links, params)
+                 nu: np.ndarray | float, chi: np.ndarray | float,
+                 warned: bool = True) -> None:
+        self.rows, rb = _transmission(links, params)
+        self.rows.weigh(rb)
         self.delta, self.gamma, self.nu, self.chi = params.delta, params.gamma, nu, chi
+        self.warned = warned
         self.keep_p = 1.0 - params.delta
         self.warn = 1.0 - nu
         self.keep_w = 1.0 - chi - params.delta
@@ -282,14 +297,12 @@ class _Update:
 
     def zeta(self, p: np.ndarray) -> np.ndarray:
         """``zeta`` of ``p``, in the update's ``zeta`` buffer."""
-        factors = self.rows.gather(p)
-        np.multiply(self.rb, factors, out=factors)
-        np.subtract(1.0, factors, out=factors)
-        return self.rows.row_prod(factors, out=self.z)
+        return self.rows.complement_prod(p, out=self.z)
 
     def step(self, cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
         """Write the state after ``cur`` to ``nxt`` and return the ``zeta`` it
-        was computed with."""
+        was computed with; without ``warned``, ``nxt``'s ``w`` row is left
+        as it is."""
         p, q, w, dead = cur
         a, b, miss = self.a, self.b, self.miss
         z = self.zeta(p)
@@ -297,35 +310,48 @@ class _Update:
         # p * keep_p + q * miss * nu
         np.multiply(p, self.keep_p, out=a)
         np.multiply(q, miss, out=b)
-        np.multiply(b, self.nu, out=b)
+        if self.warned:
+            np.multiply(b, self.nu, out=b)
         np.add(a, b, out=nxt[0])
         # q * (z - delta) + dead * gamma + chi * w
         np.subtract(z, self.delta, out=a)
         np.multiply(q, a, out=a)
         np.multiply(dead, self.gamma, out=b)
         np.add(a, b, out=a)
-        np.multiply(self.chi, w, out=b)
-        np.add(a, b, out=nxt[1])
-        # miss * warn * q + keep_w * w
-        np.multiply(miss, self.warn, out=a)
-        np.multiply(a, q, out=a)
-        np.multiply(self.keep_w, w, out=b)
-        np.add(a, b, out=nxt[2])
+        if self.warned:
+            np.multiply(self.chi, w, out=b)
+            np.add(a, b, out=nxt[1])
+            self.warned_row(cur, nxt)
+        else:
+            np.add(a, 0.0, out=nxt[1])
         # 1 - p - q - w
         np.subtract(1.0, nxt[0], out=a)
-        np.subtract(a, nxt[1], out=a)
-        np.subtract(a, nxt[2], out=nxt[3])
+        np.subtract(a, nxt[1], out=a if self.warned else nxt[3])
+        if self.warned:
+            np.subtract(a, nxt[2], out=nxt[3])
         return z
+
+    def warned_row(self, cur: np.ndarray, nxt: np.ndarray) -> None:
+        """``nxt``'s ``w`` row, ``miss * warn * q + keep_w * w``, from ``cur``
+        and the last step's ``1 - zeta``."""
+        a, b = self.a, self.b
+        np.multiply(self.miss, self.warn, out=a)
+        np.multiply(a, cur[1], out=a)
+        np.multiply(self.keep_w, cur[2], out=b)
+        np.add(a, b, out=nxt[2])
 
     def in_bounds(self, rows: np.ndarray) -> bool:
         """Whether :func:`bound_violations` finds nothing in the state
-        ``rows`` (``p, q, w`` first); NaN fails every comparison here, as it
-        does there."""
-        pqw = rows[:3]
+        ``rows`` (``p, q, w`` first, and only ``p, q`` without ``warned``,
+        whose ``w`` is +0.0); NaN fails every comparison here, as it does
+        there."""
+        pqw = rows[:3 if self.warned else 2]
         if not (pqw.min() >= -_BOUND_SLACK and pqw.max() <= 1.0 + _BOUND_SLACK):
             return False
         total = np.add(rows[0], rows[1], out=self.a)
-        return bool(np.add(total, rows[2], out=total).max() <= 1.0 + _BOUND_SLACK)
+        if self.warned:
+            np.add(total, rows[2], out=total)
+        return bool(total.max() <= 1.0 + _BOUND_SLACK)
 
 
 def bound_violations(state: MfState) -> list[BoundViolation]:
@@ -467,15 +493,20 @@ def run(
         # The "sis" update keeps w at zero, so only the start needs checking.
         raise ValueError("the sis model requires an empty warning state (w == 0)")
     cur = np.stack([state0.p, state0.q, state0.w, state0.dead])
-    nxt = np.empty_like(cur)
+    nxt = cur.copy()  # a step that skips the w row keeps the start's
     sums = [cur.sum(axis=1)]  # the mean of a row is its sum over n, bit for bit
     t = state0.t
     converged = False
-    update = _Update(links, params, *_acceptance(model, params))
+    warned = model == "sirs" or bool(np.signbit(state0.w).any())
+    update = _Update(links, params, *_acceptance(model, params), warned=warned)
+    changed = 3 if warned else 2  # the rows a step can change, p and q first
     for _ in range(max_steps):
         z = update.step(cur, nxt)
         t += 1
         if not update.in_bounds(nxt):
+            if not warned:
+                # A zeta that overflowed makes this w NaN, not +0.0.
+                update.warned_row(cur, nxt)
             bad = bound_violations(MfState(p=nxt[0], q=nxt[1], w=nxt[2], t=t))
             if enforce and bad:
                 _raise_bounds(bad, z, params)
@@ -484,8 +515,8 @@ def run(
         cur, nxt = nxt, cur
         # The change is measured in the old state's rows, which the next
         # step overwrites anyway.
-        if tol and np.abs(np.subtract(cur[:3], nxt[:3], out=nxt[:3]),
-                          out=nxt[:3]).max() < tol:
+        if tol and np.abs(np.subtract(cur[:changed], nxt[:changed], out=nxt[:changed]),
+                          out=nxt[:changed]).max() < tol:
             converged = True
             break
     steps = len(sums) - 1

@@ -9,7 +9,21 @@ reductions.  Both reductions give the bits of ``np.multiply.reduceat`` and
 ``np.add.reduceat`` over the CSR rows.  They write their results, in layout
 row order, to one array the operator owns and place them in row order with
 one ``np.take``: no bucket scatters its results on its own, and a result
-array is allocated only when the caller passes no ``out``.
+array is allocated only when the caller passes no ``out``.  A layout whose
+row order is the CSR's (no empty rows, and buckets, if any, in row order:
+the 32x32 torus is one bucket, the 1000-node power-law graph all tail)
+reduces straight into ``out``.
+
+Both callers weight entry ``k`` by a fixed ``weights[k]`` before they
+reduce: the matvec sums ``weights * v[column]``, ``zeta`` multiplies
+``1 - weights * p[column]``.  :meth:`RowOperator.weigh` fixes the weights
+once.  When every weight is, bit for bit, a function of its column (the
+source node), as ``r_j * beta_ji`` is for homogeneous link probabilities
+whatever ``r``, and the system matrix's entries are when the gains are
+homogeneous too, the operator keeps one weight ``f`` per node, scales ``v``
+on ``n`` values and gathers ``f * v``: ``fl(f_j * v_j)`` rounds the same
+two operands as ``fl(weights[k] * v_j)``, and ``1 - x`` is elementwise, so
+the bits are those of the per-entry product, which other weights keep.
 
 The layout is bucket-major and column-major.  Rows of equal in-degree ``d``
 form a bucket when there are at least ``_MIN_BUCKET_ROWS`` of them and
@@ -80,7 +94,8 @@ class RowLayout:
 
     The non-empty rows in layout order (the rows of each bucket, then the
     tail rows) number ``reduced_size``; ``placing[i]`` is the position of
-    row ``i`` in that order, and 0 for an empty row.
+    row ``i`` in that order, and 0 for an empty row.  ``in_row_order`` says
+    that every row is non-empty and ``placing`` is the identity.
 
     The layout holds no CSR-sized array of its own (``indptr`` and
     ``indices`` are the graph's): the permutation is applied bucket by bucket
@@ -124,6 +139,8 @@ class RowLayout:
         # Left writeable, as RowOperator.columns is.
         self.placing = np.zeros(self.n, dtype=np.intp)
         self.placing[np.concatenate([by_degree, tail])] = np.arange(self.reduced_size)
+        self.in_row_order = self.reduced_size == self.n and bool(
+            np.array_equal(self.placing, np.arange(self.n)))
 
     def permute(self, csr_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``csr_values`` (one value per CSR entry) in layout order."""
@@ -162,9 +179,14 @@ class RowOperator:
     take values in layout order and write one value per CSR row to ``out``,
     or to a fresh array.  Each bucket's column reduction and the tail's
     ``reduceat`` land in the row buffer, in layout row order, and one
-    ``np.take`` through the layout's ``placing`` puts them in row order.
-    Between products the CSR-sized buffer is free scratch space of layout
-    size.
+    ``np.take`` through the layout's ``placing`` puts them in row order; a
+    layout in row order reduces into ``out`` itself.  Between products the
+    CSR-sized buffer is free scratch space of layout size.
+
+    After :meth:`weigh`, :meth:`weighted_sum` and :meth:`complement_prod`
+    reduce weighted entries.  ``node_weights`` holds one weight per node when
+    every entry's weight is its column's (the per-node path), and
+    ``weights`` the weights of the entries otherwise; the other is None.
     """
 
     def __init__(self, layout: RowLayout) -> None:
@@ -174,12 +196,51 @@ class RowOperator:
         self.columns = layout.permute(layout.indices)
         self.buffer = np.empty(layout.size)
         self.reduced = np.empty(layout.reduced_size)
+        self.weights = self.node_weights = self.scaled = None
+
+    def weigh(self, weights: np.ndarray) -> None:
+        """Fix the weights of the entries, in layout order.  They are
+        scattered by column into one value per node and gathered back; when
+        the int64 bit patterns match, the operator keeps the node weights
+        (and a buffer of ``n`` values for the scaled vector), otherwise
+        ``weights`` itself.  Uses the CSR-sized buffer as scratch."""
+        node = np.zeros(self.layout.n)
+        node[self.columns] = weights
+        back = np.take(node, self.columns, out=self.buffer, mode="clip")
+        if np.array_equal(back.view(np.int64), weights.view(np.int64)):
+            self.weights, self.node_weights = None, node
+            self.scaled = np.empty(self.layout.n)
+        else:
+            self.weights, self.node_weights = weights, None
 
     def gather(self, v: np.ndarray) -> np.ndarray:
         """``v[columns]`` in the operator's buffer.  Columns lie in
         ``[0, n)``, so ``"clip"`` clips nothing; the default ``"raise"``
         would copy through a second buffer."""
         return np.take(v, self.columns, out=self.buffer, mode="clip")
+
+    def _weighted(self, v: np.ndarray, complement: bool) -> np.ndarray:
+        """``weights * v[columns]``, or ``1 -`` that, in the buffer: scaled
+        per node and gathered, or gathered and scaled per entry."""
+        if self.node_weights is not None:
+            scaled = np.multiply(self.node_weights, v, out=self.scaled)
+            if complement:
+                np.subtract(1.0, scaled, out=scaled)
+            return self.gather(scaled)
+        terms = self.gather(v)
+        np.multiply(self.weights, terms, out=terms)
+        if complement:
+            np.subtract(1.0, terms, out=terms)
+        return terms
+
+    def weighted_sum(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-row sums of ``weights * v[columns]``: the off-diagonal part of
+        a matvec."""
+        return self.row_sum(self._weighted(v, False), out=out)
+
+    def complement_prod(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-row products of ``1 - weights * v[columns]``: ``zeta``."""
+        return self.row_prod(self._weighted(v, True), out=out)
 
     def row_prod(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-row products of ``values``, as ``np.multiply.reduceat``."""
@@ -191,10 +252,12 @@ class RowOperator:
 
     def _reduce(self, columns, ufunc, values, out, identity):
         """Buckets through ``columns``, the tail through ``ufunc.reduceat``,
-        both into ``reduced``; then row order, and ``identity`` for empty
-        rows."""
+        both into ``reduced`` (or, for a layout in row order, into ``out``);
+        then row order, and ``identity`` for empty rows."""
         lay = self.layout
-        reduced = self.reduced
+        if out is None:
+            out = np.empty(lay.n)
+        reduced = out if lay.in_row_order else self.reduced
         first = 0
         for d, start, m, _ in lay.buckets:
             columns(values[start:start + d * m].reshape(d, m), reduced[first:first + m])
@@ -202,11 +265,11 @@ class RowOperator:
         tail = values[lay.tail_start:]
         if tail.size:
             ufunc.reduceat(tail, lay.tail_offsets, out=reduced[first:])
-        if out is None:
-            out = np.empty(lay.n)
-        if reduced.size:  # an edgeless layout has nothing to take from
-            np.take(reduced, lay.placing, out=out, mode="clip")
-        out[lay.empty_rows] = identity
+        if reduced is not out:
+            if reduced.size:  # an edgeless layout has nothing to take from
+                np.take(reduced, lay.placing, out=out, mode="clip")
+            if lay.empty_rows.size:
+                out[lay.empty_rows] = identity
         return out
 
 

@@ -24,13 +24,17 @@ the estimate back, so it cannot stall this way.
 
 A :class:`SystemMatrix` is prepared once per solve: its off-diagonal entries
 are the mean-field update's ``r_j * beta_ji`` (``meanfield._transmission``,
-in the graph's degree-bucketed row layout) times the gains, and each
-product gathers ``v`` into the row operator's buffer, scales it and takes
-the row sums with the operator (see :mod:`netspread.rowops`, which also
-gives the summation-tree argument).  The sums land in the operator's row
-buffer and reach the matrix's own row-sum buffer through one ``np.take``,
-so a product given ``out`` allocates no array of ``n`` values.  Power
-iteration keeps ``v``, ``w`` and the residual in buffers of its own; its
+in the graph's degree-bucketed row layout) times the gains, and they are the
+weights of its row operator (see :mod:`netspread.rowops`, which also gives
+the summation-tree argument).  When each entry depends only on its column,
+as for homogeneous ``beta`` with homogeneous gains, whatever ``r``, and for
+the ``A + I`` of the adjacency radius, a product scales ``v`` per node and
+gathers the scaled values into the operator's buffer; otherwise it gathers
+``v`` and scales each entry.  Either way it takes the row sums with the
+operator, which land in the matrix's own row-sum buffer, so a product given
+``out`` allocates no array of ``n`` values.  Power iteration keeps ``v``,
+``w`` and the residual in buffers of its own, and computes the residual
+only on iterations whose eigenvalue estimates already agree to ``TOL``; its
 dot product and norms are the only BLAS calls.  Values, vectors, residuals
 and iteration counts are those of summing each CSR row with numpy and
 fresh arrays, bit for bit.
@@ -115,18 +119,18 @@ class SurvivabilityResult:
 @dataclass(frozen=True)
 class SystemMatrix:
     """Sparse system matrix: a dense diagonal plus one off-diagonal entry per
-    CSR entry of a graph, stored in the layout of the row operator ``rows``.
+    CSR entry of a graph, the weights of the row operator ``rows``.
 
-    ``data[k]`` is the entry at layout position ``k``: column
-    ``rows.columns[k]`` of the row ``rows.layout.spread(np.arange(n))[k]``.
-    Products reuse the operator's buffers, so a matrix serves one thread at
-    a time.
+    The entry at layout position ``k`` sits in column ``rows.columns[k]`` of
+    the row ``rows.layout.spread(np.arange(n))[k]``; its value is
+    ``rows.weights[k]``, or ``rows.node_weights[rows.columns[k]]`` on the
+    per-node path.  Products reuse the operator's buffers, so a matrix
+    serves one thread at a time.
     """
 
     n: int
     diag: np.ndarray
     rows: RowOperator
-    data: np.ndarray
 
     @cached_property
     def _sums(self) -> np.ndarray:
@@ -136,11 +140,10 @@ class SystemMatrix:
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``S v``, written to ``out`` or to a fresh array: ``diag * v`` plus
-        each row's sum of ``data * v[column]``.  Rows without entries add
-        -0.0, which changes no value, so they keep ``diag * v`` bit for bit."""
-        contrib = self.rows.gather(v)
-        np.multiply(self.data, contrib, out=contrib)
-        sums = self.rows.row_sum(contrib, out=self._sums)
+        each row's sum of its entries times ``v[column]``.  Rows without
+        entries add -0.0, which changes no value, so they keep ``diag * v``
+        bit for bit."""
+        sums = self.rows.weighted_sum(v, out=self._sums)
         out = np.multiply(self.diag, v, out=out)
         return np.add(out, sums, out=out)
 
@@ -164,7 +167,8 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
     rows, data = _transmission(links, params)
     gain = params.gamma / (params.gamma + params.delta)
     np.multiply(data, rows.layout.spread(gain, out=rows.buffer), out=data)
-    return SystemMatrix(n=g.n, diag=1.0 - params.delta, rows=rows, data=data)
+    rows.weigh(data)
+    return SystemMatrix(n=g.n, diag=1.0 - params.delta, rows=rows)
 
 
 def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> SpectralResult:
@@ -172,8 +176,10 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
 
     Starts from the normalised all-ones vector.  Convergence requires both
     successive Rayleigh estimates to differ by less than ``TOL`` and the
-    residual ``||M v - lambda v||`` to fall below ``TOL``; non-convergence
-    within ``MAX_ITER`` iterations raises :class:`PowerIterationError` carrying the last residual.
+    residual ``||M v - lambda v||`` to fall below ``TOL``; the residual is
+    computed only when the estimates agree.  Non-convergence within
+    ``MAX_ITER`` iterations raises :class:`PowerIterationError` carrying the
+    residual of the last iterate.
 
     ``matvec`` is passed one buffer on every call, overwritten with the next
     iterate in between, so it must not keep a reference to its argument (a
@@ -189,7 +195,6 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
     scratch = np.empty(n)
     w = matvec(v)
     lam = float(v @ w)
-    residual = _residual(w, lam, v, scratch)
     for it in range(1, MAX_ITER + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
@@ -199,15 +204,18 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
         v = np.divide(w, norm_w, out=v)
         w = matvec(v)
         lam_next = float(v @ w)
-        residual = _residual(w, lam_next, v, scratch)
-        if abs(lam_next - lam) < TOL and residual < TOL:
-            peak = np.argmax(np.abs(v))
-            if v[peak] < 0:
-                v = -v
-            return SpectralResult(
-                value=abs(lam_next), vector=v, iterations=it, residual=residual
-            )
+        # The residual decides only once the estimates agree.
+        if abs(lam_next - lam) < TOL:
+            residual = _residual(w, lam_next, v, scratch)
+            if residual < TOL:
+                peak = np.argmax(np.abs(v))
+                if v[peak] < 0:
+                    v = -v
+                return SpectralResult(
+                    value=abs(lam_next), vector=v, iterations=it, residual=residual
+                )
         lam = lam_next
+    residual = _residual(w, lam, v, scratch)
     raise PowerIterationError(
         f"power iteration did not converge in {MAX_ITER} iterations "
         f"(last residual {residual:.3e}, tol {TOL:.3e})",
@@ -236,8 +244,9 @@ def adjacency_spectral_radius(g: Graph) -> SpectralResult:
     eigenvalue estimate back.  The reported residual is identical for both
     matrices.
     """
-    shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), rows=RowOperator(g.row_layout),
-                           data=np.ones(g.row_layout.size))
+    rows = RowOperator(g.row_layout)
+    rows.weigh(np.ones(g.row_layout.size))
+    shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), rows=rows)
     res = _solve(shifted)
     return SpectralResult(
         value=max(res.value - 1.0, 0.0),

@@ -192,11 +192,14 @@ def dense_system_matrix(g: Graph, beta_of, params) -> np.ndarray:
 def system_matrix_to_dense(s) -> np.ndarray:
     """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by
     entry: layout position ``k`` is row ``spread(arange(n))[k]``, column
-    ``columns[k]``, value ``data[k]``."""
+    ``columns[k]``, value ``weights[k]`` or, on the per-node path,
+    ``node_weights[columns[k]]``."""
     dense = np.diag(s.diag.astype(float))
-    rows = s.rows.layout.spread(np.arange(s.n))
-    for k in range(s.rows.layout.size):
-        dense[rows[k], s.rows.columns[k]] += s.data[k]
+    op = s.rows
+    rows = op.layout.spread(np.arange(s.n))
+    for k in range(op.layout.size):
+        j = op.columns[k]
+        dense[rows[k], j] += op.weights[k] if op.node_weights is None else op.node_weights[j]
     return dense
 
 
@@ -443,7 +446,7 @@ def system_matrix_reference(g: Graph, links, params) -> CsrSystemMatrixReference
 
 def power_iteration_reference(matvec, n, tol=1e-10, max_iter=100_000):
     """``(value, vector, iterations, residual)``; raises ``RuntimeError``
-    when it does not converge."""
+    when it does not converge, with the last residual as ``residual``."""
     v = np.full(n, 1.0 / math.sqrt(n))
     w = matvec(v)
     lam = float(v @ w)
@@ -463,7 +466,9 @@ def power_iteration_reference(matvec, n, tol=1e-10, max_iter=100_000):
                 vec = -vec
             return abs(lam_next), vec, it, residual
         v, w, lam = v_next, w_next, lam_next
-    raise RuntimeError(f"no convergence in {max_iter} iterations")
+    error = RuntimeError(f"no convergence in {max_iter} iterations")
+    error.residual = residual
+    raise error
 
 
 def adjacency_radius_reference(g: Graph):

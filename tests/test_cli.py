@@ -504,3 +504,27 @@ def test_sweep_rejects_mistyped_fields(tmp_path, change, field):
     payload = stderr_error(proc)
     assert payload["type"] == "ConfigError" and payload["field"] == field
     assert not out_dir.exists()
+
+
+LATTICE5 = ("--family", "lattice4", "--rows", "5", "--cols", "5", "--beta", "0.2",
+            "--delta", "0.1", "--gamma", "0.1")
+
+
+@pytest.mark.parametrize("args,option", [
+    (("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1", "--mu", "0.7"), "--mu"),
+    (("ode", "--model", "sir_epidemic", "--beta", "1", "--gamma", "0.1", "--mu", "0"),
+     "--mu"),
+    (("meanfield", "--model", "sis", *LATTICE5, "--nu", "0.3"), "--nu"),
+    (("meanfield", "--model", "sis", *LATTICE5, "--chi", "0.5"), "--chi"),
+    (("meanfield", *LATTICE5, "--nu", "1", "--chi", "0"), "--nu"),
+], ids=["sis_ode_mu", "sir_epidemic_mu", "sis_meanfield_nu", "sis_meanfield_chi",
+        "default_model_nu_chi"])
+def test_options_the_model_does_not_read_are_rejected(tmp_path, args, option):
+    # The options a config's params block may not hold for the same model.
+    out = tmp_path / "out.csv"
+    proc = run_cli(*args, "--output", str(out))
+    assert proc.returncode == 2, proc.stderr
+    payload = stderr_error(proc)
+    assert payload["type"] == "ConfigError" and payload["field"] == option
+    assert "does not read this option" in payload["error"]
+    assert not out.exists()

@@ -26,7 +26,7 @@ from oracles import (
 )
 
 GRAPH_KINDS = ("binomial", "powerlaw", "lattice", "isolated_tail", "no_edges")
-STARTS = ("valid", "warned", "out_of_bounds", "huge", "nan", "inf")
+STARTS = ("valid", "warned", "negative_zero_w", "out_of_bounds", "huge", "nan", "inf")
 
 
 def make_graph(kind: str, rng: np.random.Generator) -> Graph:
@@ -67,10 +67,12 @@ def make_params(n: int, rng: np.random.Generator) -> NodeParams:
 
 def make_state(n: int, start: str, rng: np.random.Generator) -> MfState:
     """A start state of kind ``start``; only "warned" has w != 0, which a
-    "sis" run rejects."""
+    "sis" run rejects, and "negative_zero_w" has -0.0 in w at some nodes."""
     cuts = np.sort(rng.random((n, 3)), axis=1)
     p, q, w = cuts[:, 0], cuts[:, 1] - cuts[:, 0], cuts[:, 2] - cuts[:, 1]
-    if start != "warned":
+    if start == "negative_zero_w":
+        w = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    elif start != "warned":
         w = np.zeros(n)
     if start == "out_of_bounds":
         p = p + 1.5 * rng.random(n)
@@ -129,17 +131,60 @@ def test_meanfield_run_matches_step_loop(seed, model, reporting, tol, kind, star
     assert outcome(run, *args, **kwargs) == expected
 
 
+@pytest.mark.parametrize("w0", [0.0, -0.0])
 @pytest.mark.parametrize("reporting", [False, True])
 @pytest.mark.parametrize("delta", [0.5, 0.55, 0.6, 0.65, 0.7])
-def test_death_sweep_regime_matches_step_loop(delta, reporting):
-    # The bundled power-law death sweep: every point leaves [0, 1].
+def test_death_sweep_regime_matches_step_loop(delta, reporting, w0):
+    # The bundled power-law death sweep: every point leaves [0, 1], so a
+    # reporting run carries negative states.  A "sis" run from w0 = +0.0
+    # skips the w row; from -0.0 it takes the whole update.
     g = gen_powerlaw(1000, 2, 42)
     links = LinkProbs.homogeneous(g, 0.4)
     params = NodeParams.homogeneous(g.n, r=1.0, delta=delta, gamma=0.3)
-    args = ("sis", MfState.uniform(g.n, p0=0.1), links, params)
+    args = ("sis", MfState.uniform(g.n, p0=0.1, w0=w0), links, params)
     kwargs = dict(max_steps=500, allow_negative_coefficients=reporting)
     expected = outcome(meanfield_run_reference, *args, **kwargs)
     assert expected[0] == ("ok" if reporting else "raised")
+    assert outcome(run, *args, **kwargs) == expected
+    if reporting:
+        assert any(v.value < 0.0 for v in run(*args, **kwargs).violations)
+
+
+@pytest.mark.parametrize("w0", [0.0, -0.0])
+@pytest.mark.parametrize("reporting", [False, True])
+def test_sis_keeps_the_signs_of_zeros(w0, reporting):
+    # p0 = 1 and gamma = -0.0: before chi * w is added, every q of the first
+    # step is q * (zeta - delta) + dead * gamma = -0.0 + -0.0.  The whole
+    # update adds 0.0 * w, which turns that into +0.0 when w is +0.0 and
+    # keeps -0.0 when w is -0.0.
+    g = gen_lattice4(4, 4)
+    params = NodeParams(r=np.ones(16), delta=np.full(16, 0.5), gamma=np.full(16, -0.0),
+                        nu=np.ones(16), chi=np.zeros(16))
+    args = ("sis", MfState.uniform(16, p0=1.0, w0=w0), LinkProbs.homogeneous(g, 1.0), params)
+    kwargs = dict(max_steps=1, tol=0.0, allow_negative_coefficients=reporting)
+    expected = outcome(meanfield_run_reference, *args, **kwargs)
+    assert outcome(run, *args, **kwargs) == expected
+    q = run(*args, **kwargs).final_state.q
+    assert np.all(np.signbit(q) == np.signbit(w0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("reporting", [False, True])
+def test_sis_overflowing_zeta_reports_the_warned_row(reporting):
+    # Nodes 0 and 2 are both neighbours of node 1, so zeta_1 overflows and
+    # the whole update makes w_1 = miss * 0.0 * q NaN: a strict run's error
+    # lists it among the violations.
+    g = gen_lattice4(4, 4)
+    p = np.full(16, 0.1)
+    p[[0, 2]] = 1e308
+    state0 = MfState(p=p, q=np.full(16, 0.5), w=np.zeros(16))
+    args = ("sis", state0, LinkProbs.homogeneous(g, 0.5),
+            NodeParams.homogeneous(16, r=1.0, delta=0.2, gamma=0.1))
+    kwargs = dict(max_steps=3, allow_negative_coefficients=reporting)
+    expected = outcome(meanfield_run_reference, *args, **kwargs)
+    assert expected[0] == "raised"
+    if not reporting:
+        assert ("w", 1) in [(kind, node) for _, kind, node, _ in expected[3]]
     assert outcome(run, *args, **kwargs) == expected
 
 

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netspread.graphs import Graph, gen_binomial, gen_powerlaw
+from netspread import spectral
+from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
 from netspread.isolation import greedy_edge_removal
-from netspread.meanfield import LinkProbs, MfState, NodeParams, run
+from netspread.meanfield import LinkProbs, MfState, NodeParams, _Update, run
 from netspread.rowops import _MAX_BUCKET_DEGREE, _MIN_BUCKET_ROWS, RowLayout, RowOperator
 from netspread.spectral import (
+    PowerIterationError,
     _solve,
     adjacency_spectral_radius,
     build_system_matrix,
@@ -22,6 +24,7 @@ from netspread.spectral import (
 )
 
 from oracles import (
+    _zeta_reference,
     adjacency_radius_reference,
     greedy_reference,
     meanfield_run_reference,
@@ -125,6 +128,22 @@ def test_layout_is_a_bucketed_permutation_of_the_csr(drawn):
     assert np.array_equal(order[layout.tail_start:],
                           np.flatnonzero(np.repeat(in_tail, degrees)))
     assert np.array_equal(ids[layout.empty_rows], np.flatnonzero(degrees == 0))
+    row_order = np.concatenate([rows for *_, rows in layout.buckets] + [tail])
+    assert layout.in_row_order == np.array_equal(row_order, ids)
+
+
+def test_figure_graphs_reduce_in_row_order():
+    # The 1000-node power-law graph of the figures is all tail, the 32x32
+    # torus one bucket: both reduce straight into the caller's array.
+    for g in (gen_powerlaw(1000, 2, 42), gen_lattice4(32, 32)):
+        layout = g.row_layout
+        assert layout.in_row_order
+        indptr, _ = g.csr
+        values = np.random.default_rng(1).standard_normal(layout.size)
+        out = np.empty(g.n)
+        assert RowOperator(layout).row_sum(layout.permute(values), out=out) is out
+        assert same_bits(out, np.add.reduceat(values, indptr[:-1]))
+    assert not GRAPHS["powerlaw"].row_layout.in_row_order
 
 
 @pytest.mark.parametrize("rows,buckets", [(T - 1, 0), (T, 1)])
@@ -185,14 +204,19 @@ def test_graphs_have_buckets_and_tails():
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-@pytest.mark.parametrize("directed", [False, True])
-def test_scores_match_the_csr_power_iteration(name, directed):
+@pytest.mark.parametrize("kind", ["directed", "homogeneous_links", "homogeneous"])
+def test_scores_match_the_csr_power_iteration(name, kind):
+    # Homogeneous links with per-node gains weigh each entry by its row; with
+    # homogeneous gains too, by its column alone (the per-node path).
     g = GRAPHS[name]
-    links = directed_links(g, 3) if directed else LinkProbs.homogeneous(g, 0.1)
+    links = directed_links(g, 3) if kind == "directed" else LinkProbs.homogeneous(g, 0.1)
     params = random_params(g.n, 4)
+    if kind == "homogeneous":
+        params = NodeParams.homogeneous(g.n, r=0.8, delta=0.3, gamma=0.25)
     value, vector, iterations, residual = power_iteration_reference(
         system_matrix_reference(g, links, params).matvec, g.n)
     sm = build_system_matrix(g, links, params)
+    assert (sm.rows.node_weights is not None) == (kind == "homogeneous")
     for res in (_solve(sm), power_iteration(sm.matvec, g.n)):
         assert (res.value, res.iterations, res.residual) == (value, iterations, residual)
         assert same_bits(res.vector, vector)
@@ -230,9 +254,11 @@ def test_greedy_removal_matches_rebuilding_every_graph():
 
 
 @pytest.mark.parametrize("model", ["sis", "sirs"])
-def test_meanfield_run_matches_the_step_at_a_time_loop(model):
+@pytest.mark.parametrize("directed", [False, True])
+def test_meanfield_run_matches_the_step_at_a_time_loop(model, directed):
     g = GRAPHS["isolated_scattered"]
-    links, params = directed_links(g, 6), random_params(g.n, 7)
+    links = directed_links(g, 6) if directed else LinkProbs.homogeneous(g, 0.3)
+    params = random_params(g.n, 7)
     state0 = MfState.uniform(g.n, p0=0.2)
     got = run(model, state0, links, params, max_steps=30, tol=0.0,
               allow_negative_coefficients=True)
@@ -243,6 +269,106 @@ def test_meanfield_run_matches_the_step_at_a_time_loop(model):
         assert same_bits(got.trajectory.columns[name], column), name
     for kind in ("p", "q", "w"):
         assert same_bits(getattr(got.final_state, kind), getattr(want.final_state, kind))
+
+
+# ---------------------------------------------------------------------------
+# The per-node path: weights that depend on the column alone
+# ---------------------------------------------------------------------------
+
+@st.composite
+def mixed_graphs(draw):
+    """A ring of T - 1 to T + 40 nodes (degree 2, a bucket when T of them
+    keep that degree) with the chord (0, 2) and others among its first 30
+    nodes (tail rows of other degrees) and up to three isolated nodes (empty
+    rows), relabelled at random."""
+    ring = draw(st.integers(T - 1, T + 40))
+    chords = draw(st.integers(0, 40))
+    n = ring + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.arange(ring)
+    pairs = np.concatenate([np.column_stack((u, (u + 1) % ring)), [[0, 2]],
+                            rng.integers(0, 30, (chords, 2))])
+    pairs = rng.permutation(n)[pairs]
+    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]]), rng
+
+
+def mixed_signed_zero_links(g: Graph) -> LinkProbs:
+    """beta = 0 everywhere, but -0.0 on one of the out-links of node 0."""
+    values = np.zeros(2 * g.num_edges)
+    values[np.flatnonzero(g.csr[1] == 0)[0]] = -0.0
+    return LinkProbs(g, values)
+
+
+# (links, params, per-node path of the matvec, per-node path of zeta)
+WEIGHT_CASES = {
+    "homogeneous": lambda g, rng: (
+        LinkProbs.homogeneous(g, float(rng.choice([0.0, 1.0, rng.random()]))),
+        NodeParams.homogeneous(g.n, r=rng.random(), delta=rng.uniform(0.01, 1.0),
+                               gamma=rng.random()), True, True),
+    "per_node_r": lambda g, rng: (
+        LinkProbs.homogeneous(g, rng.random()),
+        NodeParams(r=rng.random(g.n), delta=np.full(g.n, 0.4), gamma=np.full(g.n, 0.3),
+                   nu=np.ones(g.n), chi=np.zeros(g.n)), True, True),
+    "per_node_gains": lambda g, rng: (
+        LinkProbs.homogeneous(g, rng.random()), random_params(g.n, rng), False, True),
+    # Every weight is -0.0, whatever the gains.
+    "negative_zero_beta": lambda g, rng: (
+        LinkProbs.homogeneous(g, -0.0), random_params(g.n, rng), True, True),
+    "mixed_signed_zero_beta": lambda g, rng: (
+        mixed_signed_zero_links(g),
+        NodeParams.homogeneous(g.n, r=0.5, delta=0.3, gamma=0.3), False, False),
+    "directed": lambda g, rng: (
+        directed_links(g, rng), NodeParams.homogeneous(g.n, r=0.5, delta=0.3, gamma=0.3),
+        False, False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_graphs(), st.sampled_from(sorted(WEIGHT_CASES)))
+def test_weighted_products_match_the_csr_code(drawn, case):
+    g, rng = drawn
+    layout = g.row_layout
+    assert layout.tail_start < layout.size
+    links, params, matvec_per_node, zeta_per_node = WEIGHT_CASES[case](g, rng)
+    sm = build_system_matrix(g, links, params)
+    update = _Update(links, params, 1.0, 0.0)
+    assert (sm.rows.node_weights is not None) == matvec_per_node
+    assert (update.rows.node_weights is not None) == zeta_per_node
+    state = MfState(p=csr_values(rng, g.n), q=np.zeros(g.n), w=np.zeros(g.n))
+    with np.errstate(all="ignore"):
+        assert same_bits(sm.matvec(state.p), system_matrix_reference(
+            g, links, params).matvec(state.p))
+        assert same_bits(update.zeta(state.p), _zeta_reference(state, links, params))
+
+
+# ---------------------------------------------------------------------------
+# Power iteration computes residuals only where the estimates agree
+# ---------------------------------------------------------------------------
+
+def test_residual_is_computed_only_when_the_estimates_agree(monkeypatch):
+    g = GRAPHS["powerlaw"]
+    links, params = LinkProbs.homogeneous(g, 0.1), random_params(g.n, 4)
+    calls = []
+    residual = spectral._residual
+    monkeypatch.setattr(spectral, "_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    res = _solve(build_system_matrix(g, links, params))
+    assert 1 <= len(calls) < res.iterations
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_power_iteration_error_carries_the_last_residual(monkeypatch, budget):
+    g = GRAPHS["isolated_scattered"]
+    links, params = directed_links(g, 3), random_params(g.n, 4)
+    with pytest.raises(RuntimeError) as want:
+        power_iteration_reference(system_matrix_reference(g, links, params).matvec, g.n,
+                                  max_iter=budget)
+    monkeypatch.setattr(spectral, "MAX_ITER", budget)
+    with pytest.raises(PowerIterationError) as got:
+        _solve(build_system_matrix(g, links, params))
+    assert got.value.iterations == budget
+    assert np.float64(got.value.residual).tobytes() == \
+        np.float64(want.value.residual).tobytes()
 
 
 # ---------------------------------------------------------------------------
