@@ -64,18 +64,23 @@ def _graph(args: argparse.Namespace) -> Graph:
     ).build(args.seed)
 
 
-def _params(args: argparse.Namespace, model: str | None = None) -> dict:
+# The parameters of the survivability score, which spectral and isolate compute.
+_SCORE_PARAMS = ("beta", "gamma", "delta", "r")
+
+
+def _params(args: argparse.Namespace, reads: tuple[str, ...] | None = None,
+            reader: str = "") -> dict:
     """The parsed arguments as a sweep point's flat params; an option left
-    unset (None) is left out, so the point's default applies.  With the
-    sweep ``model``, an option of a parameter that model does not read is a
-    :class:`ConfigError` naming the option, as the key is in a config."""
+    unset (None) is left out, so the point's default applies.  With
+    ``reads``, the parameters that ``reader`` reads, an option of any other
+    parameter is a :class:`ConfigError` naming the option, as the key is in
+    a config."""
     params = {k: v for k, v in vars(args).items() if v is not None}
-    if model is not None:
-        reads = _MODEL_PARAMS[model]
+    if reads is not None:
         for key in _PARAMS:
             if key in params and key not in reads:
                 options = ", ".join(f"--{k}" for k in sorted(reads))
-                raise ConfigError(f"--{key}", f"model {args.model!r} does not read this "
+                raise ConfigError(f"--{key}", f"{reader} does not read this "
                                   f"option; it reads {options}")
     return params
 
@@ -111,7 +116,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_ode(args: argparse.Namespace) -> int:
     model = _sweep_model(ODE_MODELS, args.model)
-    traj = _run_model(model, _params(args, model), None, dt=args.dt, t_end=args.t_end)
+    params = _params(args, _MODEL_PARAMS[model], f"model {args.model!r}")
+    traj = _run_model(model, params, None, dt=args.dt, t_end=args.t_end)
     traj.write_csv(args.output)
     last = len(traj) - 1
     print(
@@ -124,7 +130,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
     model = _sweep_model(MEANFIELD_MODELS, args.model)
-    params = _params(args, model)
+    params = _params(args, _MODEL_PARAMS[model], f"model {args.model!r}")
     result = _run_model(
         model, params, _point_inputs(_graph(args), params), steps=args.steps, tol=args.tol,
         allow_negative_coefficients=args.allow_negative_coefficients,
@@ -154,7 +160,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    g, links, params = _point_inputs(_graph(args), _params(args))
+    params = _params(args, _SCORE_PARAMS, args.command)
+    g, links, params = _point_inputs(_graph(args), params)
     result = survivability_score(g, links, params)
     print(f"s={result.score:.12g} fast_extinction={result.status}")
     if args.eigenvector_csv:
@@ -165,7 +172,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    g, _, params = _point_inputs(_graph(args), _params(args))
+    params = _params(args, _SCORE_PARAMS, args.command)
+    g, _, params = _point_inputs(_graph(args), params)
     if args.strategy == "greedy":
         modified, report = greedy_edge_removal(
             g, args.k, beta_template=args.beta, params=params

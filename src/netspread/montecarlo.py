@@ -27,7 +27,19 @@ Each step makes a single transmission draw, ``rng.random(total)``, over the
 concatenated CSR rows of the broadcasting nodes in node order (no draw when
 no broadcaster has a neighbour).  The rows are gathered by one array
 expression; the stream of uniforms, and so every seeded result, is the same
-as drawing the rows one broadcaster at a time.
+as drawing the rows one broadcaster at a time.  Phases 2-5 then take one
+draw of shape ``(4, n)``, a row per phase in phase order: the same uniforms
+as four draws of ``n``, one per phase.
+
+A run is prepared once and then stepped (:func:`mc_step` prepares a step
+and takes it once).  The preparation keeps the graph's arrays and the node
+parameters, and the buffers a step writes, and notes whether every link
+carries the same probability; a step then compares its transmission draws
+with that one value instead of gathering it per edge, which gives the same
+bits.  A step packs each node's snapshot state and what its draws decided
+(received, accept, die, revive, revert) into a 7-bit code, and one
+128-entry table, built at import from the rules of phases 2-5, maps every
+code to the node's next state.
 
 Ensemble runs derive per-run seeds from a master seed: run ``k`` uses
 ``splitmix64(master XOR k)`` where ``splitmix64`` is the finaliser
@@ -91,6 +103,107 @@ def initial_states(n: int, init: float, rng: np.random.Generator) -> np.ndarray:
     return states
 
 
+# Bits of a packed code above the snapshot state (bits 0-1): a transmission
+# was received, then the four per-node draws of phases 2-5, in draw order.
+_RECEIVED = 4
+_PHASE_BITS = np.array([8, 16, 32, 64], dtype=np.int8)
+
+
+def _next_state(code: int) -> int:
+    """The state after one step of a node whose step packs into ``code``:
+    phases 2-5 of the module docstring, death first since it overrides."""
+    state = code & 3
+    received, accept, die, revive, revert = ((code >> bit) & 1 for bit in range(2, 7))
+    if die and state != DEAD:
+        return DEAD
+    if received and state == NO_INFO:
+        return HAS_INFO if accept else WARNED
+    if (revive and state == DEAD) or (revert and state == WARNED):
+        return NO_INFO
+    return state
+
+
+_TRANSITIONS = np.array([_next_state(code) for code in range(128)], dtype=np.int8)
+_TRANSITIONS.flags.writeable = False
+
+
+class _Step:
+    """The step of the module docstring, prepared for one graph, link table
+    and parameter set; calling it replaces ``states`` (``int8`` codes 0..3)
+    in place by the states one step later, drawing from ``rng``.
+
+    The preparation checks the inputs, keeps what does not change between
+    steps and allocates the ``(4, n)`` draws of phases 2-5 (whose first row
+    also holds the broadcast draws) and one boolean and one ``int8`` row for
+    packing their comparisons.  When every link carries the same
+    probability (compared by value, once), ``beta`` is that value:
+    ``u < beta`` gives the same bits as comparing with an equal entry.
+    """
+
+    def __init__(self, graph: Graph, links: LinkProbs, params: NodeParams) -> None:
+        _check_inputs(graph, links, params)
+        n = graph.n
+        self.indptr, self.indices = graph.csr
+        self.degrees = graph.degrees
+        self.r = params.r
+        self.thresholds = (params.nu, params.delta, params.gamma, params.chi)
+        values = links.in_values  # a permutation of out_values
+        if values.size and np.all(values == values[0]):
+            self.beta = values[0]
+        else:
+            self.beta = links.out_values
+        self.u = np.empty((4, n))
+        self.hit = np.empty(n, dtype=bool)
+        self.bits = np.empty(n, dtype=np.int8)
+
+    def __call__(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        u, hit, bits = self.u, self.hit, self.bits
+
+        # Phase 1: one uniform per node, then one per edge of each
+        # broadcaster's row, rows concatenated in node order.
+        rng.random(out=u[0])
+        np.less(u[0], self.r, out=hit)
+        broadcasting = np.flatnonzero(hit & (states == HAS_INFO))
+        counts = self.degrees[broadcasting]
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        # From here on ``states`` holds the packed codes.
+        if total:
+            starts = self.indptr[broadcasting]
+            starts -= ends
+            starts += counts
+            flat = np.repeat(starts, counts)
+            flat += np.arange(total)
+            beta = self.beta if self.beta.ndim == 0 else self.beta[flat]
+            up = rng.random(total) < beta
+            # np.compress takes about half the time of flat[up] here.
+            states[self.indices[np.compress(up, flat)]] |= _RECEIVED
+
+        # Phases 2-5: the four per-node draws in one, each row compared with
+        # its phase's parameter and packed into its bit.
+        rng.random(out=u)
+        for row, threshold, bit in zip(u, self.thresholds, _PHASE_BITS):
+            np.less(row, threshold, out=hit)
+            np.multiply(hit, bit, out=bits)
+            np.bitwise_or(states, bits, out=states)
+        # take() buffers its output (mode "raise"), so it may be its index.
+        return np.take(_TRANSITIONS, states, out=states)
+
+
+def _check_states(states: np.ndarray, n: int) -> None:
+    """Reject anything but one integer state code 0..3 per node."""
+    if states.shape != (n,):
+        raise ValueError(f"states must hold one code per node, shape ({n},); "
+                         f"got shape {states.shape}")
+    if not np.issubdtype(states.dtype, np.integer):
+        raise ValueError(f"states must be an integer array, got dtype {states.dtype}")
+    bad = np.flatnonzero((states < NO_INFO) | (states > DEAD))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"node {i} has state {states[i]}; a state is one of "
+                         f"{NO_INFO}, {HAS_INFO}, {WARNED} and {DEAD}")
+
+
 def mc_step(
     states: np.ndarray,
     graph: Graph,
@@ -98,50 +211,12 @@ def mc_step(
     params: NodeParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One synchronous update; see the module docstring for phase order."""
-    n = graph.n
-    indptr, indices = graph.csr
-    snapshot = states
-
-    # Phase 1: broadcast. One uniform per node; per-edge uniforms only for
-    # nodes that broadcast, in node order / sorted-neighbour order.
-    u_broadcast = rng.random(n)
-    broadcasting = np.flatnonzero((snapshot == HAS_INFO) & (u_broadcast < params.r))
-    received = np.zeros(n, dtype=bool)
-    starts = indptr[broadcasting]
-    counts = indptr[broadcasting + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    if total:
-        # Edge positions of the broadcasters' rows, concatenated in node order.
-        flat = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-        up = rng.random(total) < links.out_values[flat]
-        received[indices[flat[up]]] = True
-
-    # Phase 2: receipt by susceptible nodes.
-    u_accept = rng.random(n)
-    new_states = snapshot.copy()
-    receiving = (snapshot == NO_INFO) & received
-    accepted = receiving & (u_accept < params.nu)
-    new_states[accepted] = HAS_INFO
-    new_states[receiving & ~accepted] = WARNED
-
-    # Phase 3: death (independent draw, overrides receipt).
-    u_death = rng.random(n)
-    died = (snapshot != DEAD) & (u_death < params.delta)
-
-    # Phase 4: resurrection of snapshot-dead nodes.
-    u_res = rng.random(n)
-    revived = (snapshot == DEAD) & (u_res < params.gamma)
-    new_states[revived] = NO_INFO
-
-    # Phase 5: reversion of snapshot-warned nodes that survived phase 3.
-    u_rev = rng.random(n)
-    reverting = (snapshot == WARNED) & ~died & (u_rev < params.chi)
-    new_states[reverting] = NO_INFO
-
-    new_states[died] = DEAD
-    return new_states
+    """One synchronous update; see the module docstring for phase order.
+    ``states`` holds one code 0..3 per node, of any integer dtype; the new
+    states come back in a new array of that dtype."""
+    _check_states(states, graph.n)
+    step = _Step(graph, links, params)
+    return step(states.astype(np.int8), rng).astype(states.dtype, copy=False)
 
 
 def mc_run(
@@ -154,13 +229,13 @@ def mc_run(
 ) -> np.ndarray:
     """Single run; returns fractions per state, shape ``(steps + 1, 4)``."""
     _check_int("steps", steps, 0, "non-negative")
-    _check_inputs(graph, links, params)
+    step = _Step(graph, links, params)
     rng = _as_rng(seed)
     states = initial_states(graph.n, init, rng)
     fractions = np.empty((steps + 1, 4))
     fractions[0] = np.bincount(states, minlength=4) / graph.n
     for k in range(1, steps + 1):
-        states = mc_step(states, graph, links, params, rng)
+        step(states, rng)
         fractions[k] = np.bincount(states, minlength=4) / graph.n
     return fractions
 

@@ -528,3 +528,21 @@ def test_options_the_model_does_not_read_are_rejected(tmp_path, args, option):
     assert payload["type"] == "ConfigError" and payload["field"] == option
     assert "does not read this option" in payload["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectral", "isolate"])
+@pytest.mark.parametrize("option,value", [("--nu", "0.3"), ("--chi", "0.5"), ("--nu", "1")])
+def test_score_commands_reject_acceptance_options(tmp_path, command, option, value):
+    # The survivability score reads beta, gamma, delta and r only.
+    outputs = {
+        "spectral": ("--eigenvector-csv", str(tmp_path / "v.csv")),
+        "isolate": ("--strategy", "greedy", "--output-graph", str(tmp_path / "g.txt"),
+                    "--output-report", str(tmp_path / "report.json")),
+    }[command]
+    proc = run_cli(command, *LATTICE5, option, value, *outputs)
+    assert proc.returncode == 2, proc.stderr
+    payload = stderr_error(proc)
+    assert payload["type"] == "ConfigError" and payload["field"] == option
+    assert payload["error"].startswith(f"{option}: {command} does not read this option; "
+                                       f"it reads --beta, --delta, --gamma, --r")
+    assert list(tmp_path.iterdir()) == []

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from netspread import montecarlo
 from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
 from netspread.meanfield import LinkProbs, NodeParams
 from netspread.montecarlo import (
+    _TRANSITIONS,
     DEAD,
     HAS_INFO,
     NO_INFO,
@@ -19,6 +21,7 @@ from netspread.montecarlo import (
     mc_ensemble,
     mc_run,
     mc_step,
+    _Step,
     mix_seed,
 )
 
@@ -407,3 +410,158 @@ def test_step_without_broadcasters_matches_reference():
     rng_five = np.random.default_rng(3)
     rng_five.random(5 * 6)
     assert rng_fast.bit_generator.state == rng_five.bit_generator.state
+
+
+class TestStepInputs:
+    def make(self):
+        g = gen_lattice4(3, 3)
+        params = NodeParams.homogeneous(9, r=0.5, delta=0.2, gamma=0.3, nu=0.5, chi=0.4)
+        return g, LinkProbs.homogeneous(g, 0.5), params
+
+    @pytest.mark.parametrize("states,message", [
+        (np.zeros(8, dtype=np.int8), r"one code per node, shape \(9,\); got shape \(8,\)"),
+        (np.zeros((9, 1), dtype=np.int8), r"got shape \(9, 1\)"),
+        (np.zeros(9), "integer array, got dtype float64"),
+        (np.zeros(9, dtype=bool), "integer array, got dtype bool"),
+        (np.array([0, 1, 2, 3, 4, 0, 0, 0, 0]), "^node 4 has state 4;"),
+        (np.array([0, 0, -1, 3, 9, 0, 0, 0, 0], dtype=np.int8), "^node 2 has state -1;"),
+        (np.full(9, 255, dtype=np.uint8), "^node 0 has state 255;"),
+    ], ids=["short", "two_d", "float", "bool", "code_4", "negative", "uint8_255"])
+    def test_bad_states_rejected(self, states, message):
+        g, links, params = self.make()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            mc_step(states, g, links, params, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int32, np.int64])
+    def test_states_keep_their_dtype_and_the_input_is_untouched(self, dtype):
+        g, links, params = self.make()
+        states = np.array([HAS_INFO, NO_INFO, WARNED, DEAD, HAS_INFO, HAS_INFO,
+                           NO_INFO, WARNED, DEAD], dtype=dtype)
+        kept = states.copy()
+        nxt = mc_step(states, g, links, params, np.random.default_rng(4))
+        ref = mc_step_reference(states, g, links, params, np.random.default_rng(4))
+        assert nxt.dtype == dtype and nxt is not states
+        assert np.array_equal(states, kept) and np.array_equal(nxt, ref)
+
+
+def test_transition_table_matches_the_phase_masks():
+    # Phases 2-5 as mask assignments, applied to every 7-bit code: state in
+    # bits 0-1, then received, accept, die, revive and revert.
+    code = np.arange(128)
+    snapshot = code & 3
+    received, accept, die, revive, revert = ((code >> bit) & 1 == 1 for bit in range(2, 7))
+    new = snapshot.copy()
+    receiving = (snapshot == NO_INFO) & received
+    new[receiving & accept] = HAS_INFO
+    new[receiving & ~accept] = WARNED
+    died = (snapshot != DEAD) & die
+    new[(snapshot == DEAD) & revive] = NO_INFO
+    new[(snapshot == WARNED) & ~died & revert] = NO_INFO
+    new[died] = DEAD
+    assert np.array_equal(_TRANSITIONS, new)
+
+
+def reference_run(graph, links, params, init, steps, seed):
+    """``mc_run``'s loop around the per-broadcaster oracle step: the
+    fractions and the generator after the run."""
+    rng = np.random.default_rng(seed)
+    states = initial_states(graph.n, init, rng)
+    rows = [np.bincount(states, minlength=4) / graph.n]
+    for _ in range(steps):
+        states = mc_step_reference(states, graph, links, params, rng)
+        rows.append(np.bincount(states, minlength=4) / graph.n)
+    return np.array(rows), rng
+
+
+def torus_links(g: Graph, seed: int) -> LinkProbs:
+    """A directed table with a different probability on every link."""
+    rng = np.random.default_rng(seed)
+    mapping = {}
+    for u, v in g.edge_array.tolist():
+        mapping[(u, v)], mapping[(v, u)] = rng.uniform(0.05, 0.6, 2)
+    return LinkProbs.from_mapping(g, mapping, symmetric=False)
+
+
+def isolated_nodes_graph() -> Graph:
+    # Nodes 0, 7 and 39 have no edge; 7 sits between two components.
+    pairs = [(u, u + 1) for u in range(1, 6)] + [(u, v) for u in range(8, 39)
+                                                for v in range(u + 1, 39, 5)]
+    return Graph.from_edges(40, pairs)
+
+
+RUN_CASES = {
+    "heterogeneous_table": lambda: (
+        gen_lattice4(20, 20), torus_links(gen_lattice4(20, 20), 1),
+        NodeParams.homogeneous(400, r=0.7, delta=0.1, gamma=0.2, nu=0.6, chi=0.3)),
+    "powerlaw_low_acceptance": lambda: (
+        gen_powerlaw(300, 3, 5), LinkProbs.homogeneous(gen_powerlaw(300, 3, 5), 0.4),
+        NodeParams.homogeneous(300, r=1.0, delta=0.05, gamma=0.1, nu=0.2, chi=0.9)),
+    "r_zero": lambda: (
+        gen_powerlaw(200, 2, 3), torus_links(gen_powerlaw(200, 2, 3), 2),
+        NodeParams.homogeneous(200, r=0.0, delta=0.2, gamma=0.3, nu=0.5, chi=0.4)),
+    "isolated_nodes": lambda: (
+        isolated_nodes_graph(), torus_links(isolated_nodes_graph(), 3),
+        NodeParams(r=np.linspace(0.2, 1.0, 40), delta=np.linspace(0.0, 0.3, 40),
+                   gamma=np.linspace(0.5, 0.1, 40), nu=np.linspace(1.0, 0.3, 40),
+                   chi=np.linspace(0.1, 0.6, 40))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_matches_the_oracle_step_loop(case, seed):
+    g, links, params = RUN_CASES[case]()
+    want, ref_rng = reference_run(g, links, params, 0.3, 25, seed)
+    rng = np.random.default_rng(seed)
+    got = mc_run(g, links, params, init=0.3, steps=25, seed=rng)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_equal_valued_table_runs_as_the_homogeneous_one():
+    # Every link of the table carries 0.25: the step compares its edge draws
+    # with that one value, as for LinkProbs.homogeneous, while the oracle
+    # gathers it per edge.  A table with one other value gathers too.
+    g = gen_powerlaw(300, 3, 11)
+    params = NodeParams.homogeneous(300, r=0.8, delta=0.1, gamma=0.2, nu=0.7, chi=0.2)
+    table = {(u, v): 0.25 for u, v in g.edge_array.tolist()}
+    equal = LinkProbs.from_mapping(g, table)
+    homogeneous = LinkProbs.homogeneous(g, 0.25)
+    table[next(iter(table))] = 0.5
+    uneven = LinkProbs.from_mapping(g, table)
+    assert np.ndim(_Step(g, equal, params).beta) == 0
+    assert np.ndim(_Step(g, homogeneous, params).beta) == 0
+    assert np.ndim(_Step(g, uneven, params).beta) == 1
+    want, ref_rng = reference_run(g, equal, params, 0.2, 30, 9)
+    for links in (equal, homogeneous):
+        rng = np.random.default_rng(9)
+        got = mc_run(g, links, params, init=0.2, steps=30, seed=rng)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    want, ref_rng = reference_run(g, uneven, params, 0.2, 30, 9)
+    rng = np.random.default_rng(9)
+    assert np.array_equal(mc_run(g, uneven, params, init=0.2, steps=30, seed=rng), want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_ensemble_calls_mc_run_once_per_run(monkeypatch):
+    # Each run goes through the module's mc_run, which a caller can wrap
+    # (the benchmark times each run that way).
+    calls = []
+    inner = montecarlo.mc_run
+
+    def counting(*args, **kwargs):
+        calls.append(args[5])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mc_run", counting)
+    g = gen_lattice4(4, 4)
+    params = NodeParams.homogeneous(16, r=1.0, delta=0.2, gamma=0.2)
+    ens = mc_ensemble(g, LinkProbs.homogeneous(g, 0.3), params,
+                      init=0.25, steps=4, runs=3, seed=5)
+    assert len(calls) == 3 and ens.runs == 3
+    assert [rng.bit_generator.seed_seq.entropy for rng in calls] == [
+        mix_seed(5, k) for k in range(3)]
