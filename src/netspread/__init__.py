@@ -25,7 +25,7 @@ from .meanfield import (
     ParamRegimeError,
 )
 from .meanfield import run as meanfield_run
-from .montecarlo import EnsembleResult, mc_ensemble, mc_run, mc_step
+from .montecarlo import EnsembleResult, mc_ensemble, mc_run
 from .ode import (
     IntegrationInstabilityError,
     OdeParams,

@@ -104,8 +104,7 @@ class Graph:
     array with each edge once as ``(u, v)``, ``u < v``, in lexicographic
     order (``edges`` may be any iterable of such pairs, or an array; repeats
     collapse).  ``csr``, ``degrees``, ``transpose`` and ``row_layout`` are
-    derived from it and cached.  ``edges`` (a set of tuples) is a read-only
-    view built on first access.
+    derived from it and cached.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
@@ -141,9 +140,6 @@ class Graph:
         return other is self or (
             self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, num_edges={self.num_edges})"
@@ -189,14 +185,6 @@ class Graph:
         degrees = np.diff(self.csr[0])
         degrees.flags.writeable = False
         return degrees
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Read-only view: the edge set as ``(u, v)`` tuples with ``u < v``."""
-        return frozenset(map(tuple, self.edge_array.tolist()))
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
 
     @cached_property
     def _csr_keys(self) -> np.ndarray:

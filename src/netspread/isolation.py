@@ -41,9 +41,9 @@ class IsolationReport:
     lambda1_before: float
     lambda1_after: float
     connectivity_after: int
-    score_before: float | None = None
-    score_after: float | None = None
-    threshold_crossed: bool = False
+    score_before: float
+    score_after: float
+    threshold_crossed: bool
     lambda1_steps: list[float] = field(default_factory=list)
     surplus_nodes: list[int] = field(default_factory=list)
 
@@ -75,14 +75,11 @@ def _missing_edges(g: Graph, other: Graph) -> list[tuple[int, int]]:
     return list(map(tuple, e[other.csr_positions(e[:, 0], e[:, 1]) < 0].tolist()))
 
 
-def _maybe_scores(
-    before: Graph,
-    after: Graph,
-    beta_template: float | None,
-    params: NodeParams | None,
-) -> tuple[float | None, float | None, bool]:
-    if beta_template is None or params is None:
-        return None, None, False
+def _scores(
+    before: Graph, after: Graph, beta_template: float, params: NodeParams
+) -> tuple[float, float, bool]:
+    """The scores of ``before`` and ``after`` with homogeneous links of
+    ``beta_template``, and whether the change crosses the threshold."""
     s_before = survivability_score(
         before, LinkProbs.homogeneous(before, beta_template), params
     ).score
@@ -93,18 +90,11 @@ def _maybe_scores(
 
 
 def _report(
-    strategy: str,
-    before: Graph,
-    after: Graph,
-    beta_template: float | None,
-    params: NodeParams | None,
+    strategy: str, before: Graph, after: Graph, beta_template: float, params: NodeParams
 ) -> IsolationReport:
-    """Report of replacing ``before`` by ``after``; scores are computed only
-    when both ``beta_template`` and ``params`` are given."""
+    """Report of replacing ``before`` by ``after``."""
     removed = _missing_edges(before, after)
-    score_before, score_after, crossed = _maybe_scores(
-        before, after, beta_template, params
-    )
+    score_before, score_after, crossed = _scores(before, after, beta_template, params)
     return IsolationReport(
         strategy=strategy,
         edges_removed=len(removed),
@@ -120,10 +110,7 @@ def _report(
 
 
 def greedy_edge_removal(
-    g: Graph,
-    k: int,
-    beta_template: float | None = None,
-    params: NodeParams | None = None,
+    g: Graph, k: int, beta_template: float, params: NodeParams
 ) -> tuple[Graph, IsolationReport]:
     """Remove ``k`` edges, each chosen to maximally damp the dominant mode.
 
@@ -150,7 +137,7 @@ def greedy_edge_removal(
         removed.append(best_edge)
     lambda1_steps.append(adjacency_spectral_radius(current).value)
 
-    score_before, score_after, crossed = _maybe_scores(g, current, beta_template, params)
+    score_before, score_after, crossed = _scores(g, current, beta_template, params)
     report = IsolationReport(
         strategy="greedy",
         edges_removed=len(removed),
@@ -216,10 +203,7 @@ def nn_hamiltonian_cycle(g: Graph, start: int = 0) -> CycleSearchResult:
 
 
 def prune_to_cycle(
-    g: Graph,
-    cycle: list[int],
-    beta_template: float | None = None,
-    params: NodeParams | None = None,
+    g: Graph, cycle: list[int], beta_template: float, params: NodeParams
 ) -> tuple[Graph, IsolationReport]:
     """Keep only the edges of a known Hamiltonian cycle of ``g``.
 
@@ -251,9 +235,7 @@ def lattice_dimensions(n: int) -> tuple[int, int] | None:
 
 
 def rewire_to_lattice(
-    g: Graph,
-    beta_template: float | None = None,
-    params: NodeParams | None = None,
+    g: Graph, beta_template: float, params: NodeParams
 ) -> tuple[Graph, IsolationReport]:
     """Replace the entire edge set with a 4-regular torus lattice.
 

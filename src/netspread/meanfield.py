@@ -22,21 +22,10 @@ probabilities can leave ``[0, 1]``.  Steps detect this and fail loudly with a
 parameter-regime diagnostic; nothing is clamped.  Callers can opt into a
 reporting-only mode that records violations instead of raising.
 
-:func:`run` is the one entry point.  It prepares the update once per run:
-a :class:`~netspread.rowops.RowOperator` on the graph's cached
-degree-bucketed layout, weighted by the products ``r_j * beta_ji`` in that
-layout (from :func:`_transmission`, which the linearised system matrix of
-:mod:`netspread.spectral` is built from too), and the per-node coefficients
-are computed before the first step.  Each step takes ``zeta`` with the
-operator: when each ``r_j * beta_ji`` depends only on the source ``j``, as
-for homogeneous ``beta``, it computes ``1 - r_j * beta_ji * p_j`` on ``n``
-values and gathers them; otherwise it gathers ``p`` and computes the factors
-per CSR entry.  A state keeps ``p``, ``q``, ``w`` and the dead fraction in
-one ``(4, n)`` array; a run steps between two such arrays and keeps
-``zeta`` and the step's temporaries in buffers of the prepared update.  A
-``"sis"`` run from ``w = +0.0`` keeps ``w`` at +0.0, so its steps skip the
-``w`` row and the terms it feeds.  The prepared run gives the same bits as
-stepping one state at a time with a plain product over each CSR row.
+:func:`run` is the one entry point.  It prepares the update once per run
+(:class:`_Update`), on a :class:`~netspread.rowops.RowOperator` weighted by
+the products ``r_j * beta_ji`` that the linearised system matrix of
+:mod:`netspread.spectral` is built from too.
 """
 from __future__ import annotations
 
@@ -171,11 +160,6 @@ class LinkProbs:
         names that link itself."""
         return cls(graph, _table_in_values(graph, mapping, symmetric))
 
-    def value(self, src: int, dst: int) -> float:
-        """Transmission probability along the directed link ``src -> dst``."""
-        k = self.graph.csr_positions(dst, src)
-        return float(self.in_values[k]) if k >= 0 else 0.0
-
     @cached_property
     def out_values(self) -> np.ndarray:
         """Aligned with the graph CSR: entry ``k`` of row ``i`` holds
@@ -264,14 +248,17 @@ class _Update:
 
     What does not change between steps is computed here, once: the row
     operator, weighted by the products ``r_j * beta_ji`` of
-    :func:`_transmission`, and the coefficients ``1 - delta``, ``1 - nu`` and
-    ``1 - chi - delta``.  A state is a ``(4, n)`` array of rows ``p``, ``q``,
-    ``w`` and ``dead = 1 - p - q - w``, so ``dead`` is computed once per
-    state.  The update owns the buffers a step writes besides the next
-    state: ``zeta``, ``1 - zeta`` and two temporaries, one of which also
-    holds the ``p + q + w`` of :meth:`in_bounds`.  A step computes what the
-    lines of the module docstring compute with fresh arrays, operation for
-    operation and operand for operand.
+    :func:`_transmission` (per source node when each product depends only on
+    its source ``j``, as for homogeneous ``beta``; see
+    :meth:`~netspread.rowops.RowOperator.weigh`), and the coefficients
+    ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A state is a
+    ``(4, n)`` array of rows ``p``, ``q``, ``w`` and ``dead = 1 - p - q - w``,
+    so ``dead`` is computed once per state.  The update owns the buffers a
+    step writes besides the next state: ``zeta``, ``1 - zeta`` and two
+    temporaries, one of which also holds the ``p + q + w`` of
+    :meth:`in_bounds`.  A step computes what the lines of the module
+    docstring compute with fresh arrays, operation for operation and operand
+    for operand.
 
     Without ``warned`` (a "sis" run, ``nu = 1`` and ``chi = 0``, whose ``w``
     rows are all +0.0) a step leaves the ``w`` row as it is and skips the
@@ -464,9 +451,8 @@ def run(
     whatever ``params`` say, and starts only from an empty warning state.
     One step is ``run(..., max_steps=1, tol=0).final_state``.
 
-    The run is prepared once (see :class:`_Update`) and builds no
-    :class:`MfState` per step.  It steps between two ``(4, n)`` states that
-    swap roles each step, so a step allocates no array of ``n`` values.  Each
+    The run builds no :class:`MfState` per step: it steps the prepared
+    :class:`_Update` between two states that swap roles each step.  Each
     step checks bounds with one min/max scan and calls
     :func:`bound_violations` only when that scan fails, records the four row
     sums the trajectory's columns are made from, and measures the change in

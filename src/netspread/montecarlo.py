@@ -31,15 +31,8 @@ as drawing the rows one broadcaster at a time.  Phases 2-5 then take one
 draw of shape ``(4, n)``, a row per phase in phase order: the same uniforms
 as four draws of ``n``, one per phase.
 
-A run is prepared once and then stepped (:func:`mc_step` prepares a step
-and takes it once).  The preparation keeps the graph's arrays and the node
-parameters, and the buffers a step writes, and notes whether every link
-carries the same probability; a step then compares its transmission draws
-with that one value instead of gathering it per edge, which gives the same
-bits.  A step packs each node's snapshot state and what its draws decided
-(received, accept, die, revive, revert) into a 7-bit code, and one
-128-entry table, built at import from the rules of phases 2-5, maps every
-code to the node's next state.
+A run is prepared once and then stepped; :class:`_Step` says what the
+preparation keeps and how a step packs its draws into one table lookup.
 
 Ensemble runs derive per-run seeds from a master seed: run ``k`` uses
 ``splitmix64(master XOR k)`` where ``splitmix64`` is the finaliser
@@ -65,17 +58,14 @@ __all__ = [
     "HAS_INFO",
     "WARNED",
     "DEAD",
-    "STATE_NAMES",
     "EnsembleResult",
     "mix_seed",
     "initial_states",
-    "mc_step",
     "mc_run",
     "mc_ensemble",
 ]
 
 NO_INFO, HAS_INFO, WARNED, DEAD = 0, 1, 2, 3
-STATE_NAMES = ("no_info", "has_info", "warned", "dead")
 _MEAN_COLUMNS = (
     "frac_noinfo_mean", "frac_hasinfo_mean", "frac_warned_mean", "frac_dead_mean"
 )
@@ -138,6 +128,11 @@ class _Step:
     packing their comparisons.  When every link carries the same
     probability (compared by value, once), ``beta`` is that value:
     ``u < beta`` gives the same bits as comparing with an equal entry.
+
+    A step packs each node's snapshot state and what its draws decided
+    (received, accept, die, revive, revert) into a 7-bit code in ``states``
+    itself, and ``_TRANSITIONS``, built at import from the rules of phases
+    2-5, maps every code to the node's next state.
     """
 
     def __init__(self, graph: Graph, links: LinkProbs, params: NodeParams) -> None:
@@ -190,35 +185,6 @@ class _Step:
         return np.take(_TRANSITIONS, states, out=states)
 
 
-def _check_states(states: np.ndarray, n: int) -> None:
-    """Reject anything but one integer state code 0..3 per node."""
-    if states.shape != (n,):
-        raise ValueError(f"states must hold one code per node, shape ({n},); "
-                         f"got shape {states.shape}")
-    if not np.issubdtype(states.dtype, np.integer):
-        raise ValueError(f"states must be an integer array, got dtype {states.dtype}")
-    bad = np.flatnonzero((states < NO_INFO) | (states > DEAD))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"node {i} has state {states[i]}; a state is one of "
-                         f"{NO_INFO}, {HAS_INFO}, {WARNED} and {DEAD}")
-
-
-def mc_step(
-    states: np.ndarray,
-    graph: Graph,
-    links: LinkProbs,
-    params: NodeParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One synchronous update; see the module docstring for phase order.
-    ``states`` holds one code 0..3 per node, of any integer dtype; the new
-    states come back in a new array of that dtype."""
-    _check_states(states, graph.n)
-    step = _Step(graph, links, params)
-    return step(states.astype(np.int8), rng).astype(states.dtype, copy=False)
-
-
 def mc_run(
     graph: Graph,
     links: LinkProbs,
@@ -244,8 +210,8 @@ def mc_run(
 class EnsembleResult:
     """Per-step mean and standard deviation of state fractions across runs.
 
-    ``mean`` and ``std`` have shape ``(steps + 1, 4)`` with columns ordered
-    as :data:`STATE_NAMES`; ``std`` is the population standard deviation.
+    ``mean`` and ``std`` have shape ``(steps + 1, 4)``, one column per state
+    code in code order; ``std`` is the population standard deviation.
     """
 
     mean: np.ndarray

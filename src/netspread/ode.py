@@ -147,8 +147,9 @@ def integrate(
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {sorted(_MODELS)}")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):  # NaN fails too
+        raise ValueError(f"dt and t_end must be finite and positive, "
+                         f"got dt={dt!r} t_end={t_end!r}")
     rhs, recovered = _MODELS[model]
     n_steps = int(round(t_end / dt))
     if n_steps < 1:

@@ -8,8 +8,7 @@ these reductions run as a few contiguous vector operations, and
 reductions.  Both reductions give the bits of ``np.multiply.reduceat`` and
 ``np.add.reduceat`` over the CSR rows.  They write their results, in layout
 row order, to one array the operator owns and place them in row order with
-one ``np.take``: no bucket scatters its results on its own, and a result
-array is allocated only when the caller passes no ``out``.  A layout whose
+one ``np.take``: no bucket scatters its results on its own.  A layout whose
 row order is the CSR's (no empty rows, and buckets, if any, in row order:
 the 32x32 torus is one bucket, the 1000-node power-law graph all tail)
 reduces straight into ``out``.
@@ -157,11 +156,9 @@ class RowLayout:
         np.take(csr_values, positions, out=out[self.tail_start:], mode="clip")
         return out
 
-    def spread(self, row_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def spread(self, row_values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Each row's entry of ``row_values``, repeated at every layout
-        position of that row."""
-        if out is None:
-            out = np.empty(self.size, dtype=row_values.dtype)
+        position of that row, in ``out``."""
         for d, start, m, rows in self.buckets:
             out[start:start + d * m].reshape(d, m)[:] = row_values[rows]
         out[self.tail_start:] = np.repeat(row_values[self.tail_rows], self.tail_degrees)
@@ -176,11 +173,11 @@ class RowOperator:
 
     :meth:`gather` fills the buffer with ``v[columns]``; callers transform it
     in place and reduce it with :meth:`row_sum` or :meth:`row_prod`, which
-    take values in layout order and write one value per CSR row to ``out``,
-    or to a fresh array.  Each bucket's column reduction and the tail's
-    ``reduceat`` land in the row buffer, in layout row order, and one
-    ``np.take`` through the layout's ``placing`` puts them in row order; a
-    layout in row order reduces into ``out`` itself.  Between products the
+    take values in layout order and write one value per CSR row to ``out``.
+    Each bucket's column reduction and the tail's ``reduceat`` land in the
+    row buffer, in layout row order, and one ``np.take`` through the
+    layout's ``placing`` puts them in row order; a layout in row order
+    reduces into ``out`` itself.  Between products the
     CSR-sized buffer is free scratch space of layout size.
 
     After :meth:`weigh`, :meth:`weighted_sum` and :meth:`complement_prod`
@@ -233,20 +230,20 @@ class RowOperator:
             np.subtract(1.0, terms, out=terms)
         return terms
 
-    def weighted_sum(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def weighted_sum(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row sums of ``weights * v[columns]``: the off-diagonal part of
         a matvec."""
         return self.row_sum(self._weighted(v, False), out=out)
 
-    def complement_prod(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def complement_prod(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row products of ``1 - weights * v[columns]``: ``zeta``."""
         return self.row_prod(self._weighted(v, True), out=out)
 
-    def row_prod(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def row_prod(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row products of ``values``, as ``np.multiply.reduceat``."""
         return self._reduce(_column_prod, np.multiply, values, out, 1.0)
 
-    def row_sum(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def row_sum(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row sums of ``values``, as ``np.add.reduceat``."""
         return self._reduce(_column_sum, np.add, values, out, -0.0)
 
@@ -255,8 +252,6 @@ class RowOperator:
         both into ``reduced`` (or, for a layout in row order, into ``out``);
         then row order, and ``identity`` for empty rows."""
         lay = self.layout
-        if out is None:
-            out = np.empty(lay.n)
         reduced = out if lay.in_row_order else self.reduced
         first = 0
         for d, start, m, _ in lay.buckets:

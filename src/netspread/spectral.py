@@ -31,11 +31,11 @@ as for homogeneous ``beta`` with homogeneous gains, whatever ``r``, and for
 the ``A + I`` of the adjacency radius, a product scales ``v`` per node and
 gathers the scaled values into the operator's buffer; otherwise it gathers
 ``v`` and scales each entry.  Either way it takes the row sums with the
-operator, which land in the matrix's own row-sum buffer, so a product given
-``out`` allocates no array of ``n`` values.  Power iteration keeps ``v``,
-``w`` and the residual in buffers of its own, and computes the residual
-only on iterations whose eigenvalue estimates already agree to ``TOL``; its
-dot product and norms are the only BLAS calls.  Values, vectors, residuals
+operator, which land in the matrix's own row-sum buffer, so a product
+allocates no array of ``n`` values.  Power iteration keeps ``v``, ``w`` and
+the residual in buffers of its own, and computes the residual only on
+iterations whose eigenvalue estimates already agree to ``TOL``; its dot
+product and norms are the only BLAS calls.  Values, vectors, residuals
 and iteration counts are those of summing each CSR row with numpy and
 fresh arrays, bit for bit.
 """
@@ -122,10 +122,10 @@ class SystemMatrix:
     CSR entry of a graph, the weights of the row operator ``rows``.
 
     The entry at layout position ``k`` sits in column ``rows.columns[k]`` of
-    the row ``rows.layout.spread(np.arange(n))[k]``; its value is
-    ``rows.weights[k]``, or ``rows.node_weights[rows.columns[k]]`` on the
-    per-node path.  Products reuse the operator's buffers, so a matrix
-    serves one thread at a time.
+    the row that :meth:`~netspread.rowops.RowLayout.spread` repeats at
+    position ``k``; its value is ``rows.weights[k]``, or
+    ``rows.node_weights[rows.columns[k]]`` on the per-node path.  Products
+    reuse the operator's buffers, so a matrix serves one thread at a time.
     """
 
     n: int
@@ -138,11 +138,10 @@ class SystemMatrix:
         calls ``matvec`` hundreds of times."""
         return np.empty(self.n)
 
-    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``S v``, written to ``out`` or to a fresh array: ``diag * v`` plus
-        each row's sum of its entries times ``v[column]``.  Rows without
-        entries add -0.0, which changes no value, so they keep ``diag * v``
-        bit for bit."""
+    def matvec(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``S v``, written to ``out``: ``diag * v`` plus each row's sum of
+        its entries times ``v[column]``.  Rows without entries add -0.0,
+        which changes no value, so they keep ``diag * v`` bit for bit."""
         sums = self.rows.weighted_sum(v, out=self._sums)
         out = np.multiply(self.diag, v, out=out)
         return np.add(out, sums, out=out)

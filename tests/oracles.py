@@ -32,10 +32,15 @@ def adjacency(g: Graph) -> tuple[np.ndarray, ...]:
     return tuple(np.split(indices, indptr[1:-1]))
 
 
+def edge_set(g: Graph) -> frozenset[tuple[int, int]]:
+    """The edges of ``g`` as ``(u, v)`` tuples with ``u < v``."""
+    return frozenset(map(tuple, g.edge_array.tolist()))
+
+
 def dense_adjacency(g: Graph) -> np.ndarray:
     """Full symmetric 0/1 adjacency matrix."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         a[u, v] = a[v, u] = 1.0
     return a
 
@@ -196,7 +201,7 @@ def system_matrix_to_dense(s) -> np.ndarray:
     ``node_weights[columns[k]]``."""
     dense = np.diag(s.diag.astype(float))
     op = s.rows
-    rows = op.layout.spread(np.arange(s.n))
+    rows = op.layout.spread(np.arange(s.n), np.empty(op.layout.size, dtype=np.int64))
     for k in range(op.layout.size):
         j = op.columns[k]
         dense[rows[k], j] += op.weights[k] if op.node_weights is None else op.node_weights[j]

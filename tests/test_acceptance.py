@@ -210,8 +210,11 @@ def test_criterion_8_isolation_strategies_cut_lambda1_and_cross_threshold():
     succeeds on a 12-node one, pruning it to lambda1 = 2 within 1e-8; and
     rewiring the 1000-node hub graph onto a torus lands lambda1 = 4 within
     1e-8, flipping the survivability verdict from persistent to extinct."""
+    def params(n):
+        return NodeParams.homogeneous(n, r=1.0, delta=0.65, gamma=0.3)
+
     g500 = gen_powerlaw(500, 2, 42)
-    _, greedy_rep = greedy_edge_removal(g500, 50)
+    _, greedy_rep = greedy_edge_removal(g500, 50, beta_template=0.4, params=params(500))
     steps = greedy_rep.lambda1_steps
     assert len(steps) == 51
     assert all(b < a for a, b in zip(steps, steps[1:]))
@@ -222,11 +225,10 @@ def test_criterion_8_isolation_strategies_cut_lambda1_and_cross_threshold():
     g12 = gen_powerlaw(12, 2, 0)
     search = nn_hamiltonian_cycle(g12)
     assert search.success is True
-    _, prune_rep = prune_to_cycle(g12, search.cycle)
+    _, prune_rep = prune_to_cycle(g12, search.cycle, beta_template=0.4, params=params(12))
     assert abs(prune_rep.lambda1_after - 2.0) < 1e-8
 
-    params = NodeParams.homogeneous(1000, r=1.0, delta=0.65, gamma=0.3)
-    _, rewire_rep = rewire_to_lattice(g1000, beta_template=0.4, params=params)
+    _, rewire_rep = rewire_to_lattice(g1000, beta_template=0.4, params=params(1000))
     assert abs(rewire_rep.lambda1_after - 4.0) < 1e-8
     assert rewire_rep.score_before > 1.0
     assert rewire_rep.score_after < 1.0

@@ -284,7 +284,7 @@ class TestIsolate:
         from netspread.graphs import load_edge_list
         g = load_edge_list(after)
         assert g.num_edges == 12
-        assert all(g.degree(i) == 2 for i in range(12))
+        assert (g.degrees == 2).all()
 
     def test_lattice_rewiring_crosses_threshold(self, tmp_path):
         rep = tmp_path / "rep.json"

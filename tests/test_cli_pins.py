@@ -5,7 +5,7 @@ Each case runs in a fresh directory with relative output names, so stdout
 does not depend on where the test runs.  ``EXPECTED`` was recorded before
 the subcommands were routed through the sweep's runner; the one entry
 changed since is the wording of the ``sis`` warning-state error
-(``meanfield_sis_w0``).
+(``meanfield_sis_w0``); ``ode_t_end_inf`` was added later.
 """
 import hashlib
 import json
@@ -40,6 +40,8 @@ CASES = {
     "ode_instability": ("ode", "--model", "sis", "--beta", "9", "--gamma", "0",
                         "--i0", "0.5", "--dt", "5", "--t-end", "50",
                         "--output", "o.csv"),
+    "ode_t_end_inf": ("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1",
+                      "--t-end", "inf", "--output", "o.csv"),
     "meanfield_sis": ("meanfield", *POWERLAW, *RATES, "--steps", "50",
                       "--output", "mf.csv"),
     "meanfield_sirs": ("meanfield", "--model", "sirs", "--family", "lattice4",
@@ -251,6 +253,15 @@ EXPECTED = {
                 ("integration blew up: s=3779338398639807.5 at step 1 (t=5); "
                  "reduce dt or check parameters"),
             "type": "IntegrationInstabilityError",
+        },
+        {},
+    ),
+    "ode_t_end_inf": (
+        2,
+        "",
+        {
+            "error": "dt and t_end must be finite and positive, got dt=0.01 t_end=inf",
+            "type": "ValueError",
         },
         {},
     ),

@@ -1,11 +1,13 @@
 """The README's Python quick start runs as written and prints what it says,
 and every module's ``__all__`` names only what the module defines and what
-something outside the tests uses."""
+code outside the tests uses."""
+import ast
 import contextlib
 import importlib
 import io
 import pkgutil
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -58,24 +60,50 @@ def test_star_import_and_all_agree(name):
     assert set(getattr(module, "__all__", ())) <= set(namespace)
 
 
-def test_every_public_name_has_a_use_outside_the_tests():
-    # A use is a whole-word match in the package, the scripts, the benchmark
-    # or the README, other than the name's own def, class or assignment line,
-    # an ``__all__`` entry or a re-export in ``__init__.py``.
+def code_uses() -> tuple[set[str], set[str], set[str]]:
+    """What the package (but ``__init__.py``), the scripts, the benchmark and
+    the README's Python blocks use, read from their syntax trees, so that a
+    docstring, a comment or prose never counts: the names loaded, imported
+    or read as attributes; the attributes read; the attributes called."""
     files = [p for p in sorted((ROOT / "src" / "netspread").glob("*.py"))
              if p.name != "__init__.py"]
     files += [*sorted((ROOT / "scripts").glob("*.py")),
-              *sorted((ROOT / "benchmarks").glob("*.py")), README]
-    lines = []
-    for path in files:
-        text = re.sub(r"^__all__ = \[.*?\]$", "", path.read_text(encoding="utf-8"),
-                      flags=re.S | re.M)
-        lines += text.splitlines()
+              *sorted((ROOT / "benchmarks").glob("*.py"))]
+    sources = [p.read_text(encoding="utf-8") for p in files]
+    sources += re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    names, read, called = set(), set(), set()
+    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    return names | read, read, called
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # A name in an ``__all__`` counts where it is loaded or imported; a
+    # public method of such a class where it is called as ``.name(...)``; a
+    # property where it is read.
+    names, read, called = code_uses()
     unused = []
     for name in MODULES:
-        for public in getattr(importlib.import_module(f"netspread.{name}"), "__all__", ()):
-            word = re.compile(rf"\b{public}\b")
-            own = re.compile(rf"^\s*(def|class)\s+{public}\b|^\s*{public}\s*(:[^=]*)?=")
-            if not any(word.search(line) and not own.search(line) for line in lines):
+        module = importlib.import_module(f"netspread.{name}")
+        for public in getattr(module, "__all__", ()):
+            if public not in names:
                 unused.append(f"{name}.{public}")
+            obj = getattr(module, public)
+            members = vars(obj).items() if isinstance(obj, type) else ()
+            for attr, member in members:
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (property, cached_property)):
+                    if attr not in read:
+                        unused.append(f"{name}.{public}.{attr}")
+                elif callable(member) or isinstance(member, (classmethod, staticmethod)):
+                    if attr not in called:
+                        unused.append(f"{name}.{public}.{attr}")
     assert unused == []

@@ -30,6 +30,7 @@ from netspread.rowops import RowOperator
 from oracles import (
     adjacency,
     dense_adjacency,
+    edge_set,
     dense_spectral_radius_symmetric,
     mle_tail_exponent,
     powerlaw_reference,
@@ -43,7 +44,7 @@ def assert_valid_graph(g: Graph) -> None:
     """Direct scan of every structural invariant."""
     assert g.n >= 1
     seen = set()
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         assert 0 <= u < v < g.n
         assert (u, v) not in seen
         seen.add((u, v))
@@ -57,7 +58,7 @@ def assert_valid_graph(g: Graph) -> None:
 class TestGraphContainer:
     def test_from_edges_normalises_order(self):
         g = Graph.from_edges(4, [(2, 1), (0, 3)])
-        assert g.edges == frozenset({(1, 2), (0, 3)})
+        assert edge_set(g) == frozenset({(1, 2), (0, 3)})
         assert g.has_edge(1, 2) and g.has_edge(2, 1)
         assert not g.has_edge(0, 1)
 
@@ -73,12 +74,12 @@ class TestGraphContainer:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees.tolist() == [3, 1, 1, 1]
         assert adjacency(g)[0].tolist() == [1, 2, 3]
-        assert g.degree(0) == 3
+        assert g.degrees[0] == 3
 
     def test_remove_edges(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         h = g.remove_edges([(2, 1)])
-        assert h.edges == frozenset({(0, 1)})
+        assert edge_set(h) == frozenset({(0, 1)})
         with pytest.raises(ValueError):
             g.remove_edges([(0, 2)])
 
@@ -101,7 +102,7 @@ class TestBinomial:
         for seed in (0, 5):
             g = gen_binomial(5, 1.0, seed)
             assert g.num_edges == 10
-            assert g.edges == frozenset(
+            assert edge_set(g) == frozenset(
                 (u, v) for u in range(5) for v in range(u + 1, 5)
             )
 
@@ -136,7 +137,7 @@ class TestPowerlaw:
     def test_degenerate_case_is_complete_seed_graph(self):
         for seed in (0, 9):
             g = gen_powerlaw(3, 2, seed)
-            assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+            assert edge_set(g) == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_edge_count_formula(self):
         # |E| = C(m+1, 2) + (n - m - 1) * m, exactly, for every seed.
@@ -211,7 +212,7 @@ def test_word_index_matches_numpy_bounded_draws(bit_generator, high):
 class TestExponential:
     def test_huge_rate_clamps_to_degree_one(self):
         g = gen_exponential(2, 1e6, 0)
-        assert g.edges == frozenset({(0, 1)})
+        assert edge_set(g) == frozenset({(0, 1)})
         assert g.degrees.tolist() == [1, 1]
 
     def test_target_degree_mean_matches_rate(self):
@@ -302,17 +303,17 @@ class TestEdgeListFormat:
         path = tmp_path / "torus.edges"
         save_edge_list(g, path)
         h = load_edge_list(path)
-        assert h.n == g.n and h.edges == g.edges
+        assert h.n == g.n and edge_set(h) == edge_set(g)
 
     def test_round_trip_via_stream(self):
         g = gen_powerlaw(20, 2, 3)
         buf = io.StringIO()
         save_edge_list(g, buf)
-        assert load_edge_list(io.StringIO(buf.getvalue())).edges == g.edges
+        assert edge_set(load_edge_list(io.StringIO(buf.getvalue()))) == edge_set(g)
 
     def test_reversed_endpoints_are_normalised(self):
         g = load_edge_list(io.StringIO("3\n2 0\n"))
-        assert g.edges == frozenset({(0, 2)})
+        assert edge_set(g) == frozenset({(0, 2)})
 
     def test_duplicate_edge_error_names_line(self):
         with pytest.raises(EdgeListFormatError, match=r"line 3.*duplicate"):
@@ -336,7 +337,7 @@ class TestEdgeListFormat:
 
     def test_comments_and_blank_lines_ignored(self):
         g = load_edge_list(io.StringIO("# header\n3\n\n0 1\n# trailing\n"))
-        assert g.n == 3 and g.edges == frozenset({(0, 1)})
+        assert g.n == 3 and edge_set(g) == frozenset({(0, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +346,16 @@ class TestEdgeListFormat:
 
 class TestDeterminism:
     def test_same_seed_same_edges_in_process(self):
-        assert gen_binomial(100, 0.05, 9).edges == gen_binomial(100, 0.05, 9).edges
-        assert gen_powerlaw(100, 2, 9).edges == gen_powerlaw(100, 2, 9).edges
-        assert gen_exponential(100, 0.5, 9).edges == gen_exponential(100, 0.5, 9).edges
+        assert edge_set(gen_binomial(100, 0.05, 9)) == edge_set(gen_binomial(100, 0.05, 9))
+        assert edge_set(gen_powerlaw(100, 2, 9)) == edge_set(gen_powerlaw(100, 2, 9))
+        assert edge_set(gen_exponential(100, 0.5, 9)) == edge_set(gen_exponential(100, 0.5, 9))
 
     def test_same_seed_same_edges_across_processes(self):
         snippet = (
             "from netspread.graphs import gen_binomial, gen_powerlaw, gen_exponential;"
-            "print(sorted(gen_binomial(80, 0.06, 4).edges));"
-            "print(sorted(gen_powerlaw(80, 2, 4).edges));"
-            "print(sorted(gen_exponential(80, 0.5, 4).edges))"
+            "print(gen_binomial(80, 0.06, 4).edge_array.tolist());"
+            "print(gen_powerlaw(80, 2, 4).edge_array.tolist());"
+            "print(gen_exponential(80, 0.5, 4).edge_array.tolist())"
         )
         runs = [
             subprocess.run(
@@ -378,7 +379,7 @@ class TestDeterminism:
 def test_binomial_invariants_hold_for_all_seeds(n, p, seed):
     g = gen_binomial(n, p, seed)
     assert_valid_graph(g)
-    assert g.edges == gen_binomial(n, p, seed).edges
+    assert edge_set(g) == edge_set(gen_binomial(n, p, seed))
 
 
 @given(
@@ -401,7 +402,7 @@ def test_powerlaw_invariants_hold_for_all_seeds(m, extra, seed):
 def test_exponential_invariants_hold_for_all_seeds(n, lam, seed):
     g = gen_exponential(n, lam, seed)
     assert_valid_graph(g)
-    assert g.edges == gen_exponential(n, lam, seed).edges
+    assert edge_set(g) == edge_set(gen_exponential(n, lam, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +473,13 @@ def test_connected_components_match_networkx(drawn):
 @given(graphs(), st.data())
 def test_remove_edges_matches_networkx(drawn, data):
     g, pairs = drawn
-    present = sorted(g.edges)
+    present = sorted(edge_set(g))
     doomed = data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []
     flipped = [(v, u) if k % 2 else (u, v) for k, (u, v) in enumerate(doomed)]
     h = nx_graph(g.n, pairs)
     h.remove_edges_from(doomed)
     after = g.remove_edges(flipped)
-    assert after.edges == {tuple(sorted(e)) for e in h.edges}
+    assert edge_set(after) == {tuple(sorted(e)) for e in h.edges}
     assert after.n == g.n and g.num_edges == len(present)  # input untouched
 
 
@@ -487,7 +488,7 @@ def test_remove_edges_equals_a_rebuilt_graph_array_for_array(drawn, data):
     """The copy is derived from this graph's cached arrays by deletion; every
     array it holds or derives equals that of the graph built from scratch."""
     g, _ = drawn
-    present = sorted(g.edges)
+    present = sorted(edge_set(g))
     doomed = data.draw(st.lists(st.sampled_from(present))) if present else []
     after = g.remove_edges(doomed)
     rebuilt = Graph.from_edges(g.n, sorted(set(present) - set(doomed)))
@@ -500,7 +501,7 @@ def test_remove_edges_equals_a_rebuilt_graph_array_for_array(drawn, data):
         assert np.array_equal(got, want)
     for got, want in [(after.edge_array, rebuilt.edge_array), *zip(after.csr, rebuilt.csr)]:
         assert not got.flags.writeable and not want.flags.writeable
-    assert after == rebuilt and hash(after) == hash(rebuilt)
+    assert after == rebuilt
 
 
 def test_remove_missing_or_out_of_range_edge_names_it():
@@ -526,10 +527,9 @@ def test_views_are_read_only_and_match_arrays():
     for arr in (g.edge_array, *g.csr, g.degrees, g.transpose, adjacency(g)[0]):
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert g.edges == frozenset(map(tuple, g.edge_array.tolist()))
     assert Graph(n=g.n, edges=g.edge_array) == g
-    assert Graph(n=g.n, edges=g.edges) == g and hash(Graph(n=g.n, edges=g.edges)) == hash(g)
-    assert Graph(n=g.n + 1, edges=g.edges) != g
+    assert Graph(n=g.n, edges=edge_set(g)) == g
+    assert Graph(n=g.n + 1, edges=edge_set(g)) != g
 
 
 def test_constructor_accepts_arrays_and_rejects_bad_pairs():

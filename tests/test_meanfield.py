@@ -19,7 +19,7 @@ from netspread.meanfield import (
     validate_warning_params,
 )
 
-from oracles import slow_plain_step, slow_warned_step, slow_zeta
+from oracles import edge_set, slow_plain_step, slow_warned_step, slow_zeta
 
 
 def zeta(state: MfState, links: LinkProbs, params: NodeParams) -> np.ndarray:
@@ -77,22 +77,19 @@ class TestContainers:
             LinkProbs.from_mapping(g, {(0, 2): 0.5}, symmetric=False)
 
     def test_link_probs_values(self):
+        # CSR entries, rows 0 | 1 | 2: the links 1->0 | 0->1, 2->1 | 1->2.
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        links = LinkProbs.homogeneous(g, 0.3)
-        assert links.value(0, 1) == 0.3 and links.value(1, 0) == 0.3
-        assert links.value(0, 2) == 0.0  # non-edge
-
+        assert LinkProbs.homogeneous(g, 0.3).in_values.tolist() == [0.3] * 4
         directed = LinkProbs.from_mapping(g, {(0, 1): 0.7}, symmetric=False)
-        assert directed.value(0, 1) == 0.7
-        assert directed.value(1, 0) == 0.0
+        assert directed.in_values.tolist() == [0.0, 0.7, 0.0, 0.0]
         symmetric = LinkProbs.from_mapping(g, {(0, 1): 0.7, (1, 2): 0.4})
-        assert symmetric.value(1, 0) == 0.7 and symmetric.value(2, 1) == 0.4
+        assert symmetric.in_values.tolist() == [0.7, 0.7, 0.4, 0.4]
 
     def test_link_probs_csr_alignment(self):
         g = gen_binomial(12, 0.4, 5)
         rng = np.random.default_rng(1)
         mapping = {}
-        for u, v in g.edges:
+        for u, v in edge_set(g):
             mapping[(u, v)] = float(rng.random())
             mapping[(v, u)] = float(rng.random())
         links = LinkProbs.from_mapping(g, mapping, symmetric=False)
@@ -100,8 +97,8 @@ class TestContainers:
         for i in range(g.n):
             for k in range(indptr[i], indptr[i + 1]):
                 j = int(indices[k])
-                assert links.in_values[k] == links.value(j, i)
-                assert links.out_values[k] == links.value(i, j)
+                assert links.in_values[k] == mapping[(j, i)]
+                assert links.out_values[k] == mapping[(i, j)]
 
     def test_state_uniform_and_dead(self):
         st0 = MfState.uniform(5, p0=0.2, w0=0.1)
@@ -149,14 +146,14 @@ class TestZeta:
         for seed in range(5):
             g = gen_binomial(15, 0.3, seed)
             mapping = {}
-            for u, v in g.edges:
+            for u, v in edge_set(g):
                 mapping[(u, v)] = float(rng.random())
                 mapping[(v, u)] = float(rng.random())
             links = LinkProbs.from_mapping(g, mapping, symmetric=False)
             params = random_params(15, rng)
             state = random_valid_state(15, rng, with_warned=False)
             fast = zeta(state, links, params)
-            slow = slow_zeta(state.p, g, links.value, params.r)
+            slow = slow_zeta(state.p, g, lambda j, i: mapping[(j, i)], params.r)
             assert np.max(np.abs(fast - slow)) < 1e-14
 
     def test_monotone_in_carrier_probabilities(self):
@@ -551,7 +548,7 @@ def test_from_mapping_precedence_matches_networkx(seed, symmetric):
     rng = np.random.default_rng(seed)
     g = gen_binomial(int(rng.integers(2, 16)), 0.4, seed)
     # Name a random subset of directed links, in random order.
-    directed = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
+    directed = [(u, v) for u, v in edge_set(g)] + [(v, u) for u, v in edge_set(g)]
     named = [directed[i] for i in rng.permutation(len(directed))[: len(directed) // 2 + 1]]
     mapping = {link: float(rng.random()) for link in named}
     # Oracle: mirrored entries first, then explicit ones overwrite them.
@@ -566,8 +563,8 @@ def test_from_mapping_precedence_matches_networkx(seed, symmetric):
             j = int(indices[k])
             want_in = oracle.edges[j, i]["beta"] if oracle.has_edge(j, i) else 0.0
             want_out = oracle.edges[i, j]["beta"] if oracle.has_edge(i, j) else 0.0
-            assert links.in_values[k] == want_in == links.value(j, i)
-            assert links.out_values[k] == want_out == links.value(i, j)
+            assert links.in_values[k] == want_in
+            assert links.out_values[k] == want_out
 
 
 def test_out_of_range_links_are_not_edges():
@@ -576,9 +573,8 @@ def test_out_of_range_links_are_not_edges():
     # Unchecked, a negative id would wrap around in indexing or form a
     # row-major key equal to that of a real link: (-1, 1) -> (0, 3) at n = 4.
     for src, dst in ((-1, 1), (1, -1), (3, 4), (4, 0), (0, 1)):
-        assert links.value(src, dst) == 0.0
-        assert not g.has_edge(src, dst)
-    assert links.value(3, 0) == 0.5
+        assert g.csr_positions(dst, src) == -1
+    assert links.in_values[g.csr_positions(0, 3)] == 0.5  # the link 3 -> 0
     for bad in ({(-1, 1): 0.5}, {(1, -1): 0.5}, {(0, 4): 0.5}):
         with pytest.raises(ValueError, match="not an edge"):
             LinkProbs.from_mapping(g, bad)

@@ -189,6 +189,10 @@ class TestIntegrate:
             integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), dt=0.0)
         with pytest.raises(ValueError):
             integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), t_end=-1.0)
+        for bad in ({"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.inf},
+                    {"dt": math.nan}):
+            with pytest.raises(ValueError, match="dt and t_end must be finite and positive"):
+                integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), **bad)
         with pytest.raises(ValueError, match=r"s \+ i = 1"):
             integrate("sis", OdeState(s=0.5, i=0.1), OdeParams(1.0, 0.1))
 
