@@ -5,7 +5,8 @@ Each case runs in a fresh directory with relative output names, so stdout
 does not depend on where the test runs.  ``EXPECTED`` was recorded before
 the subcommands were routed through the sweep's runner; the one entry
 changed since is the wording of the ``sis`` warning-state error
-(``meanfield_sis_w0``); ``ode_t_end_inf`` was added later.
+(``meanfield_sis_w0``); ``ode_t_end_inf`` and ``ode_dt_nan`` were added
+later.
 """
 import hashlib
 import json
@@ -42,6 +43,8 @@ CASES = {
                         "--output", "o.csv"),
     "ode_t_end_inf": ("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1",
                       "--t-end", "inf", "--output", "o.csv"),
+    "ode_dt_nan": ("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1",
+                   "--dt", "nan", "--output", "o.csv"),
     "meanfield_sis": ("meanfield", *POWERLAW, *RATES, "--steps", "50",
                       "--output", "mf.csv"),
     "meanfield_sirs": ("meanfield", "--model", "sirs", "--family", "lattice4",
@@ -253,6 +256,15 @@ EXPECTED = {
                 ("integration blew up: s=3779338398639807.5 at step 1 (t=5); "
                  "reduce dt or check parameters"),
             "type": "IntegrationInstabilityError",
+        },
+        {},
+    ),
+    "ode_dt_nan": (
+        2,
+        "",
+        {
+            "error": "dt and t_end must be finite and positive, got dt=nan t_end=100.0",
+            "type": "ValueError",
         },
         {},
     ),

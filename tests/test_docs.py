@@ -62,15 +62,21 @@ def test_star_import_and_all_agree(name):
 
 def code_uses() -> tuple[set[str], set[str], set[str]]:
     """What the package (but ``__init__.py``), the scripts, the benchmark and
-    the README's Python blocks use, read from their syntax trees, so that a
-    docstring, a comment or prose never counts: the names loaded, imported
-    or read as attributes; the attributes read; the attributes called."""
+    the README's Python blocks use, as :func:`uses_in` reads it."""
     files = [p for p in sorted((ROOT / "src" / "netspread").glob("*.py"))
              if p.name != "__init__.py"]
     files += [*sorted((ROOT / "scripts").glob("*.py")),
               *sorted((ROOT / "benchmarks").glob("*.py"))]
     sources = [p.read_text(encoding="utf-8") for p in files]
     sources += re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return uses_in(sources)
+
+
+def uses_in(sources: list[str]) -> tuple[set[str], set[str], set[str]]:
+    """What ``sources`` use, read from their syntax trees, so that a
+    docstring, a comment or a string never counts: the names loaded,
+    imported or read as attributes; the attributes read; the attributes
+    called."""
     names, read, called = set(), set(), set()
     for node in (n for source in sources for n in ast.walk(ast.parse(source))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -82,6 +88,18 @@ def code_uses() -> tuple[set[str], set[str], set[str]]:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             called.add(node.func.attr)
     return names | read, read, called
+
+
+@pytest.mark.parametrize("source,uses", [
+    ('"""Calls mc_step(states)."""', (set(), set(), set())),
+    ("# g.degree(3)\n", (set(), set(), set())),
+    ("x = 'edges'", (set(), set(), set())),
+    ("from netspread.montecarlo import mc_step", ({"mc_step"}, set(), set())),
+    ("g.degree(3)", ({"g", "degree"}, {"degree"}, {"degree"})),
+    ("g.edges", ({"g", "edges"}, {"edges"}, set())),
+], ids=["docstring", "comment", "string", "import", "call", "read"])
+def test_only_code_counts_as_a_use(source, uses):
+    assert uses_in([source]) == uses
 
 
 def test_every_public_name_has_a_use_outside_the_tests():

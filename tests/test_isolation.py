@@ -14,7 +14,8 @@ from netspread.isolation import (
     prune_to_cycle,
     rewire_to_lattice,
 )
-from netspread.meanfield import NodeParams
+from netspread.meanfield import LinkProbs, NodeParams
+from netspread.spectral import survivability_score
 
 from oracles import (
     dense_adjacency,
@@ -91,6 +92,22 @@ class TestGreedyEdgeRemoval:
         assert rep.score_before is not None and rep.score_after is not None
         assert rep.score_after < rep.score_before
         assert rep.strategy == "greedy"
+
+
+@pytest.mark.parametrize("strategy,contain", [
+    ("greedy", lambda g: greedy_edge_removal(g, 5, **scoring(g))),
+    ("cycle", lambda g: prune_to_cycle(g, nn_hamiltonian_cycle(g).cycle, **scoring(g))),
+    ("lattice", lambda g: rewire_to_lattice(g, **scoring(g))),
+], ids=["greedy", "cycle", "lattice"])
+def test_every_strategy_reports_the_scores_of_both_graphs(strategy, contain):
+    g = gen_powerlaw(12, 2, 0)
+    after, rep = contain(g)
+    params = NodeParams.homogeneous(g.n, **PARAMS)
+    want = [survivability_score(h, LinkProbs.homogeneous(h, BETA), params).score
+            for h in (g, after)]
+    assert [rep.score_before, rep.score_after] == want
+    assert rep.threshold_crossed == (want[0] >= 1.0 > want[1])
+    assert rep.strategy == strategy
 
 
 # ---------------------------------------------------------------------------

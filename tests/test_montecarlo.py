@@ -414,6 +414,21 @@ def test_step_without_broadcasters_matches_reference():
     assert rng_fast.bit_generator.state == rng_five.bit_generator.state
 
 
+def test_prepared_step_replaces_its_states_in_place():
+    g = gen_lattice4(3, 3)
+    links = LinkProbs.homogeneous(g, 0.5)
+    params = NodeParams.homogeneous(9, r=0.5, delta=0.2, gamma=0.3, nu=0.5, chi=0.4)
+    states = np.array([HAS_INFO, NO_INFO, WARNED, DEAD, HAS_INFO, HAS_INFO,
+                       NO_INFO, WARNED, DEAD], dtype=np.int8)
+    want = states.copy()
+    step = _Step(g, links, params)
+    rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(5):
+        want = mc_step_reference(want, g, links, params, rng_ref)
+        assert step(states, rng) is states
+        assert states.dtype == np.int8 and np.array_equal(states, want)
+
+
 def test_transition_table_matches_the_phase_masks():
     # Phases 2-5 as mask assignments, applied to every 7-bit code: state in
     # bits 0-1, then received, accept, die, revive and revert.

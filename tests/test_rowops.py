@@ -390,6 +390,41 @@ def test_row_results_keep_their_bits_through_later_reductions():
     assert same_bits(sums, kept_sums) and same_bits(prods, kept_prods)
 
 
+def out_writers():
+    """Each call that writes into a caller's ``out``, on a graph with
+    buckets, a tail and empty rows: ``(size of out, call)``."""
+    g = GRAPHS["isolated_scattered"]
+    layout = g.row_layout
+    rng = np.random.default_rng(10)
+    values = layout.permute(rng.standard_normal(layout.size))
+    v = rng.random(g.n)
+    op = RowOperator(layout)
+    op.weigh(layout.permute(rng.uniform(0.1, 0.9, layout.size)))
+    sm = build_system_matrix(g, directed_links(g, 11), random_params(g.n, 12))
+    return {
+        "spread": (layout.size, lambda out: layout.spread(v, out)),
+        "row_sum": (g.n, lambda out: op.row_sum(values, out)),
+        "row_prod": (g.n, lambda out: op.row_prod(values, out)),
+        "weighted_sum": (g.n, lambda out: op.weighted_sum(v, out)),
+        "complement_prod": (g.n, lambda out: op.complement_prod(v, out)),
+        "matvec": (g.n, lambda out: sm.matvec(v, out)),
+    }
+
+
+OUT_WRITERS = out_writers()
+
+
+@pytest.mark.parametrize("name", sorted(OUT_WRITERS))
+def test_every_entry_of_out_is_written(name):
+    # Callers pass reused buffers, so no entry may keep what the buffer held
+    # before.
+    size, call = OUT_WRITERS[name]
+    stale_nan, stale_inf = np.full(size, np.nan), np.full(size, np.inf)
+    assert call(stale_nan) is stale_nan and call(stale_inf) is stale_inf
+    assert not np.isnan(stale_nan).any()
+    assert same_bits(stale_nan, stale_inf)
+
+
 def test_meanfield_runs_share_no_storage():
     g = GRAPHS["isolated_scattered"]
     links, params = directed_links(g, 6), random_params(g.n, 7)
