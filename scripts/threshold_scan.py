@@ -15,16 +15,22 @@ from netspread.experiments import GraphSpec
 from netspread.meanfield import LinkProbs, MeanFieldBoundsError, MfState, NodeParams, run
 from netspread.spectral import survivability_score
 
+# The graph of each family when no size option is given.
+_GRAPHS = {
+    "lattice4": {"rows": 20, "cols": 20},
+    "powerlaw": {"n": 400, "m": 2},
+    "binomial": {"n": 400, "p": 0.02},
+}
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", default="lattice4",
-                        choices=("lattice4", "powerlaw", "binomial"))
-    parser.add_argument("--rows", type=int, default=20)
-    parser.add_argument("--cols", type=int, default=20)
-    parser.add_argument("--n", type=int, default=400)
-    parser.add_argument("--m", type=int, default=2)
-    parser.add_argument("--p", type=float, default=0.02)
+    parser.add_argument("--family", default="lattice4", choices=tuple(_GRAPHS))
+    parser.add_argument("--rows", type=int, help="torus rows (lattice4, default 20)")
+    parser.add_argument("--cols", type=int, help="torus cols (lattice4, default 20)")
+    parser.add_argument("--n", type=int, help="nodes (powerlaw, binomial; default 400)")
+    parser.add_argument("--m", type=int, help="attachment count (powerlaw, default 2)")
+    parser.add_argument("--p", type=float, help="edge probability (binomial, default 0.02)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--delta", type=float, default=0.5)
     parser.add_argument("--gamma", type=float, default=0.3)
@@ -34,8 +40,10 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=2000)
     args = parser.parse_args()
 
-    g = GraphSpec(family=args.family, n=args.n, m=args.m, p=args.p, rows=args.rows,
-                  cols=args.cols).build(args.seed)
+    # A graph field the family does not read is an error, as in a config.
+    given = {name: getattr(args, name) for name in ("rows", "cols", "n", "m", "p")
+             if getattr(args, name) is not None}
+    g = GraphSpec(family=args.family, **{**_GRAPHS[args.family], **given}).build(args.seed)
     params = NodeParams.homogeneous(
         g.n, r=1.0, delta=args.delta, gamma=args.gamma)
     print(f"graph: family={args.family} n={g.n} edges={g.num_edges}")

@@ -13,13 +13,11 @@ import sys
 import numpy as np
 
 from .experiments import (
-    MEANFIELD_MODELS,
-    ODE_MODELS,
     ConfigError,
     ExperimentConfig,
     GraphSpec,
     _FAMILIES,
-    _MODEL_PARAMS,
+    _MODELS,
     _PARAMS,
     _point_inputs,
     _run_model,
@@ -71,10 +69,10 @@ _SCORE_PARAMS = ("beta", "gamma", "delta", "r")
 def _params(args: argparse.Namespace, reads: tuple[str, ...] | None = None,
             reader: str = "") -> dict:
     """The parsed arguments as a sweep point's flat params; an option left
-    unset (None) is left out, so the point's default applies.  With
-    ``reads``, the parameters that ``reader`` reads, an option of any other
-    parameter is a :class:`ConfigError` naming the option, as the key is in
-    a config."""
+    unset (None) is left out, so the point's default (``_DEFAULTS``)
+    applies.  With ``reads``, the parameters that ``reader`` reads, an option
+    of any other parameter is a :class:`ConfigError` naming the option, as
+    the key is in a config."""
     params = {k: v for k, v in vars(args).items() if v is not None}
     if reads is not None:
         for key in _PARAMS:
@@ -85,9 +83,10 @@ def _params(args: argparse.Namespace, reads: tuple[str, ...] | None = None,
     return params
 
 
-def _sweep_model(table: dict[str, str], name: str) -> str:
-    """The sweep model that ``table`` runs as the library model ``name``."""
-    return next(model for model, library in table.items() if library == name)
+def _sweep_models(kind: str) -> dict[str, str]:
+    """The sweep model of each library model that ``kind`` runs, by the
+    library model's name."""
+    return {library: model for model, (k, library, _) in _MODELS.items() if k == kind}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -98,8 +97,8 @@ def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, required=True)
     parser.add_argument("--gamma", type=float, required=True)
     parser.add_argument("--delta", type=float, required=True)
-    # Unset by default, so that a model can reject what it does not read;
-    # the point's defaults are r = 1, nu = 1 and chi = 0.
+    # Unset by default, so that a model can reject what it does not read and
+    # the point's defaults apply.
     parser.add_argument("--r", type=float)
     parser.add_argument("--nu", type=float)
     parser.add_argument("--chi", type=float)
@@ -115,8 +114,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ode(args: argparse.Namespace) -> int:
-    model = _sweep_model(ODE_MODELS, args.model)
-    params = _params(args, _MODEL_PARAMS[model], f"model {args.model!r}")
+    model = _sweep_models("ode")[args.model]
+    params = _params(args, _MODELS[model][2], f"model {args.model!r}")
     traj = _run_model(model, params, None, dt=args.dt, t_end=args.t_end)
     traj.write_csv(args.output)
     last = len(traj) - 1
@@ -129,8 +128,8 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    model = _sweep_model(MEANFIELD_MODELS, args.model)
-    params = _params(args, _MODEL_PARAMS[model], f"model {args.model!r}")
+    model = _sweep_models("meanfield")[args.model]
+    params = _params(args, _MODELS[model][2], f"model {args.model!r}")
     result = _run_model(
         model, params, _point_inputs(_graph(args), params), steps=args.steps, tol=args.tol,
         allow_negative_coefficients=args.allow_negative_coefficients,
@@ -148,7 +147,7 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     params = _params(args)
     ensemble = _run_model(
-        "sirs_mc", {**params, "p0": args.init}, _point_inputs(_graph(args), params),
+        "sirs_mc", params, _point_inputs(_graph(args), params),
         steps=args.steps, runs=args.runs, seed=args.master_seed,
     )
     ensemble.write_csv(args.output)
@@ -240,23 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("ode", help="integrate a continuous compartment model")
-    p.add_argument("--model", choices=list(ODE_MODELS.values()), required=True)
+    p.add_argument("--model", choices=list(_sweep_models("ode")), required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--mu", type=float, help="birth/death rate (sir_endemic; default 0)")
-    p.add_argument("--s0", type=float, default=None)
-    p.add_argument("--i0", type=float, default=0.01)
+    p.add_argument("--mu", type=float, help="birth/death rate (sir_endemic)")
+    p.add_argument("--s0", type=float)
+    p.add_argument("--i0", type=float)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--t-end", type=float, default=100.0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_ode)
 
     p = sub.add_parser("meanfield", help="run the discrete mean-field dynamics")
-    p.add_argument("--model", choices=list(MEANFIELD_MODELS.values()), default="sis")
+    p.add_argument("--model", choices=list(_sweep_models("meanfield")), default="sis")
     _graph_arguments(p)
     _node_param_arguments(p)
-    p.add_argument("--p0", type=float, default=0.1)
-    p.add_argument("--w0", type=float, default=0.0)
+    p.add_argument("--p0", type=float)
+    p.add_argument("--w0", type=float)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--allow-negative-coefficients", action="store_true")
@@ -266,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="run a Monte Carlo ensemble")
     _graph_arguments(p)
     _node_param_arguments(p)
-    p.add_argument("--init", type=float, default=0.1,
-                   help="initial carrier fraction")
+    p.add_argument("--init", dest="p0", type=float,
+                   help="initial carrier fraction (the point's p0)")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--master-seed", type=int, default=0)

@@ -47,11 +47,6 @@ __all__ = [
     "reproduce_figures",
 ]
 
-ODE_MODELS = {"sir_ode": "sir_epidemic", "sir_endemic_ode": "sir_endemic", "sis_ode": "sis"}
-MEANFIELD_MODELS = {"sis_meanfield": "sis", "sirs_meanfield": "sirs"}
-MC_MODELS = {"sis_mc": "sis", "sirs_mc": "sirs"}
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the offending field."""
 
@@ -73,27 +68,41 @@ _TYPE_CHECKS = {
 _FINITE = sys.float_info.max
 _PROB = (0.0, 1.0, "in [0, 1]")
 _RATE = (0.0, _FINITE, "finite and >= 0")
-# Every key a params block may hold: the keys some model reads (see
-# _run_model), each with its range and whether a sweep may advance it.
+# Every key a params block may hold: its range and whether a sweep may
+# advance it.
 _PARAMS = {
     "beta": (_RATE, True), "gamma": (_RATE, True), "mu": (_RATE, True),
     "delta": (_PROB, True), "r": (_PROB, True), "nu": (_PROB, True),
     "chi": (_PROB, True), "p0": (_PROB, True), "w0": (_PROB, True),
     "s0": (_PROB, False), "i0": (_PROB, False),
 }
-# The keys of _PARAMS that each model reads; a params block holds no others.
-# A sis model runs with nu = 1 and chi = 0, and only mean-field runs start
-# from a warned fraction.
+# The value a point takes for each key it leaves out.  A model requires the
+# keys it reads that have none here (beta, gamma, delta); s0 left out (None)
+# is 1 - i0, so that no one starts recovered.
+_DEFAULTS = {"mu": 0.0, "r": 1.0, "nu": 1.0, "chi": 0.0, "p0": 0.1, "w0": 0.0,
+             "i0": 0.01, "s0": None}
+# Each sweep model: the kind of runner it takes, the library model that
+# runner runs and the keys of _PARAMS it reads; a params block holds no
+# others.  A sis model runs with nu = 1 and chi = 0, and only mean-field runs
+# start from a warned fraction.
 _ODE_KEYS = ("beta", "gamma", "s0", "i0")
 _NETWORK_KEYS = ("beta", "gamma", "delta", "r", "p0")
-_MODEL_PARAMS = {
-    "sir_ode": _ODE_KEYS,
-    "sir_endemic_ode": (*_ODE_KEYS, "mu"),
-    "sis_ode": _ODE_KEYS,
-    "sis_meanfield": (*_NETWORK_KEYS, "w0"),
-    "sirs_meanfield": (*_NETWORK_KEYS, "w0", "nu", "chi"),
-    "sis_mc": _NETWORK_KEYS,
-    "sirs_mc": (*_NETWORK_KEYS, "nu", "chi"),
+_MODELS = {
+    "sir_ode": ("ode", "sir_epidemic", _ODE_KEYS),
+    "sir_endemic_ode": ("ode", "sir_endemic", (*_ODE_KEYS, "mu")),
+    "sis_ode": ("ode", "sis", _ODE_KEYS),
+    "sis_meanfield": ("meanfield", "sis", (*_NETWORK_KEYS, "w0")),
+    "sirs_meanfield": ("meanfield", "sirs", (*_NETWORK_KEYS, "w0", "nu", "chi")),
+    "sis_mc": ("mc", "sis", _NETWORK_KEYS),
+    "sirs_mc": ("mc", "sirs", (*_NETWORK_KEYS, "nu", "chi")),
+}
+# What each kind of runner reads besides params: its run keys, a graph and
+# allow_negative_coefficients.  A config leaves every other setting at its
+# default.
+_KINDS = {
+    "ode": ("dt", "t_end"),
+    "meanfield": ("graph", "steps", "tol", "allow_negative_coefficients"),
+    "mc": ("graph", "steps", "runs"),
 }
 # Inclusive range (low, high, wording) of each bounded numeric value, checked
 # as "not low <= value <= high" so that NaN fails as well.  The least positive
@@ -137,7 +146,8 @@ def _check_fields(spec, block: str) -> None:
 
 # Each graph family's generator, by name so that it is looked up at call
 # time, and the GraphSpec fields it takes in call order ("seed" is the seed
-# resolved by GraphSpec.build).  The generators alone check value ranges.
+# resolved by GraphSpec.build); a block holds no others.  The generators
+# alone check value ranges.
 _FAMILIES = {
     "binomial": ("gen_binomial", ("n", "p", "seed")),
     "powerlaw": ("gen_powerlaw", ("n", "m", "seed")),
@@ -166,6 +176,12 @@ class GraphSpec:
         _check_fields(self, "graph")
         if self.family is not None and self.family not in _FAMILIES:
             raise ConfigError("graph.family", f"unknown family {self.family!r}")
+        # Every block may hold a seed, which the CLI always passes.
+        reads = _FAMILIES[self.family][1] if self.family else ("path",)
+        for f in fields(self):
+            if f.name not in ("family", "seed", *reads) and getattr(self, f.name) is not None:
+                source = f"family {self.family!r}" if self.family else "an edge-list path"
+                raise ConfigError(f"graph.{f.name}", f"{source} does not read this field")
 
     def build(self, default_seed: int) -> Graph:
         """The graph of this spec; a generator's ``ValueError`` for an
@@ -237,13 +253,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, "")
-        if self.model not in _MODEL_PARAMS:
+        if self.model not in _MODELS:
             raise ConfigError("model", f"unknown model {self.model!r}")
-        if self.model not in ODE_MODELS and self.graph is None:
+        kind, _, reads = _MODELS[self.model]
+        if "graph" in _KINDS[kind] and self.graph is None:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
         if not isinstance(self.params, dict):
             raise ConfigError("params", f"must be an object, got {self.params!r}")
-        reads = _MODEL_PARAMS[self.model]
         for key, value in self.params.items():
             if key not in reads:
                 raise ConfigError(f"params.{key}", f"model {self.model!r} does not read "
@@ -262,6 +278,19 @@ class ExperimentConfig:
                         _check_value(f"params.{name}", value, "float")
                     except ConfigError as exc:
                         raise ConfigError("sweep", f"point {k}: {exc}") from None
+        given = {**_DEFAULTS, **self.params, **(self.sweep.point_values(0) if self.sweep else {})}
+        for key in reads:
+            if key not in given:
+                raise ConfigError(f"params.{key}", f"model {self.model!r} requires this "
+                                  "parameter, in params or swept")
+        # A setting the model's kind does not read keeps its default.
+        changed = [(f"run.{f.name}", getattr(self.run, f.name) != f.default)
+                   for f in fields(self.run)]
+        changed += [("graph", self.graph is not None),
+                    ("allow_negative_coefficients", self.allow_negative_coefficients)]
+        for name, is_set in changed:
+            if is_set and name.removeprefix("run.") not in _KINDS[kind]:
+                raise ConfigError(name, f"model {self.model!r} does not read this setting")
         # Stored as floats so that 1 and 1.0 give the same config hash.
         object.__setattr__(
             self, "params", {str(k): float(v) for k, v in self.params.items()}
@@ -359,66 +388,54 @@ class SweepResult:
     output_dir: Path
 
 
-def _required(params: dict[str, float], keys: list[str], model: str) -> None:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ConfigError("params", f"model {model!r} requires {missing}")
-
-
 def _point_inputs(graph: Graph, params: dict[str, float]) -> tuple[Graph, LinkProbs, NodeParams]:
-    """A network model's inputs at a point with flat ``params``: ``graph``,
-    links of rate ``beta`` and homogeneous node parameters (``r``, ``nu`` and
-    ``chi`` default to 1, 1 and 0), in the order the library functions take."""
+    """A network model's inputs at a point with flat ``params``, each key left
+    out at its ``_DEFAULTS`` value: ``graph``, links of rate ``beta`` and
+    homogeneous node parameters, in the order the library functions take."""
+    params = {**_DEFAULTS, **params}
     node_params = NodeParams.homogeneous(
-        graph.n,
-        r=params.get("r", 1.0),
-        delta=params["delta"],
-        gamma=params["gamma"],
-        nu=params.get("nu", 1.0),
-        chi=params.get("chi", 0.0),
-    )
+        graph.n, **{key: params[key] for key in ("r", "delta", "gamma", "nu", "chi")})
     return graph, LinkProbs.homogeneous(graph, params["beta"]), node_params
 
 
 def _run_model(model: str, params: dict[str, float],
                inputs: tuple[Graph, LinkProbs, NodeParams] | None, **run):
-    """Run the sweep model ``model`` at a point with flat ``params``; a
-    network model runs on ``inputs`` from :func:`_point_inputs`.
+    """Run the sweep model ``model`` at a point with flat ``params``, each key
+    left out at its ``_DEFAULTS`` value; a network model runs on ``inputs``
+    from :func:`_point_inputs`.
 
-    This is where a point's parameters get their defaults: ``i0 = 0.01`` and
-    ``s0 = 1 - i0``, ``mu = 0``, ``p0 = 0.1`` (the start of mean-field and
-    Monte Carlo runs alike) and ``w0 = 0``.  ``run`` holds the settings the
-    model reads: ``dt`` and ``t_end`` (ODE), ``steps``, ``tol`` and
-    ``allow_negative_coefficients`` (mean field), ``steps``, ``runs`` and
-    ``seed`` (Monte Carlo).  Returns the ODE's :class:`Trajectory`, the
+    ``run`` holds the settings the model's kind reads (``_KINDS``), and
+    ``seed`` for Monte Carlo.  Returns the ODE's :class:`Trajectory`, the
     :class:`MeanFieldRun` or the :class:`EnsembleResult`.
     """
-    if model in ODE_MODELS:
-        i0 = params.get("i0", 0.01)
+    kind, library, _ = _MODELS[model]
+    params = {**_DEFAULTS, **params}
+    if kind == "ode":
+        i0 = params["i0"]
         return integrate(
-            ODE_MODELS[model],
-            OdeState(s=params.get("s0", 1.0 - i0), i=i0),
-            OdeParams(beta=params["beta"], gamma=params["gamma"], mu=params.get("mu", 0.0)),
+            library,
+            OdeState(s=1.0 - i0 if params["s0"] is None else params["s0"], i=i0),
+            OdeParams(beta=params["beta"], gamma=params["gamma"], mu=params["mu"]),
             dt=run["dt"],
             t_end=run["t_end"],
         )
     graph, links, node_params = inputs
-    if model in MEANFIELD_MODELS:
+    if kind == "meanfield":
         return meanfield_run(
-            MEANFIELD_MODELS[model],
-            MfState.uniform(graph.n, p0=params.get("p0", 0.1), w0=params.get("w0", 0.0)),
+            library,
+            MfState.uniform(graph.n, p0=params["p0"], w0=params["w0"]),
             links,
             node_params,
             max_steps=run["steps"],
             tol=run["tol"],
             allow_negative_coefficients=run["allow_negative_coefficients"],
         )
-    nu, chi = _acceptance(MC_MODELS[model], node_params)
+    nu, chi = _acceptance(library, node_params)
     return mc_ensemble(
         graph,
         links,
         replace(node_params, nu=nu, chi=chi),
-        init=params.get("p0", 0.1),
+        init=params["p0"],
         steps=run["steps"],
         runs=run["runs"],
         seed=run["seed"],
@@ -433,10 +450,7 @@ def _run_point(
 ) -> float | None:
     """Run one sweep point, write its CSV, return the survivability score."""
     inputs = score = None
-    if graph is None:
-        _required(point_params, ["beta", "gamma"], config.model)
-    else:
-        _required(point_params, ["beta", "gamma", "delta"], config.model)
+    if graph is not None:
         inputs = _point_inputs(graph, point_params)
         _, links, node_params = inputs
         if np.all(node_params.delta > 0.0):
@@ -445,7 +459,7 @@ def _run_point(
         config.model, point_params, inputs, **asdict(config.run), seed=config.seed,
         allow_negative_coefficients=config.allow_negative_coefficients,
     )
-    if config.model in MEANFIELD_MODELS:
+    if _MODELS[config.model][0] == "meanfield":
         result = result.trajectory
     result.write_csv(out_path)
     return score
@@ -457,10 +471,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> SweepRes
     Returns the sweep result; per-point runtime errors are captured in the
     manifest (and in the returned points) without aborting remaining points.
     """
-    graph: Graph | None = None
-    if config.model not in ODE_MODELS:
-        assert config.graph is not None
-        graph = config.graph.build(config.seed)
+    graph = config.graph.build(config.seed) if config.graph is not None else None
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []

@@ -440,6 +440,24 @@ class TestSharedGraphArguments:
         assert payload["type"] == "ConfigError" and payload["field"] == "graph"
         assert not (tmp_path / "g.edges").exists()
 
+    @pytest.mark.parametrize("command,given,field", [
+        ("generate", ("--family", "lattice4", "--rows", "4", "--cols", "4", "--n", "999",
+                      "--p", "0.5"), "graph.n"),
+        ("generate", ("--family", "powerlaw", "--n", "30", "--m", "2", "--lam", "0.5"),
+         "graph.lam"),
+        ("spectral", ("--graph", "g.edges", "--n", "50", *COMMON), "graph.n"),
+    ], ids=["lattice_n_p", "powerlaw_lam", "path_n"])
+    def test_graph_options_the_family_does_not_read_are_rejected(
+            self, tmp_path, command, given, field):
+        out = tmp_path / "g.edges"
+        proc = run_cli(command, *given, *(("--output", str(out)) if command == "generate"
+                                          else ()))
+        assert proc.returncode == 2, proc.stderr
+        payload = stderr_error(proc)
+        assert payload["type"] == "ConfigError" and payload["field"] == field
+        assert "does not read this field" in payload["error"]
+        assert not out.exists()
+
     def test_negative_meanfield_steps_is_a_validation_error(self, tmp_path):
         out = tmp_path / "mf.csv"
         proc = run_cli("meanfield", "--family", "powerlaw", "--n", "50", "--m", "2",
@@ -487,8 +505,16 @@ class TestPinnedIsolateReports:
     ({"graph": {"family": "binomial", "n": 0, "p": 0.2}}, "graph"),
     ({"graph": {"family": "binomial", "n": 30, "p": 1.5}}, "graph"),
     ({"graph": {"family": "lattice4", "rows": 2, "cols": 5}}, "graph"),
+    ({"params": {"beta": 0.2, "gamma": 0.1}}, "params.delta"),
+    ({"params": {"gamma": 0.1, "delta": 0.3}}, "params.beta"),
+    ({"model": "sis_ode", "params": {"beta": 1.0}, "graph": None}, "params.gamma"),
+    ({"model": "sis_mc", "run": {"tol": 0.3}}, "run.tol"),
+    ({"model": "sis_ode", "params": {"beta": 1.0, "gamma": 0.1},
+      "graph": {"family": "powerlaw", "n": 10, "m": 99}}, "graph"),
+    ({"graph": {"family": "binomial", "n": 30, "p": 0.2, "rows": 4}}, "graph.rows"),
 ], ids=["float_steps", "float_count", "string_base", "string_n", "zero_n",
-        "p_above_one", "small_lattice"])
+        "p_above_one", "small_lattice", "no_delta", "no_beta", "ode_no_gamma",
+        "mc_tol", "ode_graph", "unread_rows"])
 def test_sweep_rejects_mistyped_fields(tmp_path, change, field):
     config = {
         "model": "sis_meanfield",

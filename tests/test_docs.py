@@ -125,3 +125,26 @@ def test_every_public_name_has_a_use_outside_the_tests():
                     if attr not in called:
                         unused.append(f"{name}.{public}.{attr}")
     assert unused == []
+
+
+def readme_model_table() -> tuple[list[str], list[tuple[str, set[str]]]]:
+    """The README's sweep ``model:`` list, and each model of its
+    ``| Model | Keys read |`` table with the keys its row lists."""
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"^- `model`: ((?:`\w+`,?\s*)+)\.$", text, re.M).group(1)
+    rows = re.search(r"\| Model \| Keys read \|\n\s*\|---\|---\|\n((?:[ \t]*\|.*\n)+)",
+                     text).group(1)
+    table = []
+    for row in rows.splitlines():
+        models, keys = row.strip().strip("|").split("|")
+        table += [(model, set(keys.strip(" `").split()))
+                  for model in re.findall(r"`(\w+)`", models)]
+    return re.findall(r"`(\w+)`", listed), table
+
+
+def test_readme_model_table_is_the_code_table():
+    from netspread.experiments import _MODELS
+    listed, table = readme_model_table()
+    assert listed == list(_MODELS)
+    assert sorted(table) == sorted((model, set(keys))
+                                   for model, (_, _, keys) in _MODELS.items())

@@ -129,6 +129,60 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(swept)
         assert exc.value.field == "sweep.parameters"
 
+    @pytest.mark.parametrize("model,key", [
+        ("sis_meanfield", "delta"), ("sirs_mc", "delta"), ("sir_ode", "beta"),
+        ("sir_endemic_ode", "gamma"), ("sis_mc", "beta"),
+    ])
+    def test_missing_required_key_is_rejected_at_load(self, model, key):
+        keys = [k for k in self.MODEL_KEYS[model].split() if k != key]
+        with pytest.raises(ConfigError, match="requires this parameter") as exc:
+            ExperimentConfig.from_dict(self.model_config(model, keys))
+        assert exc.value.field == f"params.{key}"
+
+    def test_a_swept_key_counts_as_given(self, tmp_path):
+        cfg = meanfield_config()
+        del cfg["params"]["beta"]
+        res = run_experiment(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert [p.error for p in res.points] == [None, None]
+        del cfg["sweep"]
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(cfg)
+        assert exc.value.field == "params.beta"
+
+    @pytest.mark.parametrize("model,change,field", [
+        ("sis_ode", {"graph": {"family": "powerlaw", "n": 10, "m": 99},
+                     "allow_negative_coefficients": True}, "graph"),
+        ("sis_ode", {"allow_negative_coefficients": True}, "allow_negative_coefficients"),
+        ("sir_endemic_ode", {"allow_negative_coefficients": True},
+         "allow_negative_coefficients"),
+        ("sis_mc", {"allow_negative_coefficients": True}, "allow_negative_coefficients"),
+        ("sirs_mc", {"allow_negative_coefficients": True}, "allow_negative_coefficients"),
+        ("sis_mc", {"run": {"tol": 0.3, "dt": 5}}, "run.dt"),
+        ("sis_mc", {"run": {"tol": 0.3}}, "run.tol"),
+        ("sirs_mc", {"run": {"t_end": 5.0}}, "run.t_end"),
+        ("sis_ode", {"run": {"steps": 10}}, "run.steps"),
+        ("sir_ode", {"run": {"runs": 3}}, "run.runs"),
+        ("sis_meanfield", {"run": {"runs": 3}}, "run.runs"),
+        ("sirs_meanfield", {"run": {"dt": 0.5}}, "run.dt"),
+    ])
+    def test_settings_the_model_does_not_read_are_rejected(self, model, change, field):
+        cfg = self.model_config(model, self.MODEL_KEYS[model].split())
+        with pytest.raises(ConfigError, match="does not read this setting") as exc:
+            ExperimentConfig.from_dict({**cfg, **change})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("graph,field", [
+        ({"path": "g.edges", "n": 50, "m": 3}, "graph.n"),
+        ({"family": "lattice4", "rows": 4, "cols": 4, "n": 999, "p": 0.5}, "graph.n"),
+        ({"family": "binomial", "n": 30, "p": 0.2, "m": 2}, "graph.m"),
+        ({"family": "powerlaw", "n": 30, "m": 2, "lam": 0.5}, "graph.lam"),
+        ({"family": "exponential", "n": 30, "lam": 0.5, "rows": 3}, "graph.rows"),
+    ])
+    def test_graph_fields_the_family_does_not_read_are_rejected(self, graph, field):
+        with pytest.raises(ConfigError, match="does not read this field") as exc:
+            ExperimentConfig.from_dict(meanfield_config(graph=graph))
+        assert exc.value.field == field
+
     def test_unsweepable_name_rejected(self):
         bad = meanfield_config()
         bad["sweep"] = {"parameters": [{"name": "n", "base": 10}],
@@ -491,12 +545,14 @@ class TestConfigFieldTypes:
         assert exc.value.field == "sweep"
 
     def test_every_bundled_figure_config_loads(self):
-        """The sweep range check accepts every bundled config as it stands."""
+        """The config checks accept every bundled config as it stands, and
+        its canonical dict, which lists every run key and graph field, loads
+        to the same hash."""
         configs = _figure_configs()
         assert len(configs) == 8
         for cfg in configs.values():
-            if cfg.sweep is not None:
-                ExperimentConfig.from_dict(cfg.canonical_dict())
+            again = ExperimentConfig.from_dict(cfg.canonical_dict())
+            assert again.config_hash() == cfg.config_hash()
 
     def test_integer_sweep_values_hash_as_floats(self):
         ints = meanfield_config(sweep={"parameter": "r", "base": 1, "increment": 0,
