@@ -10,7 +10,9 @@ Usage:
     python3 scripts/threshold_scan.py --family powerlaw --n 400 --seed 11
 """
 import argparse
+import sys
 
+from netspread.cli import _run_reported
 from netspread.experiments import GraphSpec
 from netspread.meanfield import LinkProbs, MeanFieldBoundsError, MfState, NodeParams, run
 from netspread.spectral import survivability_score
@@ -23,7 +25,7 @@ _GRAPHS = {
 }
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", default="lattice4", choices=tuple(_GRAPHS))
     parser.add_argument("--rows", type=int, help="torus rows (lattice4, default 20)")
@@ -38,8 +40,12 @@ def main() -> None:
     parser.add_argument("--beta-step", type=float, default=0.05)
     parser.add_argument("--points", type=int, default=8)
     parser.add_argument("--steps", type=int, default=2000)
-    args = parser.parse_args()
+    # A bad argument exits 2 with the error JSON on stderr, as netspread does.
+    return _run_reported(scan, parser.parse_args())
 
+
+def scan(args: argparse.Namespace) -> int:
+    """Print the graph line and one row per beta for the parsed ``args``."""
     # A graph field the family does not read is an error, as in a config.
     given = {name: getattr(args, name) for name in ("rows", "cols", "n", "m", "p")
              if getattr(args, name) is not None}
@@ -60,7 +66,8 @@ def main() -> None:
             carriers = f"bounds error: {exc.violations[0].kind}"
         print(f"{beta:8.3f} {verdict.score:10.5f} {verdict.status:>10} "
               f"{carriers}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

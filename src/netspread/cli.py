@@ -16,6 +16,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     GraphSpec,
+    RunSpec,
     _FAMILIES,
     _MODELS,
     _PARAMS,
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="birth/death rate (sir_endemic)")
     p.add_argument("--s0", type=float)
     p.add_argument("--i0", type=float)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-end", type=float, default=100.0)
+    p.add_argument("--dt", type=float, default=RunSpec.dt)
+    p.add_argument("--t-end", type=float, default=RunSpec.t_end)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_ode)
 
@@ -256,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     _node_param_arguments(p)
     p.add_argument("--p0", type=float)
     p.add_argument("--w0", type=float)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--steps", type=int, default=RunSpec.steps)
+    p.add_argument("--tol", type=float, default=RunSpec.tol)
     p.add_argument("--allow-negative-coefficients", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_meanfield)
@@ -267,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     _node_param_arguments(p)
     p.add_argument("--init", dest="p0", type=float,
                    help="initial carrier fraction (the point's p0)")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--steps", type=int, default=RunSpec.steps)
+    p.add_argument("--runs", type=int, default=RunSpec.runs)
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_mc)
@@ -305,22 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run_reported(func, args: argparse.Namespace) -> int:
+    """``func(args)``, its failure printed to stderr as the error JSON: exit
+    code 1 for a runtime error, 2 for a validation error."""
     try:
-        return args.func(args)
-    except _RUNTIME_ERRORS as exc:
-        json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except _VALIDATION_ERRORS as exc:
+        return func(args)
+    except (*_RUNTIME_ERRORS, *_VALIDATION_ERRORS) as exc:
         payload = {"error": str(exc), "type": type(exc).__name__}
         if isinstance(exc, ConfigError):
             payload["field"] = exc.field
         json.dump(payload, sys.stderr)
         sys.stderr.write("\n")
-        return 2
+        return 1 if isinstance(exc, _RUNTIME_ERRORS) else 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return _run_reported(args.func, args)
 
 
 if __name__ == "__main__":

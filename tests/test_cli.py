@@ -191,6 +191,36 @@ class TestMc:
         assert not (tmp_path / "x.csv").exists()
 
 
+
+LATTICE_3X3 = ("--family", "lattice4", "--rows", "3", "--cols", "3")
+
+
+@pytest.mark.parametrize("command,model,options", [
+    ("mc", "sirs_mc", (*LATTICE_3X3, "--master-seed", "5")),
+    ("meanfield", "sis_meanfield", LATTICE_3X3),
+    ("ode", "sis_ode", ("--model", "sis")),
+])
+def test_run_defaults_are_the_configs(tmp_path, command, model, options):
+    # A subcommand with its run options left out writes the CSV of a config
+    # with its run block left out: both take RunSpec's defaults.
+    from netspread.experiments import RunSpec
+    params = {"beta": 0.3, "gamma": 0.1, **({} if command == "ode" else {"delta": 0.2})}
+    config = {"model": model, "params": params, "seed": 5}
+    if command != "ode":
+        config["graph"] = {"family": "lattice4", "rows": 3, "cols": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path),
+                   "--output-dir", str(tmp_path / "sweep")).returncode == 0
+    rates = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    proc = run_cli(command, *options, *rates, "--output", str(tmp_path / "cli.csv"))
+    assert proc.returncode == 0, proc.stderr
+    written = (tmp_path / "cli.csv").read_bytes()
+    assert written == (tmp_path / "sweep" / "point_000.csv").read_bytes()
+    if command == "mc":
+        assert proc.stdout.startswith(f"runs={RunSpec.runs} steps={RunSpec.steps} ")
+        assert len(written.splitlines()) == RunSpec.steps + 2
+
 class TestSpectral:
     def test_frozen_subcritical_line(self):
         proc = run_cli("spectral", "--family", "lattice4", "--rows", "25",

@@ -5,8 +5,10 @@ Each case runs in a fresh directory with relative output names, so stdout
 does not depend on where the test runs.  ``EXPECTED`` was recorded before
 the subcommands were routed through the sweep's runner; the one entry
 changed since is the wording of the ``sis`` warning-state error
-(``meanfield_sis_w0``); ``ode_t_end_inf`` and ``ode_dt_nan`` were added
-later.
+(``meanfield_sis_w0``); ``ode_t_end_inf``, ``ode_dt_nan`` and
+``mc_decided`` were added later.  ``mc_decided`` leaves r, nu and chi at
+their defaults (1, 1 and 0), so every step skips the uniforms of three
+decided phases; its digest was recorded while every step still drew them.
 """
 import hashlib
 import json
@@ -67,6 +69,10 @@ CASES = {
            "--beta", "0.2", "--delta", "0.2", "--gamma", "0.1", "--nu", "0.7",
            "--chi", "0.2", "--init", "0.2", "--steps", "10", "--runs", "5",
            "--master-seed", "11", "--output", "mc.csv"),
+    "mc_decided": ("mc", "--family", "powerlaw", "--n", "300", "--m", "3",
+                   "--seed", "4", "--beta", "0.15", "--delta", "0.1",
+                   "--gamma", "0.2", "--init", "0.1", "--steps", "30",
+                   "--runs", "6", "--master-seed", "3", "--output", "mc.csv"),
     "mc_negative_steps": ("mc", *POWERLAW, *RATES, "--steps", "-1", "--runs", "2",
                           "--output", "mc.csv"),
     "spectral_eigenvector": ("spectral", *POWERLAW, *RATES,
@@ -162,6 +168,15 @@ EXPECTED = {
         {
             "mc.csv":
                 "08ee8909c04684f577f0c5860530052389efde129534daf8dfafff6adb3c6197",
+        },
+    ),
+    "mc_decided": (
+        0,
+        "runs=6 steps=30 final_hasinfo_mean=0.468333 output=mc.csv\n",
+        None,
+        {
+            "mc.csv":
+                "37934d048946b8131e72bf85a9ee09263004fe46f0f9a6411b41c7d4f9259822",
         },
     ),
     "mc_negative_steps": (

@@ -395,11 +395,13 @@ def test_step_matches_per_broadcaster_reference(case, seed):
         states = fast
 
 
-def test_step_without_broadcasters_matches_reference():
-    # Carriers present but none broadcasts (r = 0), plus an isolated node.
+@pytest.mark.parametrize("nu,chi", [(0.5, 0.4), (1.0, 0.0)])
+def test_step_without_broadcasters_matches_reference(nu, chi):
+    # Carriers present but none broadcasts (r = 0), plus an isolated node;
+    # with nu = 1 and chi = 0 the step skips those phases' draws too.
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
     params = NodeParams.homogeneous(6, r=0.0, delta=0.2, gamma=0.3,
-                                    nu=0.5, chi=0.4)
+                                    nu=nu, chi=chi)
     links = LinkProbs.homogeneous(g, 1.0)
     states = np.array([HAS_INFO, NO_INFO, WARNED, DEAD, HAS_INFO, HAS_INFO],
                       dtype=np.int8)
@@ -446,18 +448,43 @@ def test_transition_table_matches_the_phase_masks():
     assert np.array_equal(_TRANSITIONS, new)
 
 
-def assert_run_matches_oracle(graph, links, params, init, steps, seed):
-    """``mc_run`` against its loop around the per-broadcaster oracle step:
-    the same fractions and the same generator state after the run."""
-    ref_rng = np.random.default_rng(seed)
+def same_state(a, b) -> bool:
+    """Bit generator states equal entry by entry (some hold arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def holds_half(bit_generator) -> bool:
+    """Whether ``bit_generator`` buffers half of a 64-bit output for the
+    next 32-bit draw (MT19937 makes 32-bit outputs)."""
+    return "has_uint32" in bit_generator(0).state
+
+
+def generator(bit_generator, seed: int, half: bool = False) -> np.random.Generator:
+    """A generator on ``bit_generator(seed)``; with ``half``, one that holds
+    the unused 32-bit half of a 64-bit output."""
+    rng = np.random.Generator(bit_generator(seed))
+    if half:
+        rng.integers(0, 1000, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def assert_run_matches_oracle(graph, links, params, init, steps, seed,
+                              bit_generator=np.random.PCG64, half=False):
+    """``mc_run`` against its loop around the per-broadcaster oracle step,
+    which draws every uniform: the same fractions and the same full
+    generator state after the run."""
+    ref_rng = generator(bit_generator, seed, half)
     states = initial_states(graph.n, init, ref_rng)
     rows = [np.bincount(states, minlength=4) / graph.n]
     for _ in range(steps):
         states = mc_step_reference(states, graph, links, params, ref_rng)
         rows.append(np.bincount(states, minlength=4) / graph.n)
-    rng = np.random.default_rng(seed)
+    rng = generator(bit_generator, seed, half)
     assert np.array_equal(mc_run(graph, links, params, init, steps, rng), np.array(rows))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 def directed_links(g: Graph, seed: int) -> LinkProbs:
@@ -535,3 +562,92 @@ def test_ensemble_calls_mc_run_once_per_run(monkeypatch):
     assert len(calls) == 3 and ens.runs == 3
     assert [rng.bit_generator.seed_seq.entropy for rng in calls] == [
         mix_seed(5, k) for k in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# Decided phases: a parameter of 1 (or 0) everywhere decides every draw of
+# its phase, and a step on a generator in _JUMPS advances past those draws.
+# ---------------------------------------------------------------------------
+
+GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+              np.random.MT19937, np.random.SFC64]
+
+
+def decided_case(**given):
+    """A 120-node power-law graph with a node cut off, drawn parameters
+    (r 0.8, nu 0.6, delta 0.15, gamma 0.3, chi 0.4, beta 0.3) and ``given``
+    in their place: a number is every node's value, ``"mixed"`` per-node
+    values from 0 to 1, 0 and 1 included; ``beta="per_link"`` a directed
+    table."""
+    pairs = gen_powerlaw(119, 2, 6).edge_array.tolist()
+    g = Graph.from_edges(120, pairs)
+    values = {"r": 0.8, "nu": 0.6, "delta": 0.15, "gamma": 0.3, "chi": 0.4,
+              "beta": 0.3, **given}
+    beta = values.pop("beta")
+    links = (directed_links(g, 4) if beta == "per_link"
+             else LinkProbs.homogeneous(g, beta))
+    params = NodeParams(**{
+        key: np.linspace(0.0, 1.0, g.n) if value == "mixed" else np.full(g.n, value)
+        for key, value in values.items()})
+    return g, links, params
+
+
+PHASE_CASES = {
+    **{f"{key}={value}": {key: value}
+       for key in ("r", "nu", "delta", "gamma", "chi") for value in (0.0, 1.0, "mixed")},
+    **{f"beta={value}": {"beta": value} for value in (0.0, 1.0, "per_link")},
+    "defaults": {"r": 1.0, "nu": 1.0, "chi": 0.0},
+    "all_decided": {"r": 1.0, "nu": 0.0, "delta": 0.0, "gamma": 1.0, "chi": 1.0,
+                    "beta": 1.0},
+    "alternating": {"nu": 1.0, "gamma": 0.0},
+    "drawn": {},
+}
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["plain", "half"])
+@pytest.mark.parametrize("case", sorted(PHASE_CASES))
+def test_decided_phases_keep_the_stream(case, half):
+    assert_run_matches_oracle(*decided_case(**PHASE_CASES[case]), init=0.3,
+                              steps=12, seed=8, half=half)
+
+
+@pytest.mark.parametrize("case", ["defaults", "all_decided", "alternating", "drawn"])
+@pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda bg: bg.__name__)
+def test_every_bit_generator_keeps_the_stream(bit_generator, case):
+    assert_run_matches_oracle(*decided_case(**PHASE_CASES[case]), init=0.3, steps=12,
+                              seed=9, bit_generator=bit_generator,
+                              half=holds_half(bit_generator))
+
+
+def test_decided_phases_sort_into_blocks():
+    step = _Step(*decided_case(**PHASE_CASES["alternating"]))
+    assert step.broadcast is None and step.transmit is None
+    assert step.blocks == [(0, 1, False), (1, 2, True), (2, 3, False), (3, 4, True)]
+    assert [row for row, _, _ in step.compared] == [1, 3]
+    assert step.constant == 8
+    step = _Step(*decided_case(**PHASE_CASES["all_decided"]))
+    assert (step.broadcast, step.transmit) == (True, True)
+    assert step.blocks == [(0, 4, False)] and step.compared == []
+    assert step.constant == 32 + 64
+    step = _Step(*decided_case(**PHASE_CASES["defaults"]))
+    assert step.blocks == [(0, 1, False), (1, 3, True), (3, 4, False)]
+
+
+@pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda bg: bg.__name__)
+def test_only_jumps_advance_as_drawing_does(bit_generator):
+    # advance(k) leaves a generator in _JUMPS where k doubles do, once the
+    # 32-bit half it drops is put back; Philox's advance counts blocks of
+    # four outputs, so it is not admitted.
+    half = holds_half(bit_generator)
+    drawn, jumped = generator(bit_generator, 3, half), generator(bit_generator, 3, half)
+    drawn.random(1000)
+    if bit_generator in montecarlo._JUMPS:
+        jumped.bit_generator.advance(1000)
+        state, want = jumped.bit_generator.state, drawn.bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+        state["has_uint32"], state["uinteger"] = want["has_uint32"], want["uinteger"]
+        assert same_state(state, want)
+    elif hasattr(jumped.bit_generator, "advance"):
+        jumped.bit_generator.advance(1000)
+        assert not same_state(jumped.bit_generator.state, drawn.bit_generator.state)
+    assert montecarlo._JUMPS == (np.random.PCG64, np.random.PCG64DXSM)

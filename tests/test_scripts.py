@@ -1,4 +1,5 @@
 """Smoke tests: the example scripts run end to end on small inputs."""
+import json
 import os
 import subprocess
 import sys
@@ -17,9 +18,22 @@ SRC = SCRIPTS.parent / "src"
                            "--steps", "50")),
 ])
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                          capture_output=True, text=True, timeout=300, env=env)
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("graph: ")
+
+
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_threshold_scan_reports_a_bad_graph_as_the_cli_does():
+    # lattice4 reads rows and cols, not n: exit 2, the error JSON on stderr.
+    proc = run_script("threshold_scan.py", "--family", "lattice4", "--n", "5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["type"] == "ConfigError" and payload["field"] == "graph.n"
+    assert "does not read this field" in payload["error"]
