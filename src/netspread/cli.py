@@ -39,7 +39,10 @@ from .trajectory import _write_csv, _write_text
 
 # ConfigError, EdgeListFormatError and ParamRegimeError are ValueErrors.
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError)
-_RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError, PowerIterationError)
+# A MemoryError is an output too large to allocate, such as an ODE run of
+# 10^18 steps.
+_RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError, PowerIterationError,
+                   MemoryError)
 
 
 def _graph_arguments(parser: argparse.ArgumentParser) -> None:

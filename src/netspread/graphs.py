@@ -405,11 +405,11 @@ def save_edge_list(g: Graph, destination: str | Path | IO[str]) -> None:
     """Write ``g`` as a plain text edge list.
 
     Format: first non-comment line is the node count; each subsequent line is
-    ``"u v"`` with ``0 <= u < v < n``, in lexicographic order.
+    ``"u v"`` with ``0 <= u < v < n``, in lexicographic order.  The edge
+    lines are built by one format operation over the flat endpoint list.
     """
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
-    _write_text(destination, "\n".join(lines) + "\n")
+    endpoints = g.edge_array.ravel().tolist()
+    _write_text(destination, f"{g.n}\n" + "%d %d\n" * g.num_edges % tuple(endpoints))
 
 
 def load_edge_list(source: str | Path | IO[str]) -> Graph:

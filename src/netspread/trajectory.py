@@ -27,14 +27,18 @@ def _write_csv(
     """Write a header of ``names`` and one row per index of ``columns``.
 
     Integer columns are written as ``%d``; every other column as ``%.12e``
-    (13 significant digits), so reruns give identical bytes.
+    (13 significant digits), so reruns give identical bytes.  The rows are
+    built by one format operation: the row template repeated once per row,
+    applied to the row-major tuple of every cell.
     """
     row = ",".join(
         "%d" if np.issubdtype(col.dtype, np.integer) else "%.12e" for col in columns
-    )
-    lines = [",".join(names)]
-    lines.extend(row % values for values in zip(*(col.tolist() for col in columns)))
-    _write_text(destination, "\n".join(lines) + "\n")
+    ) + "\n"
+    rows, width = len(columns[0]), len(columns)
+    cells = [None] * (rows * width)
+    for j, col in enumerate(columns):
+        cells[j::width] = col.tolist()
+    _write_text(destination, ",".join(names) + "\n" + row * rows % tuple(cells))
 
 
 @dataclass

@@ -416,6 +416,23 @@ def integrate_reference(model, state0, params, dt=0.01, t_end=100.0):
     return Trajectory(times=times, columns={"s": s_out, "i": i_out, "r": r_out})
 
 
+def write_csv_reference(names, columns) -> str:
+    """The text of ``netspread.trajectory._write_csv``, one ``%`` per row."""
+    row = ",".join(
+        "%d" if np.issubdtype(col.dtype, np.integer) else "%.12e" for col in columns
+    )
+    lines = [",".join(names)]
+    lines.extend(row % values for values in zip(*(col.tolist() for col in columns)))
+    return "\n".join(lines) + "\n"
+
+
+def edge_list_reference(g: Graph) -> str:
+    """The text of ``netspread.graphs.save_edge_list``, one f-string per edge."""
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Power iteration and the system-matrix product as they were before the row
 # operator: CSR-ordered entries, one np.add.reduceat over the non-empty rows

@@ -92,6 +92,17 @@ class TestOde:
         assert payload["type"] == "IntegrationInstabilityError"
         assert "blew up" in payload["error"]
 
+    def test_unallocatable_output_is_a_runtime_error(self, tmp_path):
+        # 10^18 + 1 rows: numpy refuses the 6.94 EiB at once, so no memory is
+        # touched.
+        out = tmp_path / "x.csv"
+        proc = run_cli("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1",
+                       "--dt", "1e-12", "--t-end", "1e6", "--output", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Unable to allocate" in stderr_error(proc)["error"]
+        assert not out.exists()
+
 
 class TestMeanfield:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])

@@ -8,12 +8,14 @@ import pytest
 import netspread.spectral
 from netspread.cli import main
 from netspread.experiments import ExperimentConfig, run_experiment
-from netspread.graphs import gen_powerlaw, save_edge_list
+from netspread.graphs import Graph, gen_powerlaw, load_edge_list, save_edge_list
 from netspread.meanfield import LinkProbs, MfState, NodeParams
 from netspread.meanfield import run as meanfield_run
 from netspread.montecarlo import mc_ensemble
 from netspread.ode import OdeParams, OdeState, integrate
-from netspread.trajectory import Trajectory
+from netspread.trajectory import Trajectory, _write_csv
+
+from oracles import edge_list_reference, edge_set, write_csv_reference
 
 
 def sha256(data: str | bytes) -> str:
@@ -124,3 +126,38 @@ def test_integer_columns_are_plain_and_others_scientific():
         "5.000000000000e-01,-2,1.000000000000e-300\n"
         "2.000000000000e+00,3,nan\n"
     )
+
+
+# The writers build each file with one format operation; the per-row and
+# per-line formatters they replaced are the references.
+
+CSV_COLUMNS = {
+    "int_and_float": [np.arange(4), np.linspace(0.0, 1.0, 4), np.array([3, -1, 0, 7])],
+    "edge_cells": [
+        np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324]),
+        np.array([2**53 + 1, -(2**63), 2**63 - 1, 0, -1], dtype=np.int64),
+        np.array([2**64 - 1, 2**53 + 1, 0, 1, 2], dtype=np.uint64),
+    ],
+    "zero_rows": [np.empty(0), np.empty(0, dtype=np.int64)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_COLUMNS))
+def test_write_csv_matches_per_row_reference(name):
+    columns = CSV_COLUMNS[name]
+    names = [f"c{j}" for j in range(len(columns))]
+    buf = io.StringIO()
+    _write_csv(buf, names, columns)
+    assert buf.getvalue() == write_csv_reference(names, columns)
+
+
+@pytest.mark.parametrize("graph", [lambda: Graph.from_edges(5, []),
+                                   lambda: gen_powerlaw(10**5, 3, 7)],
+                         ids=["edgeless", "powerlaw_1e5"])
+def test_edge_list_matches_per_line_reference_and_loads_back(graph):
+    g = graph()
+    buf = io.StringIO()
+    save_edge_list(g, buf)
+    assert buf.getvalue() == edge_list_reference(g)
+    h = load_edge_list(io.StringIO(buf.getvalue()))
+    assert h.n == g.n and edge_set(h) == edge_set(g)

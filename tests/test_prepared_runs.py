@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netspread import experiments
 from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
 from netspread.meanfield import (
     LinkProbs,
@@ -267,6 +268,59 @@ def test_integrate_blow_up_matches_reference(model):
     expected = outcome(integrate_reference, *args, dt=0.5, t_end=50.0)
     assert expected[0] == "raised"
     assert outcome(integrate, *args, dt=0.5, t_end=50.0) == expected
+
+
+def _figure_run(name):
+    """The integrate arguments of the bundled figure config ``name``."""
+    config = experiments._figure_configs()[name]
+    p = config.params
+    return ((experiments._MODELS[config.model][1], OdeState(s=p["s0"], i=p["i0"]),
+             OdeParams(beta=p["beta"], gamma=p["gamma"])),
+            dict(dt=config.run.dt, t_end=config.run.t_end))
+
+
+# Each run's integrate arguments and the number of steps it computes: up to
+# the first step that repeats the previous one bitwise, or all of them.
+FIXED_POINT_RUNS = {
+    "sis_phase": (*_figure_run("sis_phase"), 4341),
+    "sir_phase": (*_figure_run("sir_phase"), 10_000),  # never repeats
+    # (s, i) reaches the endemic equilibrium s* = (gamma + mu) / beta = 0.5.
+    "sir_endemic_equilibrium": (
+        ("sir_endemic", OdeState(s=0.9, i=0.1), OdeParams(beta=2.0, gamma=0.5, mu=0.5)),
+        dict(dt=0.1, t_end=200.0), 683),
+    "no_infection": (("sis", OdeState(s=1.0, i=0.0), OdeParams(beta=1.0, gamma=0.1)),
+                     dict(dt=0.01, t_end=1.0), 1),
+    # Step 1 returns i = +0.0: numerically equal to the start, bitwise not.
+    "negative_zero_infection": (("sis", OdeState(s=1.0, i=-0.0), OdeParams(beta=1.0, gamma=0.1)),
+                                dict(dt=0.01, t_end=1.0), 2),
+}
+
+
+def first_repeat(traj):
+    """The first step whose (s, i) is bitwise equal to the previous step's,
+    or ``None``."""
+    pairs = np.stack([traj.columns["s"], traj.columns["i"]], axis=1).view(np.uint64)
+    repeats = np.flatnonzero(np.all(pairs[1:] == pairs[:-1], axis=1))
+    return int(repeats[0]) + 1 if len(repeats) else None
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_POINT_RUNS))
+def test_integrate_stops_at_the_fixed_point(name, monkeypatch):
+    args, kwargs, steps = FIXED_POINT_RUNS[name]
+    expected = integrate_reference(*args, **kwargs)
+    assert (first_repeat(expected) or len(expected) - 1) == steps
+    model = args[0]
+    kernel, recovered = _MODELS[model]
+    calls = []
+
+    def counted(*a):
+        calls.append(None)
+        return kernel(*a)
+
+    monkeypatch.setitem(_MODELS, model, (counted, recovered))
+    assert outcome(integrate, *args, **kwargs) == outcome(lambda: expected)
+    # RK4 evaluates the right-hand side four times per step it computes.
+    assert len(calls) == 4 * steps
 
 
 @given(s=st.floats(-2.0, 2.0), i=st.floats(-2.0, 2.0), beta=st.floats(0.0, 5.0),
