@@ -37,8 +37,9 @@ from .ode import IntegrationInstabilityError
 from .spectral import PowerIterationError, survivability_score
 from .trajectory import _write_csv, _write_text
 
-# ConfigError, EdgeListFormatError and ParamRegimeError are ValueErrors.
-_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
+# ConfigError, EdgeListFormatError and ParamRegimeError are ValueErrors; an
+# OSError is a path that cannot be read or written.
+_VALIDATION_ERRORS = (ValueError, OSError)
 # A MemoryError is an output too large to allocate, such as an ODE run of
 # 10^18 steps.
 _RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError, PowerIterationError,

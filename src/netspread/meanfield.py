@@ -432,7 +432,7 @@ def run(
     state0: MfState,
     links: LinkProbs,
     params: NodeParams,
-    max_steps: int = 500,
+    max_steps: int,
     tol: float = 1e-9,
     allow_negative_coefficients: bool = False,
 ) -> MeanFieldRun:

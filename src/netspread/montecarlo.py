@@ -21,28 +21,23 @@ Random draw order is fixed and documented: each phase takes one uniform per
 node from the stream in node-index order (whether or not the draw ends up
 used), except the per-edge transmission draws, which are taken only for
 nodes that actually broadcast, in node-index order and sorted-neighbour
-order within a node.  Runs are reproducible bit-for-bit given a seed.
+order within a node.  A run draws from a PCG64 generator of its own, seeded
+by an integer, so runs are reproducible bit-for-bit given a seed.
 
 Each step makes a single transmission draw, ``rng.random(total)``, over the
 concatenated CSR rows of the broadcasting nodes in node order (no draw when
 no broadcaster has a neighbour).  The rows are gathered by one array
 expression; the stream of uniforms, and so every seeded result, is the same
-as drawing the rows one broadcaster at a time.  Phases 2-5 then take their
-four rows of ``n`` uniforms in phase order, each contiguous run of rows as
-one draw: the same uniforms as four draws of ``n``, one per phase.
+as drawing the rows one broadcaster at a time.
 
 A phase whose parameter is 1 at every node (or link, for the transmission
 draws), or 0 at every one, is decided: ``u < 1`` holds for every uniform
 ``u`` in [0, 1), and ``u < 0`` for none.  The defaults r = 1, nu = 1 and
-chi = 0 decide three of the five per-node phases.  On a generator whose
-``advance(k)`` moves the stream exactly as ``k`` doubles do (``_JUMPS``:
-PCG64, which ``default_rng`` builds, and PCG64DXSM) a step skips a decided
-phase's uniforms with ``bit_generator.advance`` instead of drawing them, so
-the stream keeps its positions and every later draw its value.  ``advance``
-also zeroes the buffered 32-bit half, which :func:`mc_run` puts back, so a
-run ends in the state that drawing leaves.  Other generators (Philox, whose
-``advance`` counts blocks of four outputs, MT19937, SFC64) draw every
-uniform.
+chi = 0 decide three of the five per-node phases.  A step skips a decided
+phase's uniforms with ``bit_generator.advance(k)``, which moves PCG64 past
+the ``k`` 64-bit outputs that ``k`` doubles take, so the stream keeps its
+positions and every later draw its value.  (``advance`` also drops the
+buffered 32-bit half, which no double draw reads.)
 
 A run is prepared once and then stepped; :class:`_Step` says what the
 preparation keeps and how a step packs its draws into one table lookup.
@@ -56,14 +51,14 @@ Ensemble runs derive per-run seeds from a master seed: run ``k`` uses
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .graphs import Graph, _as_rng, _check_int
+from .graphs import Graph, _check_int
 from .meanfield import LinkProbs, NodeParams, _check_inputs
 from .trajectory import Trajectory
 
@@ -131,11 +126,6 @@ _TRANSITIONS = np.array([_next_state(code) for code in range(128)], dtype=np.int
 _TRANSITIONS.flags.writeable = False
 
 
-# Bit generators whose advance(k) leaves the stream where k draws of random()
-# do: one 64-bit output per double.  A test pins each against drawing.
-_JUMPS = (np.random.PCG64, np.random.PCG64DXSM)
-
-
 def _decided(threshold: np.ndarray | np.floating) -> bool | None:
     """What ``u < threshold`` gives for every uniform ``u`` in [0, 1): True
     when every entry is 1, False when every entry is 0, None when it
@@ -150,25 +140,25 @@ def _decided(threshold: np.ndarray | np.floating) -> bool | None:
 class _Step:
     """The step of the module docstring, prepared for one graph, link table
     and parameter set; calling it replaces ``states`` (``int8`` codes 0..3)
-    in place by the states one step later, drawing from ``rng``.
+    in place by the states one step later, drawing from ``rng``, a PCG64
+    generator.
 
     The preparation checks the inputs, keeps what does not change between
-    steps and allocates the ``(4, n)`` draws of phases 2-5 (whose first row
-    also holds the broadcast draws) and one boolean and one ``int8`` row for
-    packing their comparisons.  When every link carries the same
-    probability (compared by value, once), ``beta`` is that value:
-    ``u < beta`` gives the same bits as comparing with an equal entry.  It
-    also sorts the broadcast, the transmission and phases 2-5 into decided
-    (:func:`_decided`) and drawn, and splits phases 2-5 into ``blocks``,
-    runs ``(lo, hi, drawn)`` of rows that are all drawn or all decided.
+    steps and allocates one row ``u`` of ``n`` draws, which every per-node
+    phase fills in turn, and one boolean and one ``int8`` row for packing
+    their comparisons.  When every link carries the same probability
+    (compared by value, once), ``beta`` is that value: ``u < beta`` gives
+    the same bits as comparing with an equal entry.  It also sorts the
+    broadcast and the transmission into decided (:func:`_decided`) and
+    drawn, and lists phases 2-5 in ``phases``: ``None`` for a decided phase,
+    ``(threshold, bit)`` for a drawn one.
 
     A step packs each node's snapshot state and what its draws decided
     (received, accept, die, revive, revert) into a 7-bit code in ``states``
     itself, and ``_TRANSITIONS``, built at import from the rules of phases
-    2-5, maps every code to the node's next state; the bits of the rows
-    decided true are ORed in as one constant.  On a generator in
-    ``_JUMPS``, a step skips the uniforms of each decided phase or block
-    with ``advance``.
+    2-5, maps every code to the node's next state; the bits of the phases
+    decided true are ORed in as one constant.  It skips the uniforms of
+    each decided phase with ``advance``.
     """
 
     def __init__(self, graph: Graph, links: LinkProbs, params: NodeParams) -> None:
@@ -186,33 +176,25 @@ class _Step:
         self.transmit = _decided(self.beta)
         thresholds = (params.nu, params.delta, params.gamma, params.chi)
         decided = [_decided(t) for t in thresholds]
-        self.compared = [(row, t, bit) for row, (t, d, bit)
-                         in enumerate(zip(thresholds, decided, _PHASE_BITS)) if d is None]
+        self.phases = [(t, bit) if d is None else None
+                       for t, d, bit in zip(thresholds, decided, _PHASE_BITS)]
         self.constant = np.int8(sum(int(bit) for d, bit in zip(decided, _PHASE_BITS) if d))
-        self.blocks, lo = [], 0
-        for drawn, rows in groupby(d is None for d in decided):
-            hi = lo + len(list(rows))
-            self.blocks.append((lo, hi, drawn))
-            lo = hi
-        self.u = np.empty((4, n))
+        self.u = np.empty(n)
         self.hit = np.empty(n, dtype=bool)
         self.bits = np.empty(n, dtype=np.int8)
 
     def __call__(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u, hit, bits, n = self.u, self.hit, self.bits, self.n
-        bg = rng.bit_generator
-        advance = bg.advance if type(bg) in _JUMPS else None
+        advance = rng.bit_generator.advance
 
         # Phase 1: one uniform per node, then one per edge of each
         # broadcaster's row, rows concatenated in node order.
-        if self.broadcast is None or advance is None:
-            rng.random(out=u[0])
-        else:
-            advance(n)
         if self.broadcast is None:
-            np.less(u[0], self.r, out=hit)
+            rng.random(out=u)
+            np.less(u, self.r, out=hit)
             hit &= states == HAS_INFO
         else:
+            advance(n)
             np.equal(states, HAS_INFO, out=hit)
             hit &= self.broadcast
         broadcasting = np.flatnonzero(hit)
@@ -220,7 +202,7 @@ class _Step:
         ends = np.cumsum(counts)
         total = int(ends[-1]) if ends.size else 0
         # From here on ``states`` holds the packed codes.
-        if total and (self.transmit is None or advance is None):
+        if total and self.transmit is None:
             u_edges = rng.random(total)
         elif total:
             advance(total)
@@ -236,19 +218,16 @@ class _Step:
                 flat = np.compress(u_edges < beta, flat)
             states[self.indices[flat]] |= _RECEIVED
 
-        # Phases 2-5: the drawn rows, a block at a time, each compared with
-        # its phase's parameter and packed into its bit; the decided rows
-        # skipped and their bits, where true, ORed in at once.
-        if advance is None:
+        # Phases 2-5 in order: a decided phase skips its uniforms, a drawn
+        # one compares its row with its parameter and packs it into its bit;
+        # the bits of the phases decided true are ORed in at once.
+        for phase in self.phases:
+            if phase is None:
+                advance(n)
+                continue
+            threshold, bit = phase
             rng.random(out=u)
-        else:
-            for lo, hi, drawn in self.blocks:
-                if drawn:
-                    rng.random(out=u[lo:hi])
-                else:
-                    advance((hi - lo) * n)
-        for row, threshold, bit in self.compared:
-            np.less(u[row], threshold, out=hit)
+            np.less(u, threshold, out=hit)
             np.multiply(hit, bit, out=bits)
             np.bitwise_or(states, bits, out=states)
         if self.constant:
@@ -263,28 +242,22 @@ def mc_run(
     params: NodeParams,
     init: float,
     steps: int,
-    seed: int | np.random.Generator,
+    seed: int,
 ) -> np.ndarray:
-    """Single run; returns fractions per state, shape ``(steps + 1, 4)``:
+    """Single run from its own PCG64 generator, seeded by the non-negative
+    integer ``seed``; returns fractions per state, shape ``(steps + 1, 4)``:
     the state counts of each step, divided by ``n`` once at the end."""
     _check_int("steps", steps, 0, "non-negative")
+    _check_int("seed", seed, 0)
     step = _Step(graph, links, params)
-    rng = _as_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     states = initial_states(graph.n, init, rng)
-    bg = rng.bit_generator
-    # A step's advance() zeroes the buffered 32-bit half and its flag, which
-    # random() leaves alone; put back, they end the run as drawing does.
-    held = bg.state if type(bg) in _JUMPS else None
     counts = np.empty((steps + 1, 4), dtype=np.int64)
     for k in range(steps + 1):
         if k:
             step(states, rng)
         for code in (HAS_INFO, WARNED, DEAD):
             counts[k, code] = np.count_nonzero(states == code)
-    if held is not None:
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = held["has_uint32"], held["uinteger"]
-        bg.state = state
     counts[:, NO_INFO] = graph.n - counts[:, 1:].sum(axis=1)
     return counts / graph.n
 
@@ -321,12 +294,13 @@ def mc_ensemble(
     runs: int,
     seed: int,
 ) -> EnsembleResult:
-    """Independent runs with per-run seeds derived via :func:`mix_seed`."""
+    """Independent runs with per-run seeds derived via :func:`mix_seed`
+    from the integer ``seed``, negative ones included."""
     _check_int("runs", runs, 1, "positive")
+    _check_int("seed", seed, -math.inf)  # any integer: mix_seed masks it
     # Each mc_run validates its inputs before anything is allocated.
     trajectories = np.stack([
-        mc_run(graph, links, params, init, steps,
-               np.random.default_rng(mix_seed(seed, k)))
+        mc_run(graph, links, params, init, steps, mix_seed(int(seed), k))
         for k in range(runs)
     ])
     return EnsembleResult(

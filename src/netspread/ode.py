@@ -144,8 +144,8 @@ def integrate(
     model: str,
     state0: OdeState,
     params: OdeParams,
-    dt: float = 0.01,
-    t_end: float = 100.0,
+    dt: float,
+    t_end: float,
 ) -> Trajectory:
     """Fixed-step RK4 integration of ``model`` from ``state0`` to ``t_end``.
 

@@ -29,6 +29,16 @@ class TestTopLevel:
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", [
+        "generate --family lattice4 --rows 3 --cols 3 --output {dir}",
+        "spectral --graph {dir} --beta 0.4 --delta 0.65 --gamma 0.3",
+        "sweep --config {dir} --output-dir {dir}/out",
+    ], ids=["generate_output", "spectral_graph", "sweep_config"])
+    def test_a_directory_given_for_a_file_is_invalid_input(self, tmp_path, command):
+        proc = run_cli(*command.format(dir=tmp_path).split())
+        assert proc.returncode == 2, proc.stderr
+        assert stderr_error(proc)["type"] == "IsADirectoryError"
+
 
 class TestGenerate:
     def test_writes_edge_list_and_reports_counts(self, tmp_path):

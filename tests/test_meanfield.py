@@ -349,7 +349,8 @@ class TestWarnedVariant:
         g = gen_lattice4(3, 3)
         p9 = NodeParams.homogeneous(9, r=1.0, delta=0.6, gamma=0.6, nu=1.0, chi=1.0)
         with pytest.raises(ParamRegimeError):
-            run("sirs", MfState.uniform(9, p0=0.1), LinkProbs.homogeneous(g, 0.3), p9)
+            run("sirs", MfState.uniform(9, p0=0.1), LinkProbs.homogeneous(g, 0.3), p9,
+                max_steps=500)
 
     def test_retention_overflow_allowed_with_flag(self):
         g = gen_lattice4(3, 3)
@@ -394,7 +395,7 @@ class TestRun:
         params = NodeParams.homogeneous(9, r=1.0, delta=0.5, gamma=0.1)
         with pytest.raises(ValueError, match="unknown mean-field model"):
             run("seir", MfState.uniform(9, p0=0.1),
-                LinkProbs.homogeneous(g, 0.1), params)
+                LinkProbs.homogeneous(g, 0.1), params, max_steps=500)
 
     def test_extinction_on_lattice_for_subcritical_parameters(self):
         # Survivability score 0.855 < 1: carriers must collapse.

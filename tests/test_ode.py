@@ -106,23 +106,23 @@ class TestIntegrate:
 
     def test_epidemic_final_size_fixed_point(self):
         traj = integrate("sir_epidemic", OdeState(s=0.999, i=0.001),
-                         OdeParams(beta=0.8, gamma=0.1))
+                         OdeParams(beta=0.8, gamma=0.1), dt=0.01, t_end=100.0)
         s_inf = final_size_fixed_point(0.999, ratio=8.0)
         assert abs(traj.columns["s"][-1] - s_inf) < 1e-3
 
     def test_epidemic_has_single_interior_peak(self):
         traj = integrate("sir_epidemic", OdeState(s=0.999, i=0.001),
-                         OdeParams(beta=0.8, gamma=0.1))
+                         OdeParams(beta=0.8, gamma=0.1), dt=0.01, t_end=100.0)
         assert count_interior_maxima(traj.columns["i"]) == 1
 
     def test_epidemic_susceptible_non_increasing(self):
         traj = integrate("sir_epidemic", OdeState(s=0.999, i=0.001),
-                         OdeParams(beta=0.8, gamma=0.1))
+                         OdeParams(beta=0.8, gamma=0.1), dt=0.01, t_end=100.0)
         assert np.all(np.diff(traj.columns["s"]) <= 0)
 
     def test_recovered_complements_to_one(self):
         traj = integrate("sir_epidemic", OdeState(s=0.9, i=0.1),
-                         OdeParams(beta=1.2, gamma=0.3), t_end=10.0)
+                         OdeParams(beta=1.2, gamma=0.3), dt=0.01, t_end=10.0)
         total = traj.columns["s"] + traj.columns["i"] + traj.columns["r"]
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
@@ -144,7 +144,8 @@ class TestIntegrate:
     def test_zero_infection_stays_zero(self):
         for model in _MODELS:
             traj = integrate(model, OdeState(s=1.0, i=0.0),
-                             OdeParams(beta=0.9, gamma=0.2, mu=0.01), t_end=5.0)
+                             OdeParams(beta=0.9, gamma=0.2, mu=0.01), dt=0.01,
+                             t_end=5.0)
             assert np.all(traj.columns["i"] == 0.0)
 
     def test_instability_raises_with_location(self):
@@ -184,17 +185,18 @@ class TestIntegrate:
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
-            integrate("nope", OdeState(0.9, 0.1), OdeParams(1.0, 0.1))
+            integrate("nope", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), 0.01, 100.0)
         with pytest.raises(ValueError):
-            integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), dt=0.0)
+            integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), dt=0.0, t_end=100.0)
         with pytest.raises(ValueError):
-            integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), t_end=-1.0)
+            integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), dt=0.01, t_end=-1.0)
         for bad in ({"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.inf},
                     {"dt": math.nan}):
             with pytest.raises(ValueError, match="dt and t_end must be finite and positive"):
-                integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), **bad)
+                integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1),
+                          **{"dt": 0.01, "t_end": 100.0, **bad})
         with pytest.raises(ValueError, match=r"s \+ i = 1"):
-            integrate("sis", OdeState(s=0.5, i=0.1), OdeParams(1.0, 0.1))
+            integrate("sis", OdeState(s=0.5, i=0.1), OdeParams(1.0, 0.1), 0.01, 100.0)
 
 
 @given(
