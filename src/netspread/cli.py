@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,12 +21,13 @@ from .experiments import (
     _FAMILIES,
     _MODELS,
     _PARAMS,
+    _check_value,
     _point_inputs,
     _run_model,
     reproduce_figures,
     run_experiment,
 )
-from .graphs import Graph, save_edge_list
+from .graphs import save_edge_list
 from .isolation import (
     greedy_edge_removal,
     nn_hamiltonian_cycle,
@@ -47,7 +49,8 @@ _RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError, PowerItera
 
 
 def _graph_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", help="path to an edge-list file")
+    # Each dest is the name of a GraphSpec field.
+    parser.add_argument("--graph", dest="path", metavar="GRAPH", help="path to an edge-list file")
     parser.add_argument("--family", choices=list(_FAMILIES))
     parser.add_argument("--n", type=int)
     parser.add_argument("--p", type=float, help="edge probability (binomial)")
@@ -58,40 +61,60 @@ def _graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _graph(args: argparse.Namespace) -> Graph:
-    """The graph of the shared graph arguments, built as a sweep config's
-    graph block is."""
-    return GraphSpec(
-        family=args.family, path=args.graph, n=args.n, m=args.m, p=args.p,
-        lam=args.lam, rows=args.rows, cols=args.cols, seed=args.seed,
-    ).build(args.seed)
+def _graph_spec(args: argparse.Namespace) -> GraphSpec:
+    """The shared graph arguments as a sweep config's graph block."""
+    return GraphSpec(**{f.name: getattr(args, f.name) for f in fields(GraphSpec)})
 
 
-# The parameters of the survivability score, which spectral and isolate compute.
-_SCORE_PARAMS = ("beta", "gamma", "delta", "r")
-
-
-def _params(args: argparse.Namespace, reads: tuple[str, ...] | None = None,
-            reader: str = "") -> dict:
-    """The parsed arguments as a sweep point's flat params; an option left
-    unset (None) is left out, so the point's default (``_DEFAULTS``)
-    applies.  With ``reads``, the parameters that ``reader`` reads, an option
-    of any other parameter is a :class:`ConfigError` naming the option, as
-    the key is in a config."""
-    params = {k: v for k, v in vars(args).items() if v is not None}
-    if reads is not None:
-        for key in _PARAMS:
-            if key in params and key not in reads:
-                options = ", ".join(f"--{k}" for k in sorted(reads))
-                raise ConfigError(f"--{key}", f"{reader} does not read this "
-                                  f"option; it reads {options}")
-    return params
+def _params(args: argparse.Namespace) -> dict:
+    """The parameter options that were set, as a point's flat params; an
+    option left unset (None) is left out, so the point's default
+    (``_DEFAULTS``) applies."""
+    return {k: v for k, v in vars(args).items() if k in _PARAMS and v is not None}
 
 
 def _sweep_models(kind: str) -> dict[str, str]:
     """The sweep model of each library model that ``kind`` runs, by the
     library model's name."""
     return {library: model for model, (k, library, _) in _MODELS.items() if k == kind}
+
+
+def _run_options(args: argparse.Namespace, model: str):
+    """Run ``model`` at the one-point config of the options, checked as a
+    config file is; a :class:`ConfigError` names the option of its params key
+    or run setting (mc's ``--init`` is the point's p0)."""
+    options = vars(args)
+    run = {f.name: options[f.name] for f in fields(RunSpec) if f.name in options}
+    try:
+        config = ExperimentConfig(
+            model, _params(args), RunSpec(**run),
+            None if _MODELS[model][0] == "ode" else _graph_spec(args),
+            seed=options.get("master_seed", 0),
+            allow_negative_coefficients=options.get("allow_negative_coefficients", False))
+    except ConfigError as exc:
+        key = exc.field.removeprefix("params.").removeprefix("run.")
+        if key == exc.field:
+            raise
+        option = "init" if (args.command, key) == ("mc", "p0") else key.replace("_", "-")
+        raise ConfigError(f"--{option}", str(exc).removeprefix(f"{exc.field}: ")) from None
+    inputs = config.graph and _point_inputs(config.graph.build(config.seed), config.params)
+    return _run_model(config, config.params, inputs)
+
+
+# The parameters of the survivability score, which spectral and isolate compute.
+_SCORE_PARAMS = ("beta", "delta", "gamma", "r")
+
+
+def _score_inputs(args: argparse.Namespace):
+    """The score's graph, links and node parameters, each in a network
+    model's range; an option the score does not read is a :class:`ConfigError`."""
+    params = _params(args)
+    for key, value in params.items():
+        if key not in _SCORE_PARAMS:
+            raise ConfigError(f"--{key}", f"{args.command} does not read this option; it "
+                              "reads " + ", ".join(f"--{k}" for k in _SCORE_PARAMS))
+        _check_value(f"--{key}", value, "float", _PARAMS[key][0])
+    return _point_inputs(_graph_spec(args).build(args.seed), params)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -110,18 +133,16 @@ def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.graph:
+    if args.path:
         raise ValueError("generate takes --family, not --graph")
-    g = _graph(args)
+    g = _graph_spec(args).build(args.seed)
     save_edge_list(g, args.output)
     print(f"nodes={g.n} edges={g.num_edges} output={args.output}")
     return 0
 
 
 def _cmd_ode(args: argparse.Namespace) -> int:
-    model = _sweep_models("ode")[args.model]
-    params = _params(args, _MODELS[model][2], f"model {args.model!r}")
-    traj = _run_model(model, params, None, dt=args.dt, t_end=args.t_end)
+    traj = _run_options(args, _sweep_models("ode")[args.model])
     traj.write_csv(args.output)
     last = len(traj) - 1
     print(
@@ -133,12 +154,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    model = _sweep_models("meanfield")[args.model]
-    params = _params(args, _MODELS[model][2], f"model {args.model!r}")
-    result = _run_model(
-        model, params, _point_inputs(_graph(args), params), steps=args.steps, tol=args.tol,
-        allow_negative_coefficients=args.allow_negative_coefficients,
-    )
+    result = _run_options(args, _sweep_models("meanfield")[args.model])
     result.trajectory.write_csv(args.output)
     carriers = result.trajectory.columns["carriers"][-1]
     print(
@@ -150,11 +166,7 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    params = _params(args)
-    ensemble = _run_model(
-        "sirs_mc", params, _point_inputs(_graph(args), params),
-        steps=args.steps, runs=args.runs, seed=args.master_seed,
-    )
+    ensemble = _run_options(args, "sirs_mc")
     ensemble.write_csv(args.output)
     print(
         f"runs={args.runs} steps={args.steps} "
@@ -164,8 +176,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    params = _params(args, _SCORE_PARAMS, args.command)
-    g, links, params = _point_inputs(_graph(args), params)
+    g, links, params = _score_inputs(args)
     result = survivability_score(g, links, params)
     print(f"s={result.score:.12g} fast_extinction={result.status}")
     if args.eigenvector_csv:
@@ -176,8 +187,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    params = _params(args, _SCORE_PARAMS, args.command)
-    g, _, params = _point_inputs(_graph(args), params)
+    g, _, params = _score_inputs(args)
     if args.strategy == "greedy":
         modified, report = greedy_edge_removal(
             g, args.k, beta_template=args.beta, params=params

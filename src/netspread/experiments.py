@@ -68,10 +68,11 @@ _TYPE_CHECKS = {
 _FINITE = sys.float_info.max
 _PROB = (0.0, 1.0, "in [0, 1]")
 _RATE = (0.0, _FINITE, "finite and >= 0")
-# Every key a params block may hold: its range and whether a sweep may
-# advance it.
+# Every key a params block may hold: its range in a network model and whether
+# a sweep may advance it.  There beta and gamma are the per-link transmission
+# and per-node resurrection probabilities; an ODE model reads them as rates.
 _PARAMS = {
-    "beta": (_RATE, True), "gamma": (_RATE, True), "mu": (_RATE, True),
+    "beta": (_PROB, True), "gamma": (_PROB, True), "mu": (_RATE, True),
     "delta": (_PROB, True), "r": (_PROB, True), "nu": (_PROB, True),
     "chi": (_PROB, True), "p0": (_PROB, True), "w0": (_PROB, True),
     "s0": (_PROB, False), "i0": (_PROB, False),
@@ -108,7 +109,6 @@ _KINDS = {
 # as "not low <= value <= high" so that NaN fails as well.  The least positive
 # float as the low end makes a range "> 0".
 _RANGES = {
-    **{f"params.{k}": bounds for k, (bounds, _) in _PARAMS.items()},
     "sweep.base": (-_FINITE, _FINITE, "finite"),
     "sweep.increment": (-_FINITE, _FINITE, "finite"),
     "sweep.count": (1, math.inf, ">= 1"),
@@ -120,16 +120,16 @@ _RANGES = {
 }
 
 
-def _check_value(name: str, value, type_name: str) -> None:
+def _check_value(name: str, value, type_name: str, bounds: tuple | None = None) -> None:
     """Raise a :class:`ConfigError` for ``name`` unless ``value`` has the
-    type ``type_name`` and lies in its ``_RANGES`` entry, if it has one."""
+    type ``type_name`` and lies in ``bounds``, by default its ``_RANGES``
+    entry if it has one."""
     check, kind = _TYPE_CHECKS[type_name]
     if not check(value):
         raise ConfigError(name, f"must be {kind}, got {value!r}")
-    if name in _RANGES:
-        low, high, wording = _RANGES[name]
-        if not low <= value <= high:
-            raise ConfigError(name, f"must be {wording}, got {value!r}")
+    bounds = bounds or _RANGES.get(name)
+    if bounds and not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(name, f"must be {bounds[2]}, got {value!r}")
 
 
 def _check_fields(spec, block: str) -> None:
@@ -260,11 +260,13 @@ class ExperimentConfig:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
         if not isinstance(self.params, dict):
             raise ConfigError("params", f"must be an object, got {self.params!r}")
+        bounds = {k: _RATE if kind == "ode" and k in ("beta", "gamma") else _PARAMS[k][0]
+                  for k in reads}
         for key, value in self.params.items():
             if key not in reads:
                 raise ConfigError(f"params.{key}", f"model {self.model!r} does not read "
                                   f"this parameter; expected one of {sorted(reads)}")
-            _check_value(f"params.{key}", value, "float")
+            _check_value(f"params.{key}", value, "float", bounds[key])
         if self.sweep is not None:
             for name, _ in self.sweep.parameters:
                 if name not in reads or not _PARAMS[name][1]:
@@ -275,7 +277,7 @@ class ExperimentConfig:
             for k in (0, self.sweep.count - 1):
                 for name, value in self.sweep.point_values(k).items():
                     try:
-                        _check_value(f"params.{name}", value, "float")
+                        _check_value(f"params.{name}", value, "float", bounds[name])
                     except ConfigError as exc:
                         raise ConfigError("sweep", f"point {k}: {exc}") from None
         given = {**_DEFAULTS, **self.params, **(self.sweep.point_values(0) if self.sweep else {})}
@@ -398,26 +400,28 @@ def _point_inputs(graph: Graph, params: dict[str, float]) -> tuple[Graph, LinkPr
     return graph, LinkProbs.homogeneous(graph, params["beta"]), node_params
 
 
-def _run_model(model: str, params: dict[str, float],
-               inputs: tuple[Graph, LinkProbs, NodeParams] | None, **run):
-    """Run the sweep model ``model`` at a point with flat ``params``, each key
-    left out at its ``_DEFAULTS`` value; a network model runs on ``inputs``
-    from :func:`_point_inputs`.
+def _run_model(config: ExperimentConfig, params: dict[str, float],
+               inputs: tuple[Graph, LinkProbs, NodeParams] | None):
+    """Run ``config``'s model at a point with flat ``params``, each key left
+    out at its ``_DEFAULTS`` value; a network model runs on ``inputs`` from
+    :func:`_point_inputs`.
 
-    ``run`` holds the settings the model's kind reads (``_KINDS``), and
-    ``seed`` for Monte Carlo.  Returns the ODE's :class:`Trajectory`, the
-    :class:`MeanFieldRun` or the :class:`EnsembleResult`.
+    The run settings, the Monte Carlo seed and
+    ``allow_negative_coefficients`` are ``config``'s, so a sweep point and a
+    CLI point run, once their config is checked, the same calls.  Returns the
+    ODE's :class:`Trajectory`, the :class:`MeanFieldRun` or the
+    :class:`EnsembleResult`.
     """
-    kind, library, _ = _MODELS[model]
-    params = {**_DEFAULTS, **params}
+    kind, library, _ = _MODELS[config.model]
+    params, run = {**_DEFAULTS, **params}, config.run
     if kind == "ode":
         i0 = params["i0"]
         return integrate(
             library,
             OdeState(s=1.0 - i0 if params["s0"] is None else params["s0"], i=i0),
             OdeParams(beta=params["beta"], gamma=params["gamma"], mu=params["mu"]),
-            dt=run["dt"],
-            t_end=run["t_end"],
+            dt=run.dt,
+            t_end=run.t_end,
         )
     graph, links, node_params = inputs
     if kind == "meanfield":
@@ -426,9 +430,9 @@ def _run_model(model: str, params: dict[str, float],
             MfState.uniform(graph.n, p0=params["p0"], w0=params["w0"]),
             links,
             node_params,
-            max_steps=run["steps"],
-            tol=run["tol"],
-            allow_negative_coefficients=run["allow_negative_coefficients"],
+            max_steps=run.steps,
+            tol=run.tol,
+            allow_negative_coefficients=config.allow_negative_coefficients,
         )
     nu, chi = _acceptance(library, node_params)
     return mc_ensemble(
@@ -436,9 +440,9 @@ def _run_model(model: str, params: dict[str, float],
         links,
         replace(node_params, nu=nu, chi=chi),
         init=params["p0"],
-        steps=run["steps"],
-        runs=run["runs"],
-        seed=run["seed"],
+        steps=run.steps,
+        runs=run.runs,
+        seed=config.seed,
     )
 
 
@@ -455,10 +459,7 @@ def _run_point(
         _, links, node_params = inputs
         if np.all(node_params.delta > 0.0):
             score = survivability_score(graph, links, node_params).score
-    result = _run_model(
-        config.model, point_params, inputs, **asdict(config.run), seed=config.seed,
-        allow_negative_coefficients=config.allow_negative_coefficients,
-    )
+    result = _run_model(config, point_params, inputs)
     if _MODELS[config.model][0] == "meanfield":
         result = result.trajectory
     result.write_csv(out_path)

@@ -52,6 +52,7 @@ Ensemble runs derive per-run seeds from a master seed: run ``k`` uses
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -83,8 +84,9 @@ _MASK64 = (1 << 64) - 1
 
 
 def mix_seed(master: int, run_index: int) -> int:
-    """Per-run seed: one splitmix64 finaliser round of ``master XOR run``."""
-    z = (master ^ run_index) & _MASK64
+    """Per-run seed: one splitmix64 finaliser round of ``master XOR run``.
+    Any integer, numpy's included, is taken as a Python int."""
+    z = (operator.index(master) ^ operator.index(run_index)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -300,7 +302,7 @@ def mc_ensemble(
     _check_int("seed", seed, -math.inf)  # any integer: mix_seed masks it
     # Each mc_run validates its inputs before anything is allocated.
     trajectories = np.stack([
-        mc_run(graph, links, params, init, steps, mix_seed(int(seed), k))
+        mc_run(graph, links, params, init, steps, mix_seed(seed, k))
         for k in range(runs)
     ])
     return EnsembleResult(

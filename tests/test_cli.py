@@ -124,7 +124,7 @@ class TestMeanfield:
                        "--output", str(out))
         assert proc.returncode == 2
         payload = stderr_error(proc)
-        assert payload["type"] == "ValueError" and "tol" in payload["error"]
+        assert payload["type"] == "ConfigError" and payload["field"] == "--tol"
         assert not out.exists()
 
     def test_lattice_run(self, tmp_path):
@@ -207,8 +207,7 @@ class TestMc:
                        "--output", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
         payload = stderr_error(proc)
-        assert payload["type"] == "ValueError"
-        assert "steps" in payload["error"]
+        assert payload["type"] == "ConfigError" and payload["field"] == "--steps"
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -241,6 +240,44 @@ def test_run_defaults_are_the_configs(tmp_path, command, model, options):
     if command == "mc":
         assert proc.stdout.startswith(f"runs={RunSpec.runs} steps={RunSpec.steps} ")
         assert len(written.splitlines()) == RunSpec.steps + 2
+
+
+@pytest.mark.parametrize("command,options,model,change,field,option", [
+    ("ode", ("--i0", "1.5"), "sis_ode", {"params": {"i0": 1.5}}, "params.i0", "--i0"),
+    ("meanfield", ("--steps", "0"), "sis_meanfield", {"run": {"steps": 0}},
+     "run.steps", "--steps"),
+    ("mc", ("--steps", "0"), "sirs_mc", {"run": {"steps": 0}}, "run.steps", "--steps"),
+    ("mc", ("--init", "1.5"), "sirs_mc", {"params": {"p0": 1.5}}, "params.p0", "--init"),
+    ("meanfield", ("--tol", "nan"), "sis_meanfield", {"run": {"tol": float("nan")}},
+     "run.tol", "--tol"),
+    ("ode", ("--t-end", "inf"), "sis_ode", {"run": {"t_end": float("inf")}},
+     "run.t_end", "--t-end"),
+    ("meanfield", ("--model", "sis", "--nu", "0.3"), "sis_meanfield",
+     {"params": {"nu": 0.3}}, "params.nu", "--nu"),
+], ids=["ode_i0", "meanfield_zero_steps", "mc_zero_steps", "mc_init", "meanfield_tol_nan",
+        "ode_t_end_inf", "sis_meanfield_nu"])
+def test_cli_rejects_what_a_config_rejects(tmp_path, command, options, model, change,
+                                           field, option):
+    # A subcommand checks its options as the equivalent one-point config is
+    # checked, and names the option where the config names its field.
+    params = {"beta": 0.3, "gamma": 0.1, **({} if command == "ode" else {"delta": 0.2})}
+    config = {"model": model, "params": {**params, **change.get("params", {})},
+              "run": change.get("run", {})}
+    base = ("--model", "sis") if command == "ode" else LATTICE_3X3
+    if command != "ode":
+        config["graph"] = {"family": "lattice4", "rows": 3, "cols": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    swept = run_cli("sweep", "--config", str(cfg_path), "--output-dir", str(tmp_path / "sweep"))
+    rates = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    out = tmp_path / "cli.csv"
+    proc = run_cli(command, *base, *rates, *options, "--output", str(out))
+    assert swept.returncode == proc.returncode == 2, proc.stderr
+    payloads = stderr_error(swept), stderr_error(proc)
+    assert [p["type"] for p in payloads] == ["ConfigError", "ConfigError"]
+    assert [p["field"] for p in payloads] == [field, option]
+    assert payloads[1]["error"] == payloads[0]["error"].replace(field, option, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 class TestSpectral:
     def test_frozen_subcritical_line(self):
@@ -516,7 +553,7 @@ class TestSharedGraphArguments:
                        "--output", str(out))
         assert proc.returncode == 2
         payload = stderr_error(proc)
-        assert payload["type"] == "ValueError" and "max_steps" in payload["error"]
+        assert payload["type"] == "ConfigError" and payload["field"] == "--steps"
         assert not out.exists()
 
 
@@ -603,7 +640,7 @@ def test_options_the_model_does_not_read_are_rejected(tmp_path, args, option):
     assert proc.returncode == 2, proc.stderr
     payload = stderr_error(proc)
     assert payload["type"] == "ConfigError" and payload["field"] == option
-    assert "does not read this option" in payload["error"]
+    assert "does not read this parameter" in payload["error"]
     assert not out.exists()
 
 

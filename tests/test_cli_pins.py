@@ -3,10 +3,16 @@ error JSON and the SHA-256 of every file written.
 
 Each case runs in a fresh directory with relative output names, so stdout
 does not depend on where the test runs.  ``EXPECTED`` was recorded before
-the subcommands were routed through the sweep's runner; the one entry
-changed since is the wording of the ``sis`` warning-state error
-(``meanfield_sis_w0``); ``ode_t_end_inf``, ``ode_dt_nan`` and
-``mc_decided`` were added later.  ``mc_decided`` leaves r, nu and chi at
+the subcommands were routed through the sweep's runner.  Changed since: the
+wording of the ``sis`` warning-state error (``meanfield_sis_w0``), and six
+invalid inputs, re-recorded when ``ode``, ``meanfield`` and ``mc`` came to
+run a checked one-point config and ``spectral`` to check its parameters
+with a network model's ranges.  Each now exits 2 with a ``ConfigError``
+whose ``field`` is the option: ``beta_above_one``, ``mc_negative_steps``,
+``meanfield_tol_nan``, ``ode_dt_nan``, ``ode_t_end_inf`` (each a library
+``ValueError`` before) and ``meanfield_zero_steps`` (a 0-step run that
+exited 0 before).  ``ode_t_end_inf``, ``ode_dt_nan`` and ``mc_decided``
+were added later than the first recording.  ``mc_decided`` leaves r, nu and chi at
 their defaults (1, 1 and 0), so every step skips the uniforms of three
 decided phases; its digest was recorded while every step still drew them.
 """
@@ -110,9 +116,9 @@ EXPECTED = {
         2,
         "",
         {
-            "error":
-                "link probability must lie in [0, 1], got 1.5",
-            "type": "ValueError",
+            "error": "--beta: must be in [0, 1], got 1.5",
+            "type": "ConfigError",
+            "field": "--beta",
         },
         {},
     ),
@@ -183,9 +189,9 @@ EXPECTED = {
         2,
         "",
         {
-            "error":
-                "steps must be non-negative, got -1",
-            "type": "ValueError",
+            "error": "--steps: must be >= 1, got -1",
+            "type": "ConfigError",
+            "field": "--steps",
         },
         {},
     ),
@@ -247,21 +253,21 @@ EXPECTED = {
         2,
         "",
         {
-            "error":
-                "tol must be finite and >= 0, got nan",
-            "type": "ValueError",
+            "error": "--tol: must be finite and >= 0, got nan",
+            "type": "ConfigError",
+            "field": "--tol",
         },
         {},
     ),
     "meanfield_zero_steps": (
-        0,
-        ("model=sis steps=0 converged=False carriers_final=5 "
-         "violations=0 output=mf.csv\n"),
-        None,
+        2,
+        "",
         {
-            "mf.csv":
-                "b094197935659cf40e9338778e4f9d772fcdce00c7cc6e8bb4ddc6686f38782b",
+            "error": "--steps: must be >= 1, got 0",
+            "type": "ConfigError",
+            "field": "--steps",
         },
+        {},
     ),
     "ode_instability": (
         1,
@@ -278,8 +284,9 @@ EXPECTED = {
         2,
         "",
         {
-            "error": "dt and t_end must be finite and positive, got dt=nan t_end=100.0",
-            "type": "ValueError",
+            "error": "--dt: must be positive and finite, got nan",
+            "type": "ConfigError",
+            "field": "--dt",
         },
         {},
     ),
@@ -287,8 +294,9 @@ EXPECTED = {
         2,
         "",
         {
-            "error": "dt and t_end must be finite and positive, got dt=0.01 t_end=inf",
-            "type": "ValueError",
+            "error": "--t-end: must be positive and finite, got inf",
+            "type": "ConfigError",
+            "field": "--t-end",
         },
         {},
     ),

@@ -9,6 +9,7 @@ from netspread.experiments import (
     ConfigError,
     ExperimentConfig,
     GraphSpec,
+    RunSpec,
     SweepSpec,
     _figure_configs,
     _point_inputs,
@@ -81,6 +82,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[0, 1\]") as exc:
             ExperimentConfig.from_dict(bad)
         assert exc.value.field == "params.p0"
+
+    @pytest.mark.parametrize("model", ["sis_meanfield", "sirs_mc"])
+    @pytest.mark.parametrize("key,value", [("beta", 1.5), ("gamma", 2.0)])
+    def test_network_beta_and_gamma_are_probabilities(self, model, key, value):
+        # The per-link transmission and per-node resurrection probabilities.
+        bad = meanfield_config(model=model, sweep=None, run={})
+        bad["params"][key] = value
+        with pytest.raises(ConfigError, match=r"\[0, 1\]") as exc:
+            ExperimentConfig.from_dict(bad)
+        assert exc.value.field == f"params.{key}"
+
+    def test_a_beta_sweep_that_crosses_one_is_rejected(self):
+        bad = meanfield_config(sweep={"parameters": [{"name": "beta", "base": 0.9}],
+                                      "increment": 0.1, "count": 3})
+        with pytest.raises(ConfigError, match=r"point 2: params.beta: must be in \[0, 1\]") as exc:
+            ExperimentConfig.from_dict(bad)
+        assert exc.value.field == "sweep"
+
+    def test_an_ode_beta_is_a_rate(self):
+        cfg = ExperimentConfig.from_dict(
+            {"model": "sis_ode", "params": {"beta": 1.5, "gamma": 0.1}})
+        assert cfg.params["beta"] == 1.5
 
     @pytest.mark.parametrize("key", ["init", "detla", "n"])
     def test_params_no_model_reads_are_rejected(self, key):
@@ -586,10 +609,12 @@ def test_sis_mc_runs_without_warning_whatever_params_say():
     graph = gen_powerlaw(300, 2, 1)
 
     def point_csv(model, **acceptance):
-        params = {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0, "p0": 0.1,
-                  **acceptance}
-        ensemble = _run_model(model, params, _point_inputs(graph, params),
-                              steps=30, runs=4, seed=7)
+        params = {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0, "p0": 0.1}
+        config = ExperimentConfig(
+            model=model, params=params, run=RunSpec(steps=30, runs=4),
+            graph=GraphSpec(family="powerlaw", n=300, m=2, seed=1), seed=7)
+        params = {**params, **acceptance}
+        ensemble = _run_model(config, params, _point_inputs(graph, params))
         buf = io.StringIO()
         ensemble.write_csv(buf)
         return buf.getvalue()

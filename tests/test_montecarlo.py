@@ -1,6 +1,7 @@
 """Stochastic simulator: seeding, single-step semantics, ensembles."""
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ class TestSeeding:
         assert mix_seed(42, 0) == 12058926934050108962
         assert mix_seed(42, 1) == 5695472266747893962
         assert mix_seed(2**64 - 1, 5) == 10663088712343502407
+
+    @pytest.mark.parametrize("numpy_int", [np.int64(5), np.int32(5), np.uint64(5),
+                                           np.int64(-1)],
+                             ids=["int64", "int32", "uint64", "int64_negative"])
+    def test_mix_seed_takes_numpy_integers(self, numpy_int):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mix_seed(numpy_int, 1) == mix_seed(int(numpy_int), 1)
+            assert mix_seed(1, numpy_int) == mix_seed(1, int(numpy_int))
+        with pytest.raises(TypeError):
+            mix_seed(float(numpy_int), 1)
 
     def test_mix_seed_decorrelates_consecutive_runs(self):
         outs = {mix_seed(42, k) for k in range(1000)}
