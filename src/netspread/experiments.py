@@ -31,7 +31,7 @@ from .graphs import (  # the generators are called through _FAMILIES
 from .meanfield import LinkProbs, MfState, NodeParams, _acceptance
 from .meanfield import run as meanfield_run
 from .montecarlo import mc_ensemble
-from .ode import OdeParams, OdeState, integrate
+from .ode import IntegrationInstabilityError, OdeParams, OdeState, _check_start, integrate
 from .spectral import survivability_score
 from .trajectory import _write_text
 
@@ -142,6 +142,12 @@ def _check_fields(spec, block: str) -> None:
         value = getattr(spec, f.name)
         if type_name in _TYPE_CHECKS and not (optional and value is None):
             _check_value(f"{block}.{f.name}" if block else f.name, value, type_name)
+
+
+def _ode_start(params: dict[str, float]) -> tuple[float, float]:
+    """``(s0, i0)`` of a point whose flat ``params`` hold every key: ``s0``
+    left out (None) is ``1 - i0``."""
+    return 1.0 - params["i0"] if params["s0"] is None else params["s0"], params["i0"]
 
 
 # Each graph family's generator, by name so that it is looked up at call
@@ -255,7 +261,7 @@ class ExperimentConfig:
         _check_fields(self, "")
         if self.model not in _MODELS:
             raise ConfigError("model", f"unknown model {self.model!r}")
-        kind, _, reads = _MODELS[self.model]
+        kind, library, reads = _MODELS[self.model]
         if "graph" in _KINDS[kind] and self.graph is None:
             raise ConfigError("graph", f"model {self.model!r} requires a graph")
         if not isinstance(self.params, dict):
@@ -285,6 +291,19 @@ class ExperimentConfig:
             if key not in given:
                 raise ConfigError(f"params.{key}", f"model {self.model!r} requires this "
                                   "parameter, in params or swept")
+        # The start fractions of the first and the last point, by the
+        # library's own checks (p0 + w0 is monotone in k too): MfState.uniform
+        # on no nodes, and the start check of integrate.
+        for k in (0, self.sweep.count - 1) if self.sweep else (0,):
+            point = {**given, **(self.sweep.point_values(k) if self.sweep else {})}
+            try:
+                if kind == "meanfield":
+                    MfState.uniform(0, point["p0"], point["w0"])
+                elif kind == "ode":
+                    _check_start(library, *_ode_start(point))
+            except (ValueError, IntegrationInstabilityError) as exc:
+                raise ConfigError("params.w0" if kind == "meanfield" else "params.i0",
+                                  str(exc)) from None
         # A setting the model's kind does not read keeps its default.
         changed = [(f"run.{f.name}", getattr(self.run, f.name) != f.default)
                    for f in fields(self.run)]
@@ -377,6 +396,8 @@ class PointResult:
     file: str | None
     score: float | None
     error: str | None
+    # The last row of the point's CSV, for the summary of reproduce_figures.
+    _terminal: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -415,10 +436,9 @@ def _run_model(config: ExperimentConfig, params: dict[str, float],
     kind, library, _ = _MODELS[config.model]
     params, run = {**_DEFAULTS, **params}, config.run
     if kind == "ode":
-        i0 = params["i0"]
         return integrate(
             library,
-            OdeState(s=1.0 - i0 if params["s0"] is None else params["s0"], i=i0),
+            OdeState(*_ode_start(params)),
             OdeParams(beta=params["beta"], gamma=params["gamma"], mu=params["mu"]),
             dt=run.dt,
             t_end=run.t_end,
@@ -451,8 +471,9 @@ def _run_point(
     point_params: dict[str, float],
     graph: Graph | None,
     out_path: Path,
-) -> float | None:
-    """Run one sweep point, write its CSV, return the survivability score."""
+) -> tuple[float | None, str]:
+    """Run one sweep point and write its CSV; return the survivability score
+    and the CSV's last row."""
     inputs = score = None
     if graph is not None:
         inputs = _point_inputs(graph, point_params)
@@ -462,8 +483,7 @@ def _run_point(
     result = _run_model(config, point_params, inputs)
     if _MODELS[config.model][0] == "meanfield":
         result = result.trajectory
-    result.write_csv(out_path)
-    return score
+    return score, result.write_csv(out_path).strip().rsplit("\n", 1)[-1]
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> SweepResult:
@@ -489,8 +509,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> SweepRes
         point_params.update(swept)
         fname = f"point_{k:03d}.csv"
         try:
-            score = _run_point(config, point_params, graph, out / fname)
-            points.append(PointResult(values=swept, file=fname, score=score, error=None))
+            score, terminal = _run_point(config, point_params, graph, out / fname)
+            points.append(PointResult(swept, fname, score, None, terminal))
             files.append(fname)
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
             points.append(
@@ -589,8 +609,9 @@ def _figure_configs() -> dict[str, ExperimentConfig]:
 def reproduce_figures(output_dir: str | Path) -> dict[str, SweepResult]:
     """Run the bundled experiment set into per-figure subdirectories.
 
-    Also writes ``summary.csv`` with the terminal row of every trajectory and
-    the survivability score of every graph-based point.
+    Also writes ``summary.csv`` with the terminal row of every trajectory,
+    taken from the text its point wrote rather than read back from its file,
+    and the survivability score of every graph-based point.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -602,11 +623,7 @@ def reproduce_figures(output_dir: str | Path) -> dict[str, SweepResult]:
         for k, point in enumerate(res.points):
             swept = ";".join(f"{n}={v:.6g}" for n, v in point.values.items()) or "-"
             score = f"{point.score:.6g}" if point.score is not None else "-"
-            if point.file is not None:
-                last = (out / name / point.file).read_text(encoding="utf-8").strip()
-                terminal = last.rsplit("\n", 1)[-1]
-            else:
-                terminal = f"error: {point.error}"
-            summary_lines.append(f"{name},{k},{swept},{score},{terminal}")
+            summary_lines.append(
+                f"{name},{k},{swept},{score},{point._terminal or f'error: {point.error}'}")
     _write_text(out / "summary.csv", "\n".join(summary_lines) + "\n")
     return results

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _check_int, _pair_array
-from .rowops import RowOperator
+from .rowops import _ONE, RowOperator
 from .trajectory import Trajectory
 
 __all__ = [
@@ -251,7 +251,12 @@ class _Update:
     :func:`_transmission` (per source node when each product depends only on
     its source ``j``, as for homogeneous ``beta``; see
     :meth:`~netspread.rowops.RowOperator.weigh`), and the coefficients
-    ``1 - delta``, ``1 - nu`` and ``1 - chi - delta``.  A state is a
+    ``delta``, ``gamma``, ``nu``, ``chi``, ``1 - delta``, ``1 - nu`` and
+    ``1 - chi - delta``.  A coefficient whose entries all have the same bits
+    (as with homogeneous parameters) is kept as one 0-d float64 array: a
+    product or difference with it rounds the same two operands at every
+    node, so it gives the bits of the array, and numpy applies a 0-d operand
+    faster than an array or a Python float.  A state is a
     ``(4, n)`` array of rows ``p``, ``q``, ``w`` and ``dead = 1 - p - q - w``,
     so ``dead`` is computed once per state.  The update owns the buffers a
     step writes besides the next state: ``zeta``, ``1 - zeta`` and two
@@ -275,11 +280,10 @@ class _Update:
                  warned: bool = True) -> None:
         self.rows, rb = _transmission(links, params)
         self.rows.weigh(rb)
-        self.delta, self.gamma, self.nu, self.chi = params.delta, params.gamma, nu, chi
         self.warned = warned
-        self.keep_p = 1.0 - params.delta
-        self.warn = 1.0 - nu
-        self.keep_w = 1.0 - chi - params.delta
+        (self.delta, self.gamma, self.nu, self.chi, self.keep_p, self.warn, self.keep_w) = map(
+            _coefficient, (params.delta, params.gamma, nu, chi, 1.0 - params.delta, 1.0 - nu,
+                           1.0 - chi - params.delta))
         self.z, self.miss, self.a, self.b = np.empty((4, params.n))
 
     def zeta(self, p: np.ndarray) -> np.ndarray:
@@ -293,7 +297,7 @@ class _Update:
         p, q, w, dead = cur
         a, b, miss = self.a, self.b, self.miss
         z = self.zeta(p)
-        np.subtract(1.0, z, out=miss)
+        np.subtract(_ONE, z, out=miss)
         # p * keep_p + q * miss * nu
         np.multiply(p, self.keep_p, out=a)
         np.multiply(q, miss, out=b)
@@ -312,7 +316,7 @@ class _Update:
         else:
             np.add(a, 0.0, out=nxt[1])
         # 1 - p - q - w
-        np.subtract(1.0, nxt[0], out=a)
+        np.subtract(_ONE, nxt[0], out=a)
         np.subtract(a, nxt[1], out=a if self.warned else nxt[3])
         if self.warned:
             np.subtract(a, nxt[2], out=nxt[3])
@@ -339,6 +343,31 @@ class _Update:
         if self.warned:
             np.add(total, rows[2], out=total)
         return bool(total.max() <= 1.0 + _BOUND_SLACK)
+
+
+def _coefficient(values) -> np.ndarray:
+    """``values`` as one 0-d float64 array when every entry has the same
+    bits (``-0.0`` and ``+0.0`` differ), otherwise as an array."""
+    flat = np.asarray(values, dtype=float).reshape(-1)  # not empty: a graph has nodes
+    return np.array(flat[0]) if (flat.view(np.int64) == flat[:1].view(np.int64)).all() else flat
+
+
+def _nonnegative(rows: np.ndarray) -> bool:
+    """Whether no entry of the ``(4, n)`` state ``rows`` (``p, q, w`` and
+    ``dead = ((1 - p) - q) - w`` as a step computes it) is negative or NaN:
+    one ``minimum.reduce`` that, when it passes, makes
+    :func:`bound_violations` find nothing.
+
+    Rounding is monotone and a difference is exact near 0, so
+    ``fl(x - y) >= 0`` gives ``x >= y``.  ``dead >= 0`` then gives
+    ``w <= fl(fl(1 - p) - q) = b``, ``q <= fl(1 - p) = a`` and ``p <= 1``;
+    with ``u = 2**-53`` and every component ``>= 0``, ``p + q + w <= p + a +
+    (a - q) u <= 1 + 2u + u**2``, and its two rounded additions stay below
+    ``1 + 5u``, far inside ``1 + 1e-12``.  Each of ``p, q, w`` lies in ``[0,
+    1]``.  A ``-0.0`` compares equal to 0, and the argument holds for it.
+    Without ``warned`` the ``w`` row is +0.0 and ``dead`` is ``fl(1 - p) -
+    q``, the same argument with ``w = 0``."""
+    return bool(np.minimum.reduce(rows, axis=None) >= 0.0)
 
 
 def bound_violations(state: MfState) -> list[BoundViolation]:
@@ -453,13 +482,18 @@ def run(
 
     The run builds no :class:`MfState` per step: it steps the prepared
     :class:`_Update` between two states that swap roles each step.  Each
-    step checks bounds with one min/max scan and calls
-    :func:`bound_violations` only when that scan fails, records the four row
-    sums the trajectory's columns are made from, and measures the change in
-    place in the previous state, which it no longer needs; with ``tol = 0``
-    it measures nothing, since no change is below 0.  The numbers are those
-    of a loop that builds a fresh :class:`MfState` every step and takes each
-    ``zeta`` with a plain product over the CSR rows, bit for bit.
+    step first checks bounds with one ``minimum.reduce`` over ``p``, ``q``,
+    ``w`` and ``dead`` (:func:`_nonnegative`): when no entry is negative or
+    NaN, ``dead >= 0`` bounds ``p + q + w`` by 1 plus a few ulps, so
+    :func:`bound_violations` would find nothing.  Otherwise it takes the
+    exact check, :meth:`_Update.in_bounds`, and calls
+    :func:`bound_violations` only when that fails.  It records the four row
+    sums the trajectory's columns are made from with one ``add.reduce``,
+    and measures the change in place in the previous state, which it no
+    longer needs, with one ``maximum.reduce``; with ``tol = 0`` it measures
+    nothing, since no change is below 0.  The numbers are those of a loop
+    that builds a fresh :class:`MfState` every step and takes each ``zeta``
+    with a plain product over the CSR rows, bit for bit.
     """
     if model not in ("sis", "sirs"):
         raise ValueError(f"unknown mean-field model {model!r}")
@@ -480,7 +514,8 @@ def run(
         raise ValueError("the sis model requires an empty warning state (w == 0)")
     cur = np.stack([state0.p, state0.q, state0.w, state0.dead])
     nxt = cur.copy()  # a step that skips the w row keeps the start's
-    sums = [cur.sum(axis=1)]  # the mean of a row is its sum over n, bit for bit
+    # The mean of a row is its sum over n, bit for bit.
+    sums = [np.add.reduce(cur, axis=1)]
     t = state0.t
     converged = False
     warned = model == "sirs" or bool(np.signbit(state0.w).any())
@@ -489,7 +524,7 @@ def run(
     for _ in range(max_steps):
         z = update.step(cur, nxt)
         t += 1
-        if not update.in_bounds(nxt):
+        if not _nonnegative(nxt) and not update.in_bounds(nxt):
             if not warned:
                 # A zeta that overflowed makes this w NaN, not +0.0.
                 update.warned_row(cur, nxt)
@@ -497,12 +532,13 @@ def run(
             if enforce and bad:
                 _raise_bounds(bad, z, params)
             violations.extend(_require_finite(bad))
-        sums.append(nxt.sum(axis=1))
+        sums.append(np.add.reduce(nxt, axis=1))
         cur, nxt = nxt, cur
         # The change is measured in the old state's rows, which the next
         # step overwrites anyway.
-        if tol and np.abs(np.subtract(cur[:changed], nxt[:changed], out=nxt[:changed]),
-                          out=nxt[:changed]).max() < tol:
+        old = nxt[:changed]
+        if tol and np.maximum.reduce(
+                np.abs(np.subtract(cur[:changed], old, out=old), out=old), axis=None) < tol:
             converged = True
             break
     steps = len(sums) - 1

@@ -277,12 +277,13 @@ class EnsembleResult:
     runs: int
     seed: int
 
-    def write_csv(self, destination: str | Path | IO[str]) -> None:
+    def write_csv(self, destination: str | Path | IO[str]) -> str:
         """Write ``t``, the four mean state fractions and the carrier
-        fraction's standard deviation, one row per step."""
+        fraction's standard deviation, one row per step; return the text
+        written."""
         columns = dict(zip(_MEAN_COLUMNS, self.mean.T))
         columns["frac_hasinfo_std"] = self.std[:, HAS_INFO]
-        Trajectory(times=np.arange(len(self.mean)), columns=columns).write_csv(
+        return Trajectory(times=np.arange(len(self.mean)), columns=columns).write_csv(
             destination
         )
 

@@ -140,6 +140,17 @@ def _check_state(model: str, s: float, i: float, step: int, t: float, total0: fl
             )
 
 
+def _check_start(model: str, s: float, i: float) -> float:
+    """Reject a start ``(s, i)`` of ``model`` as :func:`integrate` does
+    before its first step: ``ValueError`` when an SIS start is not
+    ``s + i = 1``, :class:`IntegrationInstabilityError` when a fraction lies
+    outside ``[0, 1]``.  Returns ``s + i``."""
+    if not _MODELS[model][1] and abs((s + i) - 1.0) > 1e-9:
+        raise ValueError(f"SIS requires s + i = 1, got {s + i!r}")
+    _check_state(model, s, i, step=0, t=0.0, total0=s + i)
+    return s + i
+
+
 def integrate(
     model: str,
     state0: OdeState,
@@ -172,14 +183,10 @@ def integrate(
         raise ValueError(f"t_end={t_end!r} is shorter than one step of dt={dt!r}")
 
     s, i = float(state0.s), float(state0.i)
-    total0 = s + i
-    if not recovered and abs(total0 - 1.0) > 1e-9:
-        raise ValueError(f"SIS requires s + i = 1, got {total0!r}")
-
+    total0 = _check_start(model, s, i)
     s_out = np.empty(n_steps + 1)
     i_out = np.empty(n_steps + 1)
     s_out[0], i_out[0] = s, i
-    _check_state(model, s, i, step=0, t=0.0, total0=total0)
 
     beta, gamma, mu = params.beta, params.gamma, params.mu
     lo, hi = -_FRACTION_SLACK, 1.0 + _FRACTION_SLACK

@@ -8,10 +8,12 @@ these reductions run as a few contiguous vector operations, and
 reductions.  Both reductions give the bits of ``np.multiply.reduceat`` and
 ``np.add.reduceat`` over the CSR rows.  They write their results, in layout
 row order, to one array the operator owns and place them in row order with
-one ``np.take``: no bucket scatters its results on its own.  A layout whose
-row order is the CSR's (no empty rows, and buckets, if any, in row order:
-the 32x32 torus is one bucket, the 1000-node power-law graph all tail)
-reduces straight into ``out``.
+one ``np.take``: no bucket scatters its results on its own.  A layout of one
+piece whose row order is the CSR's (no empty rows: the 32x32 torus is one
+bucket, the 1000-node power-law graph all tail) reduces straight into
+``out``.  An operator builds its reduction plan once: the views of its
+gather buffer that each bucket and the tail reduce, and the views of the
+row buffer they fill, so that a product slices nothing.
 
 Both callers weight entry ``k`` by a fixed ``weights[k]`` before they
 reduce: the matvec sums ``weights * v[column]``, ``zeta`` multiplies
@@ -78,6 +80,14 @@ _MAX_BUCKET_DEGREE = 129
 # first value.  The start is read off numpy itself: a segment [-0.0, -0.0]
 # sums to -0.0 + (start + -0.0), which is the start.
 _SHORT_SUM_FROM_FIRST = bool(np.signbit(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0]))
+
+
+# 1.0 as a 0-d float64 array: an operand that gives every element the bits
+# the float 1.0 would.  numpy 2 takes a 0-d array through its array path and
+# a float through scalar promotion; on a 2-vCPU x86 VM (numpy 2.4),
+# np.subtract(1.0, x, out=y) on 1024 values took 1.48 us a call, against
+# 1.14 us with a 0-d operand.
+_ONE = np.array(1.0)
 
 
 class RowLayout:
@@ -171,19 +181,22 @@ class RowOperator:
     buffer of one value per non-empty row, both its own, so operators on the
     same graph never share scratch memory.
 
-    :meth:`gather` fills the buffer with ``v[columns]``; callers transform it
-    in place and reduce it with :meth:`row_sum` or :meth:`row_prod`, which
-    take values in layout order and write one value per CSR row to ``out``.
-    Each bucket's column reduction and the tail's ``reduceat`` land in the
-    row buffer, in layout row order, and one ``np.take`` through the
-    layout's ``placing`` puts them in row order; a layout in row order
-    reduces into ``out`` itself.  Between products the
-    CSR-sized buffer is free scratch space of layout size.
+    :meth:`row_sum` and :meth:`row_prod` take values in layout order and
+    write one value per CSR row to ``out``.  Each bucket's column reduction
+    and the tail's ``reduceat`` land in the row buffer, in layout row order,
+    and one ``np.take`` through the layout's ``placing`` puts them in row
+    order; a layout of one piece in row order reduces into ``out`` itself.
+    The views that a reduction of the CSR-sized buffer reads (each bucket's
+    ``(d, m)`` block and the tail) and the views of the row buffer they fill
+    form the operator's reduction plan, built once here; a reduction of any
+    other array slices it afresh.  Between products the CSR-sized buffer is
+    free scratch space of layout size.
 
     After :meth:`weigh`, :meth:`weighted_sum` and :meth:`complement_prod`
-    reduce weighted entries.  ``node_weights`` holds one weight per node when
-    every entry's weight is its column's (the per-node path), and
-    ``weights`` the weights of the entries otherwise; the other is None.
+    fill the buffer with weighted entries and reduce it through the plan.
+    ``node_weights`` holds one weight per node when every entry's weight is
+    its column's (the per-node path), and ``weights`` the weights of the
+    entries otherwise; the other is None.
     """
 
     def __init__(self, layout: RowLayout) -> None:
@@ -192,8 +205,26 @@ class RowOperator:
         # call, a CSR-sized allocation per product.
         self.columns = layout.permute(layout.indices)
         self.buffer = np.empty(layout.size)
-        self.reduced = np.empty(layout.reduced_size)
+        # At least one value, so that an edgeless layout, whose rows all
+        # get the identity, has one to take.
+        self.reduced = np.empty(max(layout.reduced_size, 1))
         self.weights = self.node_weights = self.scaled = None
+        self._plan = self._plan_of(self.buffer)
+        # A layout in row order that is one bucket or all tail reduces
+        # straight into the caller's array.
+        self._direct = layout.in_row_order and len(self._plan) == 1
+
+    def _plan_of(self, values: np.ndarray) -> list:
+        """The pieces a reduction of ``values`` reads, each with the view of
+        the row buffer it fills: each bucket's ``(d, m)`` view, then the
+        tail's."""
+        lay, plan, first = self.layout, [], 0
+        for d, at, m, _ in lay.buckets:
+            plan.append((values[at:at + d * m].reshape(d, m), self.reduced[first:first + m]))
+            first += m
+        if lay.tail_start < lay.size:
+            plan.append((values[lay.tail_start:], self.reduced[first:]))
+        return plan
 
     def weigh(self, weights: np.ndarray) -> None:
         """Fix the weights of the entries, in layout order.  They are
@@ -203,41 +234,36 @@ class RowOperator:
         ``weights`` itself.  Uses the CSR-sized buffer as scratch."""
         node = np.zeros(self.layout.n)
         node[self.columns] = weights
-        back = np.take(node, self.columns, out=self.buffer, mode="clip")
+        back = node.take(self.columns, out=self.buffer, mode="clip")
         if np.array_equal(back.view(np.int64), weights.view(np.int64)):
             self.weights, self.node_weights = None, node
             self.scaled = np.empty(self.layout.n)
         else:
             self.weights, self.node_weights = weights, None
 
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        """``v[columns]`` in the operator's buffer.  Columns lie in
-        ``[0, n)``, so ``"clip"`` clips nothing; the default ``"raise"``
-        would copy through a second buffer."""
-        return np.take(v, self.columns, out=self.buffer, mode="clip")
-
-    def _weighted(self, v: np.ndarray, complement: bool) -> np.ndarray:
-        """``weights * v[columns]``, or ``1 -`` that, in the buffer: scaled
-        per node and gathered, or gathered and scaled per entry."""
-        if self.node_weights is not None:
-            scaled = np.multiply(self.node_weights, v, out=self.scaled)
-            if complement:
-                np.subtract(1.0, scaled, out=scaled)
-            return self.gather(scaled)
-        terms = self.gather(v)
-        np.multiply(self.weights, terms, out=terms)
-        if complement:
-            np.subtract(1.0, terms, out=terms)
-        return terms
-
     def weighted_sum(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row sums of ``weights * v[columns]``: the off-diagonal part of
         a matvec."""
-        return self.row_sum(self._weighted(v, False), out=out)
+        return self.row_sum(self._terms(v, False), out)
 
     def complement_prod(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row products of ``1 - weights * v[columns]``: ``zeta``."""
-        return self.row_prod(self._weighted(v, True), out=out)
+        return self.row_prod(self._terms(v, True), out)
+
+    def _terms(self, v: np.ndarray, complement: bool) -> np.ndarray:
+        """``weights * v[columns]``, or ``1 -`` that, in the buffer: scaled
+        per node and gathered, or gathered and scaled per entry.  Columns
+        lie in ``[0, n)``, so ``"clip"`` clips nothing; the default
+        ``"raise"`` would copy through a second buffer."""
+        if self.node_weights is not None:
+            terms = np.multiply(self.node_weights, v, out=self.scaled)
+        else:
+            terms = v.take(self.columns, out=self.buffer, mode="clip")
+            np.multiply(self.weights, terms, out=terms)
+        if complement:
+            np.subtract(_ONE, terms, out=terms)
+        return terms if terms is self.buffer else terms.take(self.columns, out=self.buffer,
+                                                             mode="clip")
 
     def row_prod(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row products of ``values``, as ``np.multiply.reduceat``."""
@@ -249,30 +275,29 @@ class RowOperator:
 
     def _reduce(self, columns, ufunc, values, out, identity):
         """Buckets through ``columns``, the tail through ``ufunc.reduceat``,
-        both into ``reduced`` (or, for a layout in row order, into ``out``);
-        then row order, and ``identity`` for empty rows."""
+        both into the row buffer (or, for a layout of one piece in row
+        order, into ``out``); then row order, and ``identity`` for empty
+        rows.  The operator's own buffer reduces through the prepared
+        plan."""
         lay = self.layout
-        reduced = out if lay.in_row_order else self.reduced
-        first = 0
-        for d, start, m, _ in lay.buckets:
-            columns(values[start:start + d * m].reshape(d, m), reduced[first:first + m])
-            first += m
-        tail = values[lay.tail_start:]
-        if tail.size:
-            ufunc.reduceat(tail, lay.tail_offsets, out=reduced[first:])
-        if reduced is not out:
-            if reduced.size:  # an edgeless layout has nothing to take from
-                np.take(reduced, lay.placing, out=out, mode="clip")
-            if lay.empty_rows.size:
-                out[lay.empty_rows] = identity
+        for view, target in self._plan if values is self.buffer else self._plan_of(values):
+            if view.ndim == 2:
+                columns(view, out if self._direct else target)
+            else:
+                ufunc.reduceat(view, lay.tail_offsets, out=out if self._direct else target)
+        if not self._direct:
+            self.reduced.take(lay.placing, out=out, mode="clip")
+            out[lay.empty_rows] = identity
         return out
 
 
 def _column_prod(block: np.ndarray, out: np.ndarray) -> None:
     """Products down the columns of a ``(d, m)`` bucket, left to right, into
-    ``out``: ``d - 1`` multiplications."""
-    out[:] = block[0]
-    for row in block[1:]:
+    ``out``: ``d - 1`` multiplications, the first straight into ``out``.  A
+    bucket of degree 1 is multiplied by 1.0, which keeps every bit but a
+    signalling NaN's."""
+    np.multiply(block[0], block[1] if len(block) > 1 else _ONE, out=out)
+    for row in block[2:]:
         np.multiply(out, row, out=out)
 
 

@@ -35,9 +35,12 @@ operator, which land in the matrix's own row-sum buffer, so a product
 allocates no array of ``n`` values.  Power iteration keeps ``v``, ``w`` and
 the residual in buffers of its own, and computes the residual only on
 iterations whose eigenvalue estimates already agree to ``TOL``; its dot
-product and norms are the only BLAS calls.  Values, vectors, residuals
-and iteration counts are those of summing each CSR row with numpy and
-fresh arrays, bit for bit.
+products are the only BLAS calls.  It takes each norm as
+``math.sqrt(x.dot(x))``, which is the code path of ``np.linalg.norm`` for a
+contiguous 1-D float64 array (numpy 1.24 to 2.4), as every product here
+is, without its Python wrapper.  Values,
+vectors, residuals and iteration counts are those of summing each CSR row
+with numpy and ``np.linalg.norm`` on fresh arrays, bit for bit.
 """
 from __future__ import annotations
 
@@ -99,7 +102,8 @@ class SurvivabilityResult:
     """Survivability score with its threshold classification.
 
     ``vector`` is the dominant eigenvector of the system matrix that the
-    score was computed from (unit norm, largest entry positive).
+    score was computed from (unit norm, largest entry positive), and
+    ``iterations`` the power-iteration count of :class:`SpectralResult`.
     """
 
     score: float
@@ -107,6 +111,7 @@ class SurvivabilityResult:
     critical: bool
     residual: float
     vector: np.ndarray
+    iterations: int
 
     @property
     def status(self) -> str:
@@ -183,7 +188,9 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
     ``matvec`` is passed one buffer on every call, overwritten with the next
     iterate in between, so it must not keep a reference to its argument (a
     matvec that records iterates copies them).  Its result is read before
-    the next call, so it may return a buffer it reuses.
+    the next call, so it may return a buffer it reuses.  Norms are
+    ``math.sqrt(w.dot(w))``, the bits of ``np.linalg.norm(w)`` for the
+    contiguous float64 array a matvec returns.
     """
     if n < 1:
         raise ValueError("matrix dimension must be positive")
@@ -195,7 +202,7 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
     w = matvec(v)
     lam = float(v @ w)
     for it in range(1, MAX_ITER + 1):
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(w.dot(w))
         if norm_w == 0.0:
             # v is in the kernel: the dominant eigenvalue along the reachable
             # subspace is 0 (e.g. the zero matrix).
@@ -225,8 +232,8 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
 
 def _residual(w: np.ndarray, lam: float, v: np.ndarray, scratch: np.ndarray) -> float:
     """``||w - lam * v||``, computed in ``scratch``."""
-    return float(np.linalg.norm(np.subtract(w, np.multiply(lam, v, out=scratch),
-                                            out=scratch)))
+    diff = np.subtract(w, np.multiply(lam, v, out=scratch), out=scratch)
+    return math.sqrt(diff.dot(diff))
 
 
 def _solve(m: SystemMatrix) -> SpectralResult:
@@ -271,5 +278,6 @@ def survivability_score(
         critical=abs(score - 1.0) <= CRITICAL_BAND,
         residual=res.residual,
         vector=res.vector,
+        iterations=res.iterations,
     )
 

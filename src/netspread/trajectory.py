@@ -11,20 +11,23 @@ import numpy as np
 __all__ = ["Trajectory"]
 
 
-def _write_text(destination: str | Path | IO[str], text: str) -> None:
-    """Write ``text`` to an open text handle, or as UTF-8 to the file at a path."""
+def _write_text(destination: str | Path | IO[str], text: str) -> str:
+    """Write ``text`` to an open text handle, or as UTF-8 to the file at a
+    path, and return it."""
     if hasattr(destination, "write"):
         destination.write(text)  # type: ignore[union-attr]
     else:
         Path(destination).write_text(text, encoding="utf-8")
+    return text
 
 
 def _write_csv(
     destination: str | Path | IO[str],
     names: Sequence[str],
     columns: Sequence[np.ndarray],
-) -> None:
-    """Write a header of ``names`` and one row per index of ``columns``.
+) -> str:
+    """Write a header of ``names`` and one row per index of ``columns``, and
+    return the text written.
 
     Integer columns are written as ``%d``; every other column as ``%.12e``
     (13 significant digits), so reruns give identical bytes.  The rows are
@@ -38,7 +41,7 @@ def _write_csv(
     cells = [None] * (rows * width)
     for j, col in enumerate(columns):
         cells[j::width] = col.tolist()
-    _write_text(destination, ",".join(names) + "\n" + row * rows % tuple(cells))
+    return _write_text(destination, ",".join(names) + "\n" + row * rows % tuple(cells))
 
 
 @dataclass
@@ -69,8 +72,9 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def write_csv(self, destination: str | Path | IO[str]) -> None:
-        """Write ``t,<columns...>`` rows; floats carry 13 significant digits."""
-        _write_csv(
+    def write_csv(self, destination: str | Path | IO[str]) -> str:
+        """Write ``t,<columns...>`` rows, floats with 13 significant digits,
+        and return the text written."""
+        return _write_csv(
             destination, ["t", *self.columns], [self.times, *self.columns.values()]
         )

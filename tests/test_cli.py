@@ -254,8 +254,12 @@ def test_run_defaults_are_the_configs(tmp_path, command, model, options):
      "run.t_end", "--t-end"),
     ("meanfield", ("--model", "sis", "--nu", "0.3"), "sis_meanfield",
      {"params": {"nu": 0.3}}, "params.nu", "--nu"),
+    ("meanfield", ("--model", "sirs", "--p0", "0.9", "--w0", "0.5"), "sirs_meanfield",
+     {"params": {"p0": 0.9, "w0": 0.5}}, "params.w0", "--w0"),
+    ("ode", ("--s0", "0.9", "--i0", "0.5"), "sis_ode", {"params": {"s0": 0.9, "i0": 0.5}},
+     "params.i0", "--i0"),
 ], ids=["ode_i0", "meanfield_zero_steps", "mc_zero_steps", "mc_init", "meanfield_tol_nan",
-        "ode_t_end_inf", "sis_meanfield_nu"])
+        "ode_t_end_inf", "sis_meanfield_nu", "meanfield_p0_w0", "ode_s0_i0"])
 def test_cli_rejects_what_a_config_rejects(tmp_path, command, options, model, change,
                                            field, option):
     # A subcommand checks its options as the equivalent one-point config is

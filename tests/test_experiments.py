@@ -100,6 +100,50 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(bad)
         assert exc.value.field == "sweep"
 
+    @pytest.mark.parametrize("model,params,field,message", [
+        ("sirs_meanfield", {"p0": 0.9, "w0": 0.5}, "params.w0",
+         "invalid initial fractions p0=0.9 w0=0.5"),
+        ("sis_meanfield", {"w0": 1.0}, "params.w0", "invalid initial fractions p0=0.1 w0=1.0"),
+        ("sis_ode", {"s0": 0.9, "i0": 0.5}, "params.i0", "SIS requires s + i = 1, got 1.4"),
+        ("sis_ode", {"s0": 0.5}, "params.i0", "SIS requires s + i = 1, got 0.51"),
+        ("sir_ode", {"s0": 0.9, "i0": 0.5}, "params.i0", "fraction r=-0.4"),
+    ], ids=["sirs_p0_w0", "sis_w0_default_p0", "sis_ode", "sis_ode_default_i0", "sir_ode"])
+    def test_start_fractions_are_checked_together_at_load(self, model, params, field,
+                                                          message):
+        # The predicates of MfState.uniform and integrate, which rejected
+        # these starts only when a point ran.
+        rates = {"beta": 0.3, "gamma": 0.1, **({} if model.endswith("_ode") else
+                                               {"delta": 0.2})}
+        cfg = {"model": model, "params": {**rates, **params}}
+        if not model.endswith("_ode"):
+            cfg["graph"] = {"family": "lattice4", "rows": 3, "cols": 3}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(cfg)
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field}: {message}")
+
+    @pytest.mark.parametrize("sweep,message", [
+        ({"parameter": "w0", "base": 0.5, "increment": 0.25, "count": 3}, "p0=0.1 w0=1.0"),
+        ({"parameter": "p0", "base": 0.9, "increment": -0.4, "count": 2}, "p0=0.9 w0=0.4"),
+        ({"parameters": [{"name": "p0", "base": 0.3}, {"name": "w0", "base": 0.3}],
+          "increment": 0.1, "count": 4}, "p0=0.6000000000000001 w0=0.6000000000000001"),
+    ])
+    def test_start_fractions_are_checked_at_the_end_points_of_a_sweep(self, sweep, message):
+        cfg = meanfield_config(model="sirs_meanfield", sweep=sweep)
+        cfg["params"]["w0"] = 0.4
+        with pytest.raises(ConfigError, match=f"params.w0: invalid initial fractions "
+                                              f"{message}") as exc:
+            ExperimentConfig.from_dict(cfg)
+        assert exc.value.field == "params.w0"
+
+    def test_a_sweep_of_the_start_fractions_replaces_their_params(self, tmp_path):
+        cfg = meanfield_config(model="sirs_meanfield",
+                               sweep={"parameter": "p0", "base": 0.1, "increment": 0.2,
+                                      "count": 2})
+        cfg["params"].update(p0=0.9, w0=0.5)  # never a point's start
+        res = run_experiment(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert [p.error for p in res.points] == [None, None]
+
     def test_an_ode_beta_is_a_rate(self):
         cfg = ExperimentConfig.from_dict(
             {"model": "sis_ode", "params": {"beta": 1.5, "gamma": 0.1}})
@@ -126,7 +170,8 @@ class TestConfigParsing:
 
     @staticmethod
     def model_config(model, keys) -> dict:
-        cfg = {"model": model, "params": {key: 0.1 for key in keys}}
+        # s0 + i0 = 1, which an sis_ode start must meet.
+        cfg = {"model": model, "params": {key: 0.9 if key == "s0" else 0.1 for key in keys}}
         if not model.endswith("_ode"):
             cfg["graph"] = {"family": "binomial", "n": 30, "p": 0.2}
         return cfg

@@ -13,7 +13,9 @@ from netspread.meanfield import (
     LinkProbs,
     MfState,
     NodeParams,
+    _nonnegative,
     _Update,
+    bound_violations,
     run,
 )
 from netspread.ode import _MODELS, OdeParams, OdeState, integrate
@@ -237,6 +239,78 @@ def test_single_steps_and_zeta_match_reference(seed, kind, start, enforce):
     for model in ("sis", "sirs"):
         assert outcome(run, model, state, links, params, **kwargs) == \
             outcome(meanfield_run_reference, model, state, links, params, **kwargs)
+
+
+# Values that sit on or just past a bound, or are not finite.
+EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, -5e-324, 5e-324, -SLACK,
+               -2 * SLACK, 1.0, 1.0 + SLACK, 1.0 + 2 * SLACK)
+
+
+def ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` units in the last place, up for ``k > 0``."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+@st.composite
+def node_pqw(draw):
+    """One node's ``(p, q, w)``: free values; a total within a few ulps of
+    ``1 + 1e-12``; a total at 1, so that ``dead`` is 0 or a few ulps either
+    side; or one component at an edge value (NaN, infinities, signed zeros,
+    tiny negatives)."""
+    kind = draw(st.sampled_from(("free", "near_slack", "at_one", "edge")))
+    p = draw(st.floats(0.0, 1.0))
+    q = draw(st.floats(0.0, 1.0)) * (1.0 - p)
+    if kind == "free":
+        return tuple(draw(st.floats(-2.0, 2.0)) for _ in range(3))
+    if kind == "near_slack":
+        return p, q, ulps(max((1.0 + SLACK - p) - q, 0.0), draw(st.integers(-4, 4)))
+    if kind == "at_one":
+        return p, q, ulps((1.0 - p) - q, draw(st.integers(-3, 3)))
+    pqw = [p, q, draw(st.floats(0.0, 1.0)) * ((1.0 - p) - q)]
+    pqw[draw(st.integers(0, 2))] = draw(st.sampled_from(EDGE_VALUES))
+    return tuple(pqw)
+
+
+@settings(max_examples=400)
+@given(nodes=st.lists(node_pqw(), min_size=1, max_size=6), warned=st.booleans(),
+       negative_zero_dead=st.booleans())
+def test_nonnegative_states_pass_the_bounds_check(nodes, warned, negative_zero_dead):
+    # A step's state: without warned, w is +0.0 and dead = (1 - p) - q.  The
+    # one-call pre-check may pass only states that bound_violations passes;
+    # in_bounds, which runs when the pre-check fails, is its exact test.
+    p, q, w = (np.array(values) for values in zip(*nodes))
+    if not warned:
+        w = np.zeros(len(p))
+    g = Graph.from_edges(len(p), [])
+    update = _Update(LinkProbs.homogeneous(g, 0.5),
+                     NodeParams.homogeneous(g.n, r=1.0, delta=0.1, gamma=0.1), 1.0, 0.0,
+                     warned=warned)
+    with np.errstate(all="ignore"):
+        dead = (1.0 - p) - q - w if warned else (1.0 - p) - q
+        if negative_zero_dead:  # the same value, so the same bounds
+            dead[dead == 0.0] = -0.0
+        rows = np.stack([p, q, w, dead])
+        flagged = bound_violations(MfState(p=p, q=q, w=w))
+        if _nonnegative(rows):
+            assert flagged == []
+        assert update.in_bounds(rows) == (not flagged)
+
+
+def test_the_pre_check_passes_the_steps_of_a_run_in_bounds():
+    # Every state of this run lies in [0, 1] with dead >= 0, which is the
+    # common case the pre-check exists for.
+    g = gen_lattice4(8, 8)
+    params = NodeParams.homogeneous(g.n, r=1.0, delta=0.1, gamma=0.1, nu=0.7, chi=0.2)
+    update = _Update(LinkProbs.homogeneous(g, 0.1), params, params.nu, params.chi)
+    state = MfState.uniform(g.n, p0=0.1, w0=0.05)
+    cur = np.stack([state.p, state.q, state.w, state.dead])
+    nxt = np.empty_like(cur)
+    for _ in range(50):
+        update.step(cur, nxt)
+        assert _nonnegative(nxt)
+        cur, nxt = nxt, cur
 
 
 @settings(max_examples=100)

@@ -24,6 +24,8 @@ from oracles import (
     dense_spectral_radius_symmetric,
     dense_system_matrix,
     edge_set,
+    power_iteration_reference,
+    system_matrix_reference,
     system_matrix_to_dense,
 )
 
@@ -261,6 +263,20 @@ class TestSurvivability:
             res = survivability_score(g, links, params)
             want = dense_spectral_radius(dense_system_matrix(g, beta_of, params))
             assert res.score == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("g", [gen_powerlaw(1000, 2, 42), gen_lattice4(32, 32),
+                                   gen_binomial(300, 0.02, 3)], ids=["powerlaw", "torus",
+                                                                   "binomial"])
+    def test_keeps_the_power_iteration_count(self, g):
+        rng = np.random.default_rng(5)
+        links, _ = random_links(g, rng)
+        params = NodeParams(r=rng.random(g.n), delta=rng.uniform(0.05, 1.0, g.n),
+                            gamma=rng.random(g.n), nu=np.ones(g.n), chi=np.zeros(g.n))
+        want = power_iteration_reference(
+            system_matrix_reference(g, links, params).matvec, g.n)
+        res = survivability_score(g, links, params)
+        assert (res.score, res.iterations, res.residual) == (want[0], want[2], want[3])
+        assert res.iterations > 1
 
     def test_score_increases_with_broadcast_rate(self):
         g = gen_powerlaw(200, 2, 5)
