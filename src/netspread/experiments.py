@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .graphs import (  # the generators are called through _FAMILIES
     load_edge_list,
     save_edge_list,
 )
-from .meanfield import LinkProbs, MfState, NodeParams, _acceptance
+from .meanfield import LinkProbs, MfState, NodeParams
 from .meanfield import run as meanfield_run
 from .montecarlo import mc_ensemble
 from .ode import IntegrationInstabilityError, OdeParams, OdeState, _check_start, integrate
@@ -84,15 +84,16 @@ _DEFAULTS = {"mu": 0.0, "r": 1.0, "nu": 1.0, "chi": 0.0, "p0": 0.1, "w0": 0.0,
              "i0": 0.01, "s0": None}
 # Each sweep model: the kind of runner it takes, the library model that
 # runner runs and the keys of _PARAMS it reads; a params block holds no
-# others.  A sis model runs with nu = 1 and chi = 0, and only mean-field runs
-# start from a warned fraction.
+# others.  A sis model reads neither nu nor chi, so it runs at their
+# defaults, 1 and 0, and starts from no warned fraction; only sirs_meanfield
+# reads w0.
 _ODE_KEYS = ("beta", "gamma", "s0", "i0")
 _NETWORK_KEYS = ("beta", "gamma", "delta", "r", "p0")
 _MODELS = {
     "sir_ode": ("ode", "sir_epidemic", _ODE_KEYS),
     "sir_endemic_ode": ("ode", "sir_endemic", (*_ODE_KEYS, "mu")),
     "sis_ode": ("ode", "sis", _ODE_KEYS),
-    "sis_meanfield": ("meanfield", "sis", (*_NETWORK_KEYS, "w0")),
+    "sis_meanfield": ("meanfield", "sis", _NETWORK_KEYS),
     "sirs_meanfield": ("meanfield", "sirs", (*_NETWORK_KEYS, "w0", "nu", "chi")),
     "sis_mc": ("mc", "sis", _NETWORK_KEYS),
     "sirs_mc": ("mc", "sirs", (*_NETWORK_KEYS, "nu", "chi")),
@@ -362,25 +363,9 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def canonical_dict(self) -> dict:
-        d = {
-            "model": self.model,
-            "params": dict(sorted(self.params.items())),
-            "run": asdict(self.run),
-            "graph": asdict(self.graph) if self.graph else None,
-            "sweep": (
-                {
-                    "parameters": [
-                        {"name": n, "base": b} for n, b in self.sweep.parameters
-                    ],
-                    "increment": self.sweep.increment,
-                    "count": self.sweep.count,
-                }
-                if self.sweep
-                else None
-            ),
-            "seed": self.seed,
-            "allow_negative_coefficients": self.allow_negative_coefficients,
-        }
+        d = asdict(self)
+        if self.sweep:  # as the {"name", "base"} objects of a config file
+            d["sweep"]["parameters"] = [{"name": n, "base": b} for n, b in self.sweep.parameters]
         return d
 
     def config_hash(self) -> str:
@@ -454,11 +439,10 @@ def _run_model(config: ExperimentConfig, params: dict[str, float],
             tol=run.tol,
             allow_negative_coefficients=config.allow_negative_coefficients,
         )
-    nu, chi = _acceptance(library, node_params)
     return mc_ensemble(
         graph,
         links,
-        replace(node_params, nu=nu, chi=chi),
+        node_params,
         init=params["p0"],
         steps=run.steps,
         runs=run.runs,

@@ -260,8 +260,7 @@ class _Update:
     ``(4, n)`` array of rows ``p``, ``q``, ``w`` and ``dead = 1 - p - q - w``,
     so ``dead`` is computed once per state.  The update owns the buffers a
     step writes besides the next state: ``zeta``, ``1 - zeta`` and two
-    temporaries, one of which also holds the ``p + q + w`` of
-    :meth:`in_bounds`.  A step computes what the lines of the module
+    temporaries.  A step computes what the lines of the module
     docstring compute with fresh arrays, operation for operation and operand
     for operand.
 
@@ -331,19 +330,6 @@ class _Update:
         np.multiply(self.keep_w, cur[2], out=b)
         np.add(a, b, out=nxt[2])
 
-    def in_bounds(self, rows: np.ndarray) -> bool:
-        """Whether :func:`bound_violations` finds nothing in the state
-        ``rows`` (``p, q, w`` first, and only ``p, q`` without ``warned``,
-        whose ``w`` is +0.0); NaN fails every comparison here, as it does
-        there."""
-        pqw = rows[:3 if self.warned else 2]
-        if not (pqw.min() >= -_BOUND_SLACK and pqw.max() <= 1.0 + _BOUND_SLACK):
-            return False
-        total = np.add(rows[0], rows[1], out=self.a)
-        if self.warned:
-            np.add(total, rows[2], out=total)
-        return bool(total.max() <= 1.0 + _BOUND_SLACK)
-
 
 def _coefficient(values) -> np.ndarray:
     """``values`` as one 0-d float64 array when every entry has the same
@@ -408,11 +394,6 @@ def _raise_bounds(violations: list[BoundViolation], zeta_t: np.ndarray,
         f"values are not clamped.{diag}",
         violations,
     )
-
-
-def _acceptance(model: str, params: NodeParams) -> tuple:
-    """``(nu, chi)`` of ``model``: "sis" is the update with ``nu = 1``, ``chi = 0``."""
-    return (1.0, 0.0) if model == "sis" else (params.nu, params.chi)
 
 
 def validate_warning_params(params: NodeParams) -> None:
@@ -485,9 +466,9 @@ def run(
     step first checks bounds with one ``minimum.reduce`` over ``p``, ``q``,
     ``w`` and ``dead`` (:func:`_nonnegative`): when no entry is negative or
     NaN, ``dead >= 0`` bounds ``p + q + w`` by 1 plus a few ulps, so
-    :func:`bound_violations` would find nothing.  Otherwise it takes the
-    exact check, :meth:`_Update.in_bounds`, and calls
-    :func:`bound_violations` only when that fails.  It records the four row
+    :func:`bound_violations` would find nothing.  Otherwise it calls
+    :func:`bound_violations`, which finds nothing when every negative entry
+    lies within the ``1e-12`` slack.  It records the four row
     sums the trajectory's columns are made from with one ``add.reduce``,
     and measures the change in place in the previous state, which it no
     longer needs, with one ``maximum.reduce``; with ``tol = 0`` it measures
@@ -519,12 +500,13 @@ def run(
     t = state0.t
     converged = False
     warned = model == "sirs" or bool(np.signbit(state0.w).any())
-    update = _Update(links, params, *_acceptance(model, params), warned=warned)
+    acceptance = (1.0, 0.0) if model == "sis" else (params.nu, params.chi)
+    update = _Update(links, params, *acceptance, warned=warned)
     changed = 3 if warned else 2  # the rows a step can change, p and q first
     for _ in range(max_steps):
         z = update.step(cur, nxt)
         t += 1
-        if not _nonnegative(nxt) and not update.in_bounds(nxt):
+        if not _nonnegative(nxt):
             if not warned:
                 # A zeta that overflowed makes this w NaN, not +0.0.
                 update.warned_row(cur, nxt)

@@ -9,9 +9,9 @@ reductions.  Both reductions give the bits of ``np.multiply.reduceat`` and
 ``np.add.reduceat`` over the CSR rows.  They write their results, in layout
 row order, to one array the operator owns and place them in row order with
 one ``np.take``: no bucket scatters its results on its own.  A layout of one
-piece whose row order is the CSR's (no empty rows: the 32x32 torus is one
-bucket, the 1000-node power-law graph all tail) reduces straight into
-``out``.  An operator builds its reduction plan once: the views of its
+piece with no empty rows is in the CSR's row order and reduces straight
+into ``out`` (the 32x32 torus is one bucket, the 1000-node power-law graph
+all tail).  An operator builds its reduction plan once: the views of its
 gather buffer that each bucket and the tail reduce, and the views of the
 row buffer they fill, so that a product slices nothing.
 
@@ -103,8 +103,7 @@ class RowLayout:
 
     The non-empty rows in layout order (the rows of each bucket, then the
     tail rows) number ``reduced_size``; ``placing[i]`` is the position of
-    row ``i`` in that order, and 0 for an empty row.  ``in_row_order`` says
-    that every row is non-empty and ``placing`` is the identity.
+    row ``i`` in that order, and 0 for an empty row.
 
     The layout holds no CSR-sized array of its own (``indptr`` and
     ``indices`` are the graph's): the permutation is applied bucket by bucket
@@ -148,8 +147,6 @@ class RowLayout:
         # Left writeable, as RowOperator.columns is.
         self.placing = np.zeros(self.n, dtype=np.intp)
         self.placing[np.concatenate([by_degree, tail])] = np.arange(self.reduced_size)
-        self.in_row_order = self.reduced_size == self.n and bool(
-            np.array_equal(self.placing, np.arange(self.n)))
 
     def permute(self, csr_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``csr_values`` (one value per CSR entry) in layout order."""
@@ -185,7 +182,8 @@ class RowOperator:
     write one value per CSR row to ``out``.  Each bucket's column reduction
     and the tail's ``reduceat`` land in the row buffer, in layout row order,
     and one ``np.take`` through the layout's ``placing`` puts them in row
-    order; a layout of one piece in row order reduces into ``out`` itself.
+    order; a layout of one piece with no empty rows reduces into ``out``
+    itself.
     The views that a reduction of the CSR-sized buffer reads (each bucket's
     ``(d, m)`` block and the tail) and the views of the row buffer they fill
     form the operator's reduction plan, built once here; a reduction of any
@@ -210,9 +208,10 @@ class RowOperator:
         self.reduced = np.empty(max(layout.reduced_size, 1))
         self.weights = self.node_weights = self.scaled = None
         self._plan = self._plan_of(self.buffer)
-        # A layout in row order that is one bucket or all tail reduces
-        # straight into the caller's array.
-        self._direct = layout.in_row_order and len(self._plan) == 1
+        # One bucket or all tail, with no empty rows, is in row order: a
+        # bucket's rows and the tail's ascend.  It reduces straight into the
+        # caller's array.
+        self._direct = len(self._plan) == 1 and not len(layout.empty_rows)
 
     def _plan_of(self, values: np.ndarray) -> list:
         """The pieces a reduction of ``values`` reads, each with the view of
@@ -275,8 +274,8 @@ class RowOperator:
 
     def _reduce(self, columns, ufunc, values, out, identity):
         """Buckets through ``columns``, the tail through ``ufunc.reduceat``,
-        both into the row buffer (or, for a layout of one piece in row
-        order, into ``out``); then row order, and ``identity`` for empty
+        both into the row buffer (or, for a layout of one piece with no empty
+        rows, into ``out``); then row order, and ``identity`` for empty
         rows.  The operator's own buffer reduces through the prepared
         plan."""
         lay = self.layout

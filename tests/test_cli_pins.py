@@ -3,8 +3,12 @@ error JSON and the SHA-256 of every file written.
 
 Each case runs in a fresh directory with relative output names, so stdout
 does not depend on where the test runs.  ``EXPECTED`` was recorded before
-the subcommands were routed through the sweep's runner.  Changed since: the
-wording of the ``sis`` warning-state error (``meanfield_sis_w0``), and six
+the subcommands were routed through the sweep's runner.  Changed since:
+``meanfield_sis_w0``, twice: first the wording of the ``sis`` warning-state
+error, a ``ValueError`` raised when the run started; then, once
+``sis_meanfield`` stopped reading ``w0`` (a ``sis`` run starts only from
+``w = 0``, so every other value failed at run time), a ``ConfigError`` for
+``--w0`` at load, as for any parameter the model does not read.  Also six
 invalid inputs, re-recorded when ``ode``, ``meanfield`` and ``mc`` came to
 run a checked one-point config and ``spectral`` to check its parameters
 with a network model's ranges.  Each now exits 2 with a ``ConfigError``
@@ -243,9 +247,10 @@ EXPECTED = {
         2,
         "",
         {
-            "error":
-                "the sis model requires an empty warning state (w == 0)",
-            "type": "ValueError",
+            "error": ("--w0: model 'sis_meanfield' does not read this parameter; "
+                      "expected one of ['beta', 'delta', 'gamma', 'p0', 'r']"),
+            "type": "ConfigError",
+            "field": "--w0",
         },
         {},
     ),

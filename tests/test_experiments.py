@@ -1,5 +1,4 @@
 """Config parsing, sweep execution, manifests, bundled figure set."""
-import io
 import json
 from pathlib import Path
 
@@ -9,15 +8,12 @@ from netspread.experiments import (
     ConfigError,
     ExperimentConfig,
     GraphSpec,
-    RunSpec,
     SweepSpec,
+    _MODELS,
     _figure_configs,
-    _point_inputs,
-    _run_model,
     reproduce_figures,
     run_experiment,
 )
-from netspread.graphs import gen_powerlaw
 
 from oracles import edge_set
 
@@ -103,11 +99,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("model,params,field,message", [
         ("sirs_meanfield", {"p0": 0.9, "w0": 0.5}, "params.w0",
          "invalid initial fractions p0=0.9 w0=0.5"),
-        ("sis_meanfield", {"w0": 1.0}, "params.w0", "invalid initial fractions p0=0.1 w0=1.0"),
         ("sis_ode", {"s0": 0.9, "i0": 0.5}, "params.i0", "SIS requires s + i = 1, got 1.4"),
         ("sis_ode", {"s0": 0.5}, "params.i0", "SIS requires s + i = 1, got 0.51"),
         ("sir_ode", {"s0": 0.9, "i0": 0.5}, "params.i0", "fraction r=-0.4"),
-    ], ids=["sirs_p0_w0", "sis_w0_default_p0", "sis_ode", "sis_ode_default_i0", "sir_ode"])
+    ], ids=["sirs_p0_w0", "sis_ode", "sis_ode_default_i0", "sir_ode"])
     def test_start_fractions_are_checked_together_at_load(self, model, params, field,
                                                           message):
         # The predicates of MfState.uniform and integrate, which rejected
@@ -162,7 +157,7 @@ class TestConfigParsing:
         "sir_ode": "beta gamma s0 i0",
         "sis_ode": "beta gamma s0 i0",
         "sir_endemic_ode": "beta gamma s0 i0 mu",
-        "sis_meanfield": "beta gamma delta r p0 w0",
+        "sis_meanfield": "beta gamma delta r p0",
         "sirs_meanfield": "beta gamma delta r p0 w0 nu chi",
         "sis_mc": "beta gamma delta r p0",
         "sirs_mc": "beta gamma delta r p0 nu chi",
@@ -182,14 +177,20 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_dict(self.model_config(model, keys))
         assert sorted(cfg.params) == sorted(keys)
 
-    @pytest.mark.parametrize("model,key", [
-        ("sis_meanfield", "i0"), ("sis_meanfield", "mu"), ("sis_meanfield", "nu"),
-        ("sirs_mc", "w0"), ("sir_ode", "delta"), ("sir_ode", "mu"),
+    # sis_meanfield rejects w0 even at 0, the one value it could run.
+    @pytest.mark.parametrize("model,key,value", [*(
+        (model, key, 0.1) for model, key in [
+            ("sis_meanfield", "i0"), ("sis_meanfield", "mu"), ("sis_meanfield", "nu"),
+            ("sis_meanfield", "w0"), ("sis_mc", "nu"), ("sis_mc", "chi"),
+            ("sirs_mc", "w0"), ("sir_ode", "delta"), ("sir_ode", "mu")]),
+        ("sis_meanfield", "w0", 0.0),
     ])
-    def test_keys_the_model_does_not_read_are_rejected(self, model, key):
+    def test_keys_the_model_does_not_read_are_rejected(self, model, key, value):
         keys = self.MODEL_KEYS[model].split()
+        cfg = self.model_config(model, keys)
+        cfg["params"][key] = value
         with pytest.raises(ConfigError, match="does not read") as exc:
-            ExperimentConfig.from_dict(self.model_config(model, [*keys, key]))
+            ExperimentConfig.from_dict(cfg)
         assert exc.value.field == f"params.{key}"
         swept = {**self.model_config(model, keys),
                  "sweep": {"parameter": key, "base": 0.1, "increment": 0.1, "count": 2}}
@@ -647,29 +648,62 @@ class TestConfigFieldTypes:
         assert exc.value.field == field
 
 
-def test_sis_mc_runs_without_warning_whatever_params_say():
-    # As sis_meanfield does, sis_mc runs with nu = 1 and chi = 0; sirs_mc
-    # takes nu and chi from params.  A sis_mc config may not name nu or chi,
-    # so the point runner is called with them directly.
-    graph = gen_powerlaw(300, 2, 1)
+def test_sis_mc_points_run_without_warning(tmp_path):
+    # sis_mc reads neither nu nor chi (a config that names them fails at
+    # load), so it runs at their defaults, 1 and 0: the sirs_mc run at those
+    # values, in which no node is ever warned.  sirs_mc reads both.
+    def point_csv(name, model, **acceptance):
+        cfg = ExperimentConfig.from_dict({
+            "model": model,
+            "params": {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0, "p0": 0.1,
+                       **acceptance},
+            "run": {"steps": 30, "runs": 4},
+            "graph": {"family": "powerlaw", "n": 300, "m": 2, "seed": 1},
+            "seed": 7,
+        })
+        assert run_experiment(cfg, tmp_path / name).points[0].error is None
+        return (tmp_path / name / "point_000.csv").read_text()
 
-    def point_csv(model, **acceptance):
-        params = {"beta": 0.2, "delta": 0.1, "gamma": 0.1, "r": 1.0, "p0": 0.1}
-        config = ExperimentConfig(
-            model=model, params=params, run=RunSpec(steps=30, runs=4),
-            graph=GraphSpec(family="powerlaw", n=300, m=2, seed=1), seed=7)
-        params = {**params, **acceptance}
-        ensemble = _run_model(config, params, _point_inputs(graph, params))
-        buf = io.StringIO()
-        ensemble.write_csv(buf)
-        return buf.getvalue()
-
-    warned = point_csv("sis_mc", nu=0.5, chi=0.3)
-    assert warned == point_csv("sis_mc", nu=1.0, chi=0.0)
-    rows = [line.split(",") for line in warned.splitlines()]
+    plain = point_csv("sis", "sis_mc")
+    rows = [line.split(",") for line in plain.splitlines()]
     column = rows[0].index("frac_warned_mean")
     assert all(float(row[column]) == 0.0 for row in rows[1:])
-    assert point_csv("sirs_mc", nu=0.5, chi=0.3) != warned
+    assert point_csv("sirs_defaults", "sirs_mc", nu=1.0, chi=0.0) == plain
+    assert point_csv("sirs", "sirs_mc", nu=0.5, chi=0.3) != plain
+
+
+# A value of each params key in a regime where every model runs clean, and a
+# second value to tell whether the run read it.  s0 + i0 = 1, which an
+# sis_ode start must meet, so a second value of one moves the other too.
+SAFE_PARAMS = {"beta": (0.2, 0.3), "gamma": (0.1, 0.2), "delta": (0.1, 0.2),
+               "r": (0.9, 0.8), "p0": (0.1, 0.2), "w0": (0.05, 0.1), "nu": (0.7, 0.6),
+               "chi": (0.2, 0.3), "mu": (0.05, 0.1), "s0": (0.9, 0.8), "i0": (0.1, 0.2)}
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_every_key_a_model_reads_reaches_a_run(tmp_path, model):
+    # The model table says which keys a config may set; each of them, set,
+    # must give a point that runs, and whose CSV changes with the key.
+    kind, _, reads = _MODELS[model]
+    run = {"ode": {"t_end": 2.0}, "meanfield": {"steps": 20},
+           "mc": {"steps": 20, "runs": 3}}[kind]
+
+    def point_csv(name, **change):
+        params = {key: SAFE_PARAMS[key][0] for key in reads}
+        params.update(change)
+        for key, other in (("s0", "i0"), ("i0", "s0")):
+            if key in change:
+                params[other] = 1.0 - change[key]
+        cfg = {"model": model, "params": params, "run": run, "seed": 3}
+        if kind != "ode":
+            cfg["graph"] = {"family": "powerlaw", "n": 60, "m": 2, "seed": 2}
+        res = run_experiment(ExperimentConfig.from_dict(cfg), tmp_path / name)
+        assert [p.error for p in res.points] == [None], (model, change)
+        return (tmp_path / name / "point_000.csv").read_text()
+
+    base = point_csv("base")
+    for key in reads:
+        assert point_csv(key, **{key: SAFE_PARAMS[key][1]}) != base, (model, key)
 
 
 def test_mc_points_start_from_p0(tmp_path):

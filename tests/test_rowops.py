@@ -128,8 +128,11 @@ def test_layout_is_a_bucketed_permutation_of_the_csr(drawn):
     assert np.array_equal(order[layout.tail_start:],
                           np.flatnonzero(np.repeat(in_tail, degrees)))
     assert np.array_equal(ids[layout.empty_rows], np.flatnonzero(degrees == 0))
+    # An operator reduces straight into the caller's array exactly when the
+    # layout is one piece whose rows are all rows, in row order.
     row_order = np.concatenate([rows for *_, rows in layout.buckets] + [tail])
-    assert layout.in_row_order == np.array_equal(row_order, ids)
+    pieces = len(layout.buckets) + bool(len(tail))
+    assert RowOperator(layout)._direct == (pieces == 1 and np.array_equal(row_order, ids))
 
 
 def test_figure_graphs_reduce_in_row_order():
@@ -137,13 +140,13 @@ def test_figure_graphs_reduce_in_row_order():
     # torus one bucket: both reduce straight into the caller's array.
     for g in (gen_powerlaw(1000, 2, 42), gen_lattice4(32, 32)):
         layout = g.row_layout
-        assert layout.in_row_order
+        assert RowOperator(layout)._direct
         indptr, _ = g.csr
         values = np.random.default_rng(1).standard_normal(layout.size)
         out = np.empty(g.n)
         assert RowOperator(layout).row_sum(layout.permute(values), out=out) is out
         assert same_bits(out, np.add.reduceat(values, indptr[:-1]))
-    assert not GRAPHS["powerlaw"].row_layout.in_row_order
+    assert not RowOperator(GRAPHS["powerlaw"].row_layout)._direct
 
 
 @pytest.mark.parametrize("rows,buckets", [(T - 1, 0), (T, 1)])
