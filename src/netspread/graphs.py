@@ -256,18 +256,12 @@ class Graph:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def gen_binomial(n: int, p: float, seed: int | np.random.Generator) -> Graph:
     """Binomial random graph: each of the C(n, 2) pairs is an edge w.p. ``p``."""
     _check_int("n", n, 1)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p!r}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     # One draw per row u over the pairs (u, u+1 .. n-1), in row order.
     upper = [u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p) for u in range(n - 1)]
     lower = np.repeat(np.arange(n - 1), [len(v) for v in upper])
@@ -313,7 +307,7 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     """
     _check_int("attachment count m", m, 1)
     _check_int("n", n, m + 1)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     # One entry per unit of degree; sampling an entry uniformly realises
     # degree-proportional selection.
     repeated: list[int] = [u for u in range(m + 1) for _ in range(m)]
@@ -358,7 +352,7 @@ def sample_exponential_degrees(
     """Target degree sequence ``max(1, round(X))`` with ``X ~ Exp(lam)``."""
     if not lam > 0:  # NaN fails too
         raise ValueError(f"rate lam must be positive, got {lam!r}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     draws = rng.exponential(scale=1.0 / lam, size=n)
     return np.maximum(1, np.rint(draws)).astype(np.int64)
 
@@ -372,7 +366,7 @@ def gen_exponential(n: int, lam: float, seed: int | np.random.Generator) -> Grap
     short of targets.
     """
     _check_int("n", n, 2)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     degrees = sample_exponential_degrees(n, lam, rng)
     if degrees.sum() % 2 == 1:
         degrees[0] += 1

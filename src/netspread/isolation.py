@@ -32,7 +32,14 @@ __all__ = [
 
 @dataclass
 class IsolationReport:
-    """Outcome of applying an isolation strategy to a graph."""
+    """Outcome of applying an isolation strategy to a graph.
+
+    ``removed_edges`` is in removal order for ``greedy`` and sorted for the
+    other strategies; ``edges_added`` is sorted.  ``lambda1_steps`` is filled
+    by ``greedy`` only: the dominant eigenvalue before each removal and after
+    the last.  ``surplus_nodes`` is set by ``lattice`` only, and holds at most
+    two nodes.
+    """
 
     strategy: str
     edges_removed: int
@@ -75,37 +82,42 @@ def _missing_edges(g: Graph, other: Graph) -> list[tuple[int, int]]:
     return list(map(tuple, e[other.csr_positions(e[:, 0], e[:, 1]) < 0].tolist()))
 
 
-def _scores(
-    before: Graph, after: Graph, beta_template: float, params: NodeParams
-) -> tuple[float, float, bool]:
-    """The scores of ``before`` and ``after`` with homogeneous links of
-    ``beta_template``, and whether the change crosses the threshold."""
-    s_before = survivability_score(
-        before, LinkProbs.homogeneous(before, beta_template), params
-    ).score
-    s_after = survivability_score(
-        after, LinkProbs.homogeneous(after, beta_template), params
-    ).score
-    return s_before, s_after, (s_before >= 1.0 and s_after < 1.0)
-
-
 def _report(
-    strategy: str, before: Graph, after: Graph, beta_template: float, params: NodeParams
+    strategy: str, before: Graph, after: Graph, beta_template: float,
+    params: NodeParams, removed: list[tuple[int, int]] | None = None,
+    lambda1_steps: list[float] | None = None,
 ) -> IsolationReport:
-    """Report of replacing ``before`` by ``after``."""
-    removed = _missing_edges(before, after)
-    score_before, score_after, crossed = _scores(before, after, beta_template, params)
+    """Report of replacing ``before`` by ``after``, scored with homogeneous
+    links of ``beta_template``.
+
+    Greedy removal passes its edges in removal order and its
+    ``lambda1_steps``, the dominant eigenvalue before each removal and after
+    the last, whose ends are ``lambda1_before`` and ``lambda1_after``.  The
+    other strategies pass neither: ``removed_edges`` is then the sorted edges
+    of ``before`` that ``after`` lacks, both eigenvalues are solved here, and
+    ``lambda1_steps`` stays empty.  ``surplus_nodes`` is left for the lattice
+    strategy to set.
+    """
+    score_before, score_after = (
+        survivability_score(h, LinkProbs.homogeneous(h, beta_template), params).score
+        for h in (before, after)
+    )
+    removed = _missing_edges(before, after) if removed is None else removed
+    lambda1 = lambda1_steps or [
+        adjacency_spectral_radius(h).value for h in (before, after)
+    ]
     return IsolationReport(
         strategy=strategy,
         edges_removed=len(removed),
         removed_edges=removed,
         edges_added=_missing_edges(after, before),
-        lambda1_before=adjacency_spectral_radius(before).value,
-        lambda1_after=adjacency_spectral_radius(after).value,
+        lambda1_before=lambda1[0],
+        lambda1_after=lambda1[-1],
         connectivity_after=after.connected_components(),
         score_before=score_before,
         score_after=score_after,
-        threshold_crossed=crossed,
+        threshold_crossed=(score_before >= 1.0 and score_after < 1.0),
+        lambda1_steps=lambda1_steps or [],
     )
 
 
@@ -136,22 +148,9 @@ def greedy_edge_removal(
         current = current.remove_edges([best_edge])
         removed.append(best_edge)
     lambda1_steps.append(adjacency_spectral_radius(current).value)
-
-    score_before, score_after, crossed = _scores(g, current, beta_template, params)
-    report = IsolationReport(
-        strategy="greedy",
-        edges_removed=len(removed),
-        removed_edges=removed,
-        edges_added=[],
-        lambda1_before=lambda1_steps[0],
-        lambda1_after=lambda1_steps[-1],
-        connectivity_after=current.connected_components(),
-        score_before=score_before,
-        score_after=score_after,
-        threshold_crossed=crossed,
-        lambda1_steps=lambda1_steps,
+    return current, _report(
+        "greedy", g, current, beta_template, params, removed, lambda1_steps
     )
-    return current, report
 
 
 def nn_hamiltonian_cycle(g: Graph, start: int = 0) -> CycleSearchResult:
@@ -174,32 +173,20 @@ def nn_hamiltonian_cycle(g: Graph, start: int = 0) -> CycleSearchResult:
         row = indices[indptr[current]:indptr[current + 1]]
         candidates = row[~visited[row]]
         if not candidates.size:
-            return CycleSearchResult(
-                success=False,
-                cycle=None,
-                path=path,
-                reason=(
-                    f"stuck at node {current} after visiting {len(path)} of "
-                    f"{g.n} nodes: no unvisited neighbour"
-                ),
-            )
+            reason = (f"stuck at node {current} after visiting {len(path)} of "
+                      f"{g.n} nodes: no unvisited neighbour")
+            break
         # Candidates are in id order, so argmin picks the lowest id among
         # the minimum-degree ones.
-        nxt = int(candidates[np.argmin(degrees[candidates])])
-        path.append(nxt)
-        visited[nxt] = True
-        current = nxt
-    if g.has_edge(current, start):
-        return CycleSearchResult(success=True, cycle=path, path=path)
-    return CycleSearchResult(
-        success=False,
-        cycle=None,
-        path=path,
-        reason=(
-            f"visited all {g.n} nodes but final node {current} has no edge "
-            f"back to start {start}"
-        ),
-    )
+        current = int(candidates[np.argmin(degrees[candidates])])
+        path.append(current)
+        visited[current] = True
+    else:  # every node visited
+        if g.has_edge(current, start):
+            return CycleSearchResult(success=True, cycle=path, path=path)
+        reason = (f"visited all {g.n} nodes but final node {current} has no "
+                  f"edge back to start {start}")
+    return CycleSearchResult(success=False, cycle=None, path=path, reason=reason)
 
 
 def prune_to_cycle(
@@ -211,7 +198,7 @@ def prune_to_cycle(
     The cycle must visit every node exactly once, and every consecutive pair
     (including the wrap-around) must be an edge of ``g``.
     """
-    if len(cycle) != g.n or len(set(cycle)) != g.n or set(cycle) != set(range(g.n)):
+    if len(cycle) != g.n or set(cycle) != set(range(g.n)):
         raise ValueError("cycle must visit every node exactly once")
     hops = np.column_stack((cycle, np.roll(cycle, -1)))
     missing = np.flatnonzero(g.csr_positions(hops[:, 0], hops[:, 1]) < 0)
@@ -240,11 +227,11 @@ def rewire_to_lattice(
     """Replace the entire edge set with a 4-regular torus lattice.
 
     Node count is preserved.  When ``n`` has no factorisation ``rows * cols``
-    with both factors >= 3 (e.g. prime ``n``), the largest ``n' <= n`` that
-    has one is used and the surplus nodes are chained pairwise into the torus
-    ring structure: consecutive surplus pairs are spliced into distinct
-    row-0 edges (edge ``(2t, 2t+1)`` becomes a path through the pair), which
-    gives them degree 2.  Surplus nodes are listed in the report.
+    with both factors >= 3 (e.g. prime ``n``), the largest ``n' < n`` that
+    has one is used, and the one or two surplus nodes ``n', ..., n - 1`` are
+    spliced into torus edge ``(0, 1)``, which becomes the path
+    ``0 - n' - ... - 1``; each surplus node has degree 2.  Surplus nodes are
+    listed in the report.
     """
     if g.n < 9:
         raise ValueError(f"lattice rewiring needs at least 9 nodes, got {g.n}")
@@ -253,29 +240,17 @@ def rewire_to_lattice(
     if dims is not None:
         rewired = gen_lattice4(*dims)
     else:
-        n_prime = g.n - 1
-        while n_prime >= 9 and lattice_dimensions(n_prime) is None:
-            n_prime -= 1
-        if n_prime < 9:
-            raise ValueError(f"no usable torus factorisation at or below n={g.n}")
-        dims = lattice_dimensions(n_prime)
-        assert dims is not None
-        surplus = list(range(n_prime, g.n))
-        cols = dims[1]
-        pairs = [surplus[i : i + 2] for i in range(0, len(surplus), 2)]
-        if 2 * len(pairs) > cols:
-            raise ValueError(
-                f"too many surplus nodes ({len(surplus)}) to splice into a "
-                f"{dims[0]}x{dims[1]} torus"
-            )
-        spliced = [(2 * t, 2 * t + 1) for t in range(len(pairs))]
-        routes = []
-        for (a, b), chain in zip(spliced, pairs):
-            route = [a, *chain, b]
-            routes.extend(zip(route, route[1:]))
-        kept = gen_lattice4(*dims).remove_edges(spliced).edge_array
-        rewired = Graph.from_edges(g.n, np.concatenate((kept, routes)))
+        # Every multiple m >= 9 of 3 factors as 3 * (m / 3), so n is not a
+        # multiple of 3 and n - 1 or n - 2 is one, at least 9 (n >= 10, and
+        # n >= 11 when n - 2 is the multiple).  So at most two nodes are
+        # left over, and the one torus edge (0, 1) takes them both.
+        dims = lattice_dimensions(g.n - 1) or lattice_dimensions(g.n - 2)
+        surplus = list(range(dims[0] * dims[1], g.n))
+        route = [0, *surplus, 1]
+        kept = gen_lattice4(*dims).remove_edges([(0, 1)]).edge_array
+        rewired = Graph.from_edges(
+            g.n, np.concatenate((kept, list(zip(route, route[1:]))))
+        )
     report = _report("lattice", g, rewired, beta_template, params)
     report.surplus_nodes = surplus
     return rewired, report
-

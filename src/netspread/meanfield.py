@@ -376,15 +376,18 @@ def bound_violations(state: MfState) -> list[BoundViolation]:
     return found
 
 
-def _raise_bounds(violations: list[BoundViolation], zeta_t: np.ndarray,
+def _raise_bounds(violations: list[BoundViolation], zeta_t: np.ndarray | None,
                   params: NodeParams) -> None:
+    """Raise :class:`MeanFieldBoundsError` for ``violations``, with a regime
+    note when a node's ``delta`` exceeds its ``zeta_t``; the start of a run
+    has no ``zeta_t`` (``None``) and so no note."""
     worst = max(violations, key=lambda v: max(v.value - 1.0, -v.value))
     diag = ""
-    risky = np.flatnonzero(params.delta > zeta_t)
-    if risky.size:
+    risky = [] if zeta_t is None else np.flatnonzero(params.delta > zeta_t)
+    if len(risky):
         diag = (
             f" Parameter regime note: delta_i exceeds zeta_i(t) for "
-            f"{risky.size} node(s) (first: node {int(risky[0])}, "
+            f"{len(risky)} node(s) (first: node {int(risky[0])}, "
             f"delta={params.delta[risky[0]]:.6g}, zeta={zeta_t[risky[0]]:.6g}), "
             f"so the susceptible update coefficient is negative."
         )
@@ -453,12 +456,13 @@ def run(
     be a non-negative integer.  The trajectory records per-step aggregates:
     mean ``p``, mean ``q``, mean ``w``, mean dead fraction, and the expected
     carrier count.  With ``allow_negative_coefficients`` the run records bound
-    violations instead of failing; otherwise the first violation aborts the
-    run with a diagnostic (and, for ``"sirs"``, parameter sets with
-    ``chi + delta > 1`` are rejected before the first step).  A NaN or
-    infinite component, at the start or in a reporting run, raises
-    ``ValueError``.  ``"sis"`` is the update with ``nu = 1`` and ``chi = 0``,
-    whatever ``params`` say, and starts only from an empty warning state.
+    violations instead of failing; otherwise the first violation, in
+    ``state0`` or after a step, aborts the run with a diagnostic (and, for
+    ``"sirs"``, parameter sets with ``chi + delta > 1`` are rejected before
+    the first step).  A NaN or infinite component, at the start or in a
+    reporting run, raises ``ValueError``.  ``"sis"`` is the update with
+    ``nu = 1`` and ``chi = 0``, whatever ``params`` say, and starts only from
+    an empty warning state.
     One step is ``run(..., max_steps=1, tol=0).final_state``.
 
     The run builds no :class:`MfState` per step: it steps the prepared
@@ -488,8 +492,9 @@ def run(
         validate_warning_params(params)
     enforce = not allow_negative_coefficients
 
-    initial = _require_finite(bound_violations(state0))
-    violations: list[BoundViolation] = [] if enforce else initial
+    violations = _require_finite(bound_violations(state0))
+    if enforce and violations:
+        _raise_bounds(violations, None, params)
     if max_steps and model == "sis" and np.any(state0.w != 0.0):
         # The "sis" update keeps w at zero, so only the start needs checking.
         raise ValueError("the sis model requires an empty warning state (w == 0)")

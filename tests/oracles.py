@@ -318,8 +318,9 @@ def meanfield_run_reference(model, state0, links, params, max_steps=500, tol=1e-
 
     state = state0
     rows = [_aggregates_reference(state)]
-    initial = _require_finite(bound_violations(state0))
-    violations = [] if enforce else initial
+    violations = _require_finite(bound_violations(state0))
+    if enforce and violations:
+        _raise_bounds(violations, None, params)
     converged = False
     for _ in range(max_steps):
         nxt = step_fn(state, links, params, enforce_bounds=enforce)

@@ -538,11 +538,14 @@ class TestSharedGraphArguments:
         ("generate", ("--family", "powerlaw", "--n", "30", "--m", "2", "--lam", "0.5"),
          "graph.lam"),
         ("spectral", ("--graph", "g.edges", "--n", "50", *COMMON), "graph.n"),
-    ], ids=["lattice_n_p", "powerlaw_lam", "path_n"])
+        # A point command passes the config check's graph.* field through.
+        ("meanfield", ("--family", "lattice4", "--rows", "3", "--cols", "3", "--n", "5",
+                       *COMMON), "graph.n"),
+    ], ids=["lattice_n_p", "powerlaw_lam", "path_n", "meanfield_lattice_n"])
     def test_graph_options_the_family_does_not_read_are_rejected(
             self, tmp_path, command, given, field):
         out = tmp_path / "g.edges"
-        proc = run_cli(command, *given, *(("--output", str(out)) if command == "generate"
+        proc = run_cli(command, *given, *(("--output", str(out)) if command != "spectral"
                                           else ()))
         assert proc.returncode == 2, proc.stderr
         payload = stderr_error(proc)

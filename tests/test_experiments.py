@@ -252,6 +252,20 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(meanfield_config(graph=graph))
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("config,field,message", [
+        ([meanfield_config()], "config", "top level must be a JSON object"),
+        ({k: v for k, v in meanfield_config().items() if k != "model"}, "model", "missing"),
+        (meanfield_config(graph={"family": "smallworld", "n": 30}), "graph.family",
+         "unknown family 'smallworld'"),
+        (meanfield_config(graph={"family": "binomial", "n": 30, "p": 0.2, "k": 4}), "graph",
+         "unexpected keyword argument 'k'"),
+    ], ids=["not_an_object", "no_model", "unknown_family", "unknown_graph_key"])
+    def test_malformed_configs_name_their_field(self, config, field, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(config)
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field}: ") and str(exc.value).endswith(message)
+
     def test_unsweepable_name_rejected(self):
         bad = meanfield_config()
         bad["sweep"] = {"parameters": [{"name": "n", "base": 10}],
@@ -570,6 +584,7 @@ class TestConfigFieldTypes:
         ({"t_end": float("inf")}, "run.t_end"),
         ({"dt": 0.0}, "run.dt"),
         ({"runs": 0}, "run.runs"),
+        ({"stepz": 3}, "run"),
     ])
     def test_run_fields_are_validated(self, run, field):
         with pytest.raises(ConfigError) as exc:
@@ -590,6 +605,7 @@ class TestConfigFieldTypes:
          "sweep.base"),
         ({"parameter": "beta", "base": 0.2, "increment": float("inf"), "count": 2},
          "sweep.increment"),
+        ({"parameters": [], "increment": 0.1, "count": 2}, "sweep.parameters"),
     ])
     def test_sweep_fields_are_not_coerced(self, sweep, field):
         with pytest.raises(ConfigError) as exc:

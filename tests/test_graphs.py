@@ -334,6 +334,10 @@ class TestEdgeListFormat:
             load_edge_list(io.StringIO("3\n0 1 2\n"))
         with pytest.raises(EdgeListFormatError, match="no node-count"):
             load_edge_list(io.StringIO("# only a comment\n"))
+        with pytest.raises(EdgeListFormatError, match="line 1: node count must be positive"):
+            load_edge_list(io.StringIO("0\n"))
+        with pytest.raises(EdgeListFormatError, match="line 2: non-integer endpoint"):
+            load_edge_list(io.StringIO("3\n0 x\n"))
 
     def test_comments_and_blank_lines_ignored(self):
         g = load_edge_list(io.StringIO("# header\n3\n\n0 1\n# trailing\n"))

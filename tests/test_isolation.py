@@ -222,14 +222,19 @@ class TestRewireToLattice:
         assert rep.lambda1_after == pytest.approx(4.0, abs=1e-8)
         assert rep.connectivity_after == 1
 
-    def test_awkward_count_splices_surplus_into_ring(self):
-        g = gen_binomial(13, 0.5, 3)
+    @pytest.mark.parametrize("n,surplus", [(13, [12]), (11, [9, 10]), (14, [12, 13])],
+                             ids=["n13", "n11", "n14"])
+    def test_awkward_count_splices_surplus_into_ring(self, n, surplus):
+        g = gen_binomial(n, 0.5, 3)
         lat, rep = rewire_to_lattice(g, **scoring(g))
-        assert rep.surplus_nodes == [12]
-        assert Counter(lat.degrees.tolist()) == {4: 12, 2: 1}
+        assert rep.surplus_nodes == surplus
+        assert Counter(lat.degrees.tolist()) == {4: n - len(surplus), 2: len(surplus)}
         assert rep.connectivity_after == 1
-        # surplus node sits on a path between former ring neighbours
-        assert lat.degrees[12] == 2
+        # surplus nodes sit on a path between former ring neighbours 0 and 1
+        route = [0, *surplus, 1]
+        assert all(lat.has_edge(a, b) for a, b in zip(route, route[1:]))
+        assert not lat.has_edge(0, 1)
+        assert all(lat.degrees[s] == 2 for s in surplus)
 
     def test_too_small_rejected(self):
         g = gen_binomial(8, 0.5, 1)

@@ -106,6 +106,8 @@ class TestContainers:
         assert np.allclose(st0.dead, 0.0)
         with pytest.raises(ValueError):
             MfState.uniform(5, p0=0.8, w0=0.5)
+        with pytest.raises(ValueError, match="equal length"):
+            MfState(p=np.zeros(3), q=np.zeros(3), w=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,27 @@ class TestBoundsPolicy:
         _, params, links, state = self.make_hot_pair()
         with pytest.raises(MeanFieldBoundsError):
             run("sis", state, links, params, max_steps=10)
+
+    def test_strict_run_rejects_an_out_of_bounds_start(self):
+        # q = 1.001 everywhere: the start itself is out of bounds.  A strict
+        # run raises for step 0 with the violations a reporting run records
+        # there, and has no regime note, since no step has made a zeta yet.
+        g = gen_lattice4(4, 4)
+        links = LinkProbs.homogeneous(g, 0.1)
+        params = NodeParams.homogeneous(16, r=1.0, delta=0.1, gamma=0.1)
+        state = MfState(p=np.zeros(16), q=np.full(16, 1.001), w=np.zeros(16))
+        reported = run("sis", state, links, params, max_steps=10,
+                       allow_negative_coefficients=True)
+        at_start = [v for v in reported.violations if v.step == 0]
+        assert len(at_start) == 32
+        with pytest.raises(MeanFieldBoundsError,
+                           match=r"^mean-field step 0 produced q\[0\]=1.001, ") as exc:
+            run("sis", state, links, params, max_steps=10)
+        assert exc.value.violations == at_start
+        assert "regime note" not in str(exc.value)
+        nan_start = MfState(p=np.full(16, np.nan), q=np.zeros(16), w=np.zeros(16))
+        with pytest.raises(ValueError, match=r"non-finite p\[0\]=nan"):
+            run("sis", nan_start, links, params, max_steps=10)
 
     def test_reporting_mode_records_instead_of_raising(self):
         _, params, links, state = self.make_hot_pair()

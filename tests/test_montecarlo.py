@@ -75,6 +75,11 @@ class TestSeeding:
         assert int(np.sum(states == HAS_INFO)) == 10
         assert int(np.sum(states == NO_INFO)) == 40
 
+    @pytest.mark.parametrize("init", [-0.1, 1.5, float("nan")])
+    def test_initial_states_rejects_fractions_outside_the_unit_interval(self, init):
+        with pytest.raises(ValueError, match="initial carrier fraction must lie in"):
+            initial_states(10, init, np.random.default_rng(0))
+
     def test_initial_states_rounds_to_nearest(self):
         rng = np.random.default_rng(1)
         assert int(np.sum(initial_states(10, 0.26, rng) == HAS_INFO)) == 3

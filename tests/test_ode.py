@@ -244,3 +244,5 @@ class TestTrajectoryCsv:
             Trajectory(times=np.array([0.0, 0.0]), columns={"x": np.zeros(2)})
         with pytest.raises(ValueError, match="shape"):
             Trajectory(times=np.array([0.0, 1.0]), columns={"x": np.zeros(3)})
+        with pytest.raises(ValueError, match="times must be one-dimensional"):
+            Trajectory(times=np.zeros((2, 1)), columns={"x": np.zeros(2)})

@@ -175,8 +175,9 @@ def test_sis_keeps_the_signs_of_zeros(w0, reporting):
 @pytest.mark.parametrize("reporting", [False, True])
 def test_sis_overflowing_zeta_reports_the_warned_row(reporting):
     # Nodes 0 and 2 are both neighbours of node 1, so zeta_1 overflows and
-    # the whole update makes w_1 = miss * 0.0 * q NaN: a strict run's error
-    # lists it among the violations.
+    # the whole update makes w_1 = miss * 0.0 * q NaN.  p_1 is not finite
+    # either, and a reporting run's ValueError names it.  A strict run stops
+    # before the step, at the start's out-of-bounds p_0 and p_2.
     g = gen_lattice4(4, 4)
     p = np.full(16, 0.1)
     p[[0, 2]] = 1e308
@@ -186,8 +187,12 @@ def test_sis_overflowing_zeta_reports_the_warned_row(reporting):
     kwargs = dict(max_steps=3, allow_negative_coefficients=reporting)
     expected = outcome(meanfield_run_reference, *args, **kwargs)
     assert expected[0] == "raised"
-    if not reporting:
-        assert ("w", 1) in [(kind, node) for _, kind, node, _ in expected[3]]
+    if reporting:
+        assert (expected[1], expected[2]) == (
+            ValueError, "mean-field state at step 1 has a non-finite p[1]=-inf")
+    else:
+        assert [(step, kind, node) for step, kind, node, _ in expected[3]] == [
+            (0, "p", 0), (0, "p", 2), (0, "p+q+w", 0), (0, "p+q+w", 2)]
     assert outcome(run, *args, **kwargs) == expected
 
 

@@ -98,6 +98,10 @@ class TestPowerIteration:
         assert TOL == 1e-10
         assert MAX_ITER == 100_000
 
+    def test_empty_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="matrix dimension must be positive"):
+            power_iteration(lambda v: v, 0)
+
     def test_nonconvergent_rotation_raises(self, monkeypatch):
         # Eigenvalues are +/-2: the iterate oscillates forever.  The budget is
         # read at call time; a smaller one keeps the test fast.
