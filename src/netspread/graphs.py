@@ -5,8 +5,8 @@ Provides an immutable undirected simple graph type, four generator families
 configuration model, 4-regular torus lattice) and a plain text edge-list
 format for persistence.
 
-A :class:`Graph` stores its node count and its sorted edge array; the CSR
-adjacency the dynamics read is derived from it with array code.
+A :class:`Graph` stores its node count and the CSR adjacency the dynamics
+read; its sorted edge array is read off the CSR when asked for.
 
 All generators are deterministic for a fixed seed: the same seed produces the
 same edge set in any process.
@@ -59,13 +59,13 @@ def _check_int(name: str, value: object, low: int, wording: str = "") -> None:
 
 
 def _pair_array(pairs) -> np.ndarray:
-    """A fresh ``(m, 2)`` int64 array from an iterable of pairs or an array."""
+    """An ``(m, 2)`` int64 array from an iterable of pairs or an array, for
+    reading only: an int64 array comes back as a plain-ndarray view of
+    itself, not as a copy."""
     if isinstance(pairs, np.ndarray):
         if pairs.size == 0:
             return np.empty((0, 2), dtype=np.int64)
-        # astype copies, so the result shares no memory with the caller's
-        # array, whatever ndarray subclass (a memmap, say) it is.
-        return _int_pairs(np.asarray(pairs)).astype(np.int64)
+        return _int_pairs(np.asarray(pairs)).astype(np.int64, copy=False)
     if not isinstance(pairs, Sized):
         pairs = list(pairs)
     out = np.empty((len(pairs), 2), dtype=np.int64)
@@ -83,28 +83,21 @@ def _int_pairs(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _find(keys: np.ndarray, n: int, rows, cols) -> np.ndarray:
-    """Index of each row-major key ``rows * n + cols`` in the sorted array
-    ``keys``, or -1.  Keys are formed only for ids in ``0 .. n-1``, so an
-    out-of-range pair such as ``(-1, 1)`` cannot alias ``(0, n - 1)``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    inside = (0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
-    if not len(keys):
-        return np.full(rows.shape, -1)
-    want = np.where(inside, rows * n + cols, -1)
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(inside & (keys[pos] == want), pos, -1)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 class Graph:
     """Undirected simple graph on nodes ``0 .. n-1``; no self-loops.
 
-    Stored state: ``n`` and ``edge_array``, a read-only ``(m, 2)`` int64
-    array with each edge once as ``(u, v)``, ``u < v``, in lexicographic
-    order (``edges`` may be any iterable of such pairs, or an array; repeats
-    collapse).  ``csr``, ``degrees``, ``transpose`` and ``row_layout`` are
-    derived from it and cached.
+    Stored state: ``n`` and ``csr``, the adjacency as read-only
+    ``(indptr, indices)`` with each row's neighbours in ascending order, so
+    each edge is two entries.  ``edges`` may be any iterable of pairs
+    ``(u, v)`` with ``u < v``, or an array of them; repeats collapse.
+    ``edge_array``, ``degrees``, ``transpose`` and ``row_layout`` are read
+    off the CSR when first asked for and cached.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
@@ -120,9 +113,20 @@ class Graph:
             keys = np.sort(keys)
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
             arr = np.column_stack((keys // n, keys % n))
-        arr.flags.writeable = False
+        # Row r lists its smaller neighbours (edges (u, r), in u order) and
+        # then its larger ones (edges (r, v), in v order): a stable sort by
+        # row of [lower halves; upper halves] keeps every row sorted.  The
+        # build is a graph's peak of memory, so each temporary goes as soon
+        # as it is spent.
+        del u, v, keys
+        rows = np.concatenate((arr[:, 1], arr[:, 0]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        order = np.argsort(rows, kind="stable")
+        del rows
+        indices = np.concatenate((arr[:, 0], arr[:, 1]))[order]
         self.n = n
-        self.edge_array = arr
+        self.csr = (_read_only(indptr), _read_only(indices))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -137,32 +141,24 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return other is self or (
-            self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
-        )
+        return other is self or (self.n == other.n and all(
+            np.array_equal(a, b) for a, b in zip(self.csr, other.csr)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, num_edges={self.num_edges})"
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_array)
+        return len(self.csr[1]) // 2
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form: ``(indptr, indices)`` with sorted rows."""
-        e = self.edge_array
-        # Row r lists its smaller neighbours (edges (u, r), in u order) and
-        # then its larger ones (edges (r, v), in v order): a stable sort by
-        # row of [lower halves; upper halves] keeps every row sorted.
-        rows = np.concatenate((e[:, 1], e[:, 0]))
-        cols = np.concatenate((e[:, 0], e[:, 1]))
-        indices = cols[np.argsort(rows, kind="stable")]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        return indptr, indices
+    def edge_array(self) -> np.ndarray:
+        """Each edge once as ``(u, v)``, ``u < v``, in lexicographic order: a
+        read-only ``(m, 2)`` int64 array of the CSR entries above the
+        diagonal, which the CSR already holds in that order."""
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        upper = self.csr[1] > rows
+        return _read_only(np.column_stack((rows[upper], self.csr[1][upper])))
 
     @cached_property
     def transpose(self) -> np.ndarray:
@@ -170,9 +166,7 @@ class Graph:
         column ``j`` of row ``i``, ``transpose[k]`` holds column ``i`` of
         row ``j``.  A stable sort by column orders the (row-sorted) entries
         by (column, row), the CSR order of their reverses."""
-        perm = np.argsort(self.csr[1], kind="stable")
-        perm.flags.writeable = False
-        return perm
+        return _read_only(np.argsort(self.csr[1], kind="stable"))
 
     @cached_property
     def row_layout(self) -> RowLayout:
@@ -182,9 +176,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        degrees = np.diff(self.csr[0])
-        degrees.flags.writeable = False
-        return degrees
+        return _read_only(np.diff(self.csr[0]))
 
     @cached_property
     def _csr_keys(self) -> np.ndarray:
@@ -196,8 +188,18 @@ class Graph:
 
     def csr_positions(self, rows, cols) -> np.ndarray:
         """CSR position of each entry ``(rows[i], cols[i])``, or -1 where it
-        is not an edge (including out-of-range node ids)."""
-        return _find(self._csr_keys, self.n, rows, cols)
+        is not an edge (including out-of-range node ids).  Keys are formed
+        only for ids in ``0 .. n-1``, so an out-of-range pair such as
+        ``(-1, 1)`` cannot alias ``(0, n - 1)``."""
+        keys, n = self._csr_keys, self.n
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        inside = (0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
+        if not len(keys):
+            return np.full(rows.shape, -1)
+        want = np.where(inside, rows * n + cols, -1)
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(inside & (keys[pos] == want), pos, -1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.csr_positions(u, v) >= 0)
@@ -205,32 +207,27 @@ class Graph:
     def remove_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Return a copy with the given edges removed (edges must exist).
 
-        The copy's edge array, CSR and CSR keys are this graph's with the
-        removed rows and entries deleted: deleting keeps every order they
-        are sorted in, so nothing is re-sorted or re-checked.
+        The copy's CSR is this graph's with the two entries of each removed
+        edge deleted: deleting keeps every row sorted, so nothing is
+        re-sorted or re-checked.
         """
         arr = np.sort(_pair_array(pairs), axis=1)
-        e = self.edge_array
-        found = _find(e[:, 0] * self.n + e[:, 1], self.n, arr[:, 0], arr[:, 1])
+        u, v = arr[:, 0], arr[:, 1]
+        # Both entries of a pair are missing or neither, so the first miss
+        # lies among the (u, v) entries.
+        found = self.csr_positions(np.concatenate((u, v)), np.concatenate((v, u)))
         missing = np.flatnonzero(found < 0)
         if missing.size:
             u, v = arr[missing[0]].tolist()
             raise ValueError(f"edge {(u, v)} not present in graph")
-        u, v = arr[:, 0], arr[:, 1]
         indptr, indices = self.csr
-        keep = np.ones(len(indices), dtype=bool)  # both CSR entries of each edge go
-        keep[self.csr_positions(np.concatenate((u, v)), np.concatenate((v, u)))] = False
+        keep = np.ones(len(indices), dtype=bool)
+        keep[found] = False
         child = Graph.__new__(Graph)
         child.n = self.n
-        child.edge_array = np.delete(e, found, axis=0)
         # A row start moves back by the number of deleted entries before it.
-        child_indptr = indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
-        child_indices = indices[keep]
-        child_keys = self._csr_keys[keep]
-        for a in (child.edge_array, child_indptr, child_indices, child_keys):
-            a.flags.writeable = False
-        child.__dict__["csr"] = (child_indptr, child_indices)
-        child.__dict__["_csr_keys"] = child_keys
+        child.csr = (_read_only(indptr - np.searchsorted(np.flatnonzero(~keep), indptr)),
+                     _read_only(indices[keep]))
         return child
 
     def connected_components(self) -> int:
@@ -339,11 +336,12 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
         repeated.extend(targets)
         repeated.extend([new] * m)
     seed_u, seed_v = np.triu_indices(m + 1, k=1)
-    new_nodes = np.repeat(np.arange(m + 1, n, dtype=np.int64), m)
-    return Graph(n=n, edges=np.column_stack((
+    edges = np.column_stack((
         np.concatenate((seed_u, np.array(attached, dtype=np.int64))),
-        np.concatenate((seed_v, new_nodes)),
-    )))
+        np.concatenate((seed_v, np.repeat(np.arange(m + 1, n, dtype=np.int64), m))),
+    ))
+    del repeated, attached  # so that the CSR build does not stack on them
+    return Graph(n=n, edges=edges)
 
 
 def sample_exponential_degrees(

@@ -269,7 +269,9 @@ class _Update:
     terms it would feed, each of which changes no bit there: ``* nu`` is
     ``* 1.0``, ``- w`` subtracts +0.0, and the new ``w`` would be
     ``miss * 0.0 * q + (1 - delta) * (+0.0)``, a zero plus +0.0, which is
-    +0.0 while ``miss`` and ``q`` are finite.  Only ``+ chi * w`` stays, as
+    +0.0 while ``miss`` and ``q`` are finite.  Where they are not, that
+    node's new ``p`` is not finite either, and :func:`run` stops at it, so
+    no outcome reads the skipped row.  Only ``+ chi * w`` stays, as
     ``+ 0.0``, because it turns a -0.0 in ``q`` into +0.0.  A ``-0.0`` in
     ``w`` would not stay put, so such a start takes the whole update.
     """
@@ -311,7 +313,11 @@ class _Update:
         if self.warned:
             np.multiply(self.chi, w, out=b)
             np.add(a, b, out=nxt[1])
-            self.warned_row(cur, nxt)
+            # miss * warn * q + keep_w * w
+            np.multiply(miss, self.warn, out=a)
+            np.multiply(a, q, out=a)
+            np.multiply(self.keep_w, w, out=b)
+            np.add(a, b, out=nxt[2])
         else:
             np.add(a, 0.0, out=nxt[1])
         # 1 - p - q - w
@@ -320,15 +326,6 @@ class _Update:
         if self.warned:
             np.subtract(a, nxt[2], out=nxt[3])
         return z
-
-    def warned_row(self, cur: np.ndarray, nxt: np.ndarray) -> None:
-        """``nxt``'s ``w`` row, ``miss * warn * q + keep_w * w``, from ``cur``
-        and the last step's ``1 - zeta``."""
-        a, b = self.a, self.b
-        np.multiply(self.miss, self.warn, out=a)
-        np.multiply(a, cur[1], out=a)
-        np.multiply(self.keep_w, cur[2], out=b)
-        np.add(a, b, out=nxt[2])
 
 
 def _coefficient(values) -> np.ndarray:
@@ -512,9 +509,6 @@ def run(
         z = update.step(cur, nxt)
         t += 1
         if not _nonnegative(nxt):
-            if not warned:
-                # A zeta that overflowed makes this w NaN, not +0.0.
-                update.warned_row(cur, nxt)
             bad = bound_violations(MfState(p=nxt[0], q=nxt[1], w=nxt[2], t=t))
             if enforce and bad:
                 _raise_bounds(bad, z, params)

@@ -178,17 +178,16 @@ class RowOperator:
     buffer of one value per non-empty row, both its own, so operators on the
     same graph never share scratch memory.
 
-    :meth:`row_sum` and :meth:`row_prod` take values in layout order and
-    write one value per CSR row to ``out``.  Each bucket's column reduction
-    and the tail's ``reduceat`` land in the row buffer, in layout row order,
-    and one ``np.take`` through the layout's ``placing`` puts them in row
-    order; a layout of one piece with no empty rows reduces into ``out``
-    itself.
-    The views that a reduction of the CSR-sized buffer reads (each bucket's
-    ``(d, m)`` block and the tail) and the views of the row buffer they fill
-    form the operator's reduction plan, built once here; a reduction of any
-    other array slices it afresh.  Between products the CSR-sized buffer is
-    free scratch space of layout size.
+    :meth:`row_sum` and :meth:`row_prod` reduce the CSR-sized buffer, which
+    holds values in layout order, and write one value per CSR row to
+    ``out``.  Each bucket's column reduction and the tail's ``reduceat``
+    land in the row buffer, in layout row order, and one ``np.take`` through
+    the layout's ``placing`` puts them in row order; a layout of one piece
+    with no empty rows reduces into ``out`` itself.
+    The views of the buffer that a reduction reads (each bucket's ``(d, m)``
+    block and the tail) and the views of the row buffer they fill form the
+    operator's reduction plan, built once here.  Between products the
+    buffer is free scratch space of layout size.
 
     After :meth:`weigh`, :meth:`weighted_sum` and :meth:`complement_prod`
     fill the buffer with weighted entries and reduce it through the plan.
@@ -207,23 +206,19 @@ class RowOperator:
         # get the identity, has one to take.
         self.reduced = np.empty(max(layout.reduced_size, 1))
         self.weights = self.node_weights = self.scaled = None
-        self._plan = self._plan_of(self.buffer)
+        # The reduction plan: each bucket's (d, m) view of the buffer, then
+        # the tail's, each with the view of the row buffer it fills.
+        self._plan, first = [], 0
+        for d, at, m, _ in layout.buckets:
+            self._plan.append((self.buffer[at:at + d * m].reshape(d, m),
+                               self.reduced[first:first + m]))
+            first += m
+        if layout.tail_start < layout.size:
+            self._plan.append((self.buffer[layout.tail_start:], self.reduced[first:]))
         # One bucket or all tail, with no empty rows, is in row order: a
         # bucket's rows and the tail's ascend.  It reduces straight into the
         # caller's array.
         self._direct = len(self._plan) == 1 and not len(layout.empty_rows)
-
-    def _plan_of(self, values: np.ndarray) -> list:
-        """The pieces a reduction of ``values`` reads, each with the view of
-        the row buffer it fills: each bucket's ``(d, m)`` view, then the
-        tail's."""
-        lay, plan, first = self.layout, [], 0
-        for d, at, m, _ in lay.buckets:
-            plan.append((values[at:at + d * m].reshape(d, m), self.reduced[first:first + m]))
-            first += m
-        if lay.tail_start < lay.size:
-            plan.append((values[lay.tail_start:], self.reduced[first:]))
-        return plan
 
     def weigh(self, weights: np.ndarray) -> None:
         """Fix the weights of the entries, in layout order.  They are
@@ -243,14 +238,16 @@ class RowOperator:
     def weighted_sum(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row sums of ``weights * v[columns]``: the off-diagonal part of
         a matvec."""
-        return self.row_sum(self._terms(v, False), out)
+        self._terms(v, False)
+        return self.row_sum(out)
 
     def complement_prod(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row products of ``1 - weights * v[columns]``: ``zeta``."""
-        return self.row_prod(self._terms(v, True), out)
+        self._terms(v, True)
+        return self.row_prod(out)
 
-    def _terms(self, v: np.ndarray, complement: bool) -> np.ndarray:
-        """``weights * v[columns]``, or ``1 -`` that, in the buffer: scaled
+    def _terms(self, v: np.ndarray, complement: bool) -> None:
+        """``weights * v[columns]``, or ``1 -`` that, into the buffer: scaled
         per node and gathered, or gathered and scaled per entry.  Columns
         lie in ``[0, n)``, so ``"clip"`` clips nothing; the default
         ``"raise"`` would copy through a second buffer."""
@@ -261,25 +258,24 @@ class RowOperator:
             np.multiply(self.weights, terms, out=terms)
         if complement:
             np.subtract(_ONE, terms, out=terms)
-        return terms if terms is self.buffer else terms.take(self.columns, out=self.buffer,
-                                                             mode="clip")
+        if terms is not self.buffer:
+            terms.take(self.columns, out=self.buffer, mode="clip")
 
-    def row_prod(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per-row products of ``values``, as ``np.multiply.reduceat``."""
-        return self._reduce(_column_prod, np.multiply, values, out, 1.0)
+    def row_prod(self, out: np.ndarray) -> np.ndarray:
+        """Per-row products of the buffer, as ``np.multiply.reduceat``."""
+        return self._reduce(_column_prod, np.multiply, out, 1.0)
 
-    def row_sum(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per-row sums of ``values``, as ``np.add.reduceat``."""
-        return self._reduce(_column_sum, np.add, values, out, -0.0)
+    def row_sum(self, out: np.ndarray) -> np.ndarray:
+        """Per-row sums of the buffer, as ``np.add.reduceat``."""
+        return self._reduce(_column_sum, np.add, out, -0.0)
 
-    def _reduce(self, columns, ufunc, values, out, identity):
-        """Buckets through ``columns``, the tail through ``ufunc.reduceat``,
-        both into the row buffer (or, for a layout of one piece with no empty
-        rows, into ``out``); then row order, and ``identity`` for empty
-        rows.  The operator's own buffer reduces through the prepared
-        plan."""
+    def _reduce(self, columns, ufunc, out, identity):
+        """The plan's buckets through ``columns``, its tail through
+        ``ufunc.reduceat``, both into the row buffer (or, for a layout of
+        one piece with no empty rows, into ``out``); then row order, and
+        ``identity`` for empty rows."""
         lay = self.layout
-        for view, target in self._plan if values is self.buffer else self._plan_of(values):
+        for view, target in self._plan:
             if view.ndim == 2:
                 columns(view, out if self._direct else target)
             else:

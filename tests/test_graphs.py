@@ -25,7 +25,9 @@ from netspread.graphs import (
     sample_exponential_degrees,
     save_edge_list,
 )
+from netspread.meanfield import LinkProbs, MfState, NodeParams, run as meanfield_run
 from netspread.rowops import RowOperator
+from netspread.spectral import survivability_score
 
 from oracles import (
     adjacency,
@@ -433,6 +435,52 @@ def test_pinned_edge_list_bytes(family):
     buf = io.StringIO()
     save_edge_list(build(), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == want
+
+
+def _torus_3x4_less_two_edges() -> Graph:
+    whole = gen_lattice4(3, 4)
+    pruned = whole.remove_edges([(0, 1), (5, 1)])
+    assert "edge_array" not in vars(whole)
+    return pruned
+
+
+# Graphs made in each remaining way, with their edges: the torus's are
+# listed by hand, node (i, j) being i * 4 + j.
+TORUS_3x4 = sorted({tuple(sorted((i * 4 + j, (i + di) % 3 * 4 + (j + dj) % 4)))
+                    for i in range(3) for j in range(4) for di, dj in ((0, 1), (1, 0))})
+BUILT = {
+    "load_edge_list": (lambda: load_edge_list(io.StringIO("5\n3 1\n0 4\n1 0\n")),
+                       [(0, 1), (0, 4), (1, 3)]),
+    "from_edges": (lambda: Graph.from_edges(5, [(3, 1), (4, 0), (1, 0), (0, 1)]),
+                   [(0, 1), (0, 4), (1, 3)]),
+    "remove_edges": (_torus_3x4_less_two_edges,
+                     [e for e in TORUS_3x4 if e not in {(0, 1), (1, 5)}]),
+}
+
+
+@pytest.mark.parametrize("source", sorted(EDGE_LIST_SHA256) + sorted(BUILT))
+def test_graph_holds_no_edge_array_until_it_is_read(source):
+    # The CSR is a graph's state: reading it, scoring the graph and running
+    # the mean field on it leave the edge array unbuilt.
+    build = EDGE_LIST_SHA256[source][1] if source in EDGE_LIST_SHA256 else BUILT[source][0]
+    g = build()
+    g.csr
+    links = LinkProbs.homogeneous(g, 0.1)
+    params = NodeParams.homogeneous(g.n, r=1.0, delta=0.3, gamma=0.3)
+    survivability_score(g, links, params)
+    meanfield_run("sis", MfState.uniform(g.n, p0=0.1), links, params, max_steps=3,
+                  allow_negative_coefficients=True)
+    assert "edge_array" not in vars(g)
+    edges = g.edge_array
+    assert edges.dtype == np.int64 and edges.shape == (g.num_edges, 2)
+    assert not edges.flags.writeable and g.edge_array is edges
+    if source in EDGE_LIST_SHA256:
+        buf = io.StringIO()
+        save_edge_list(g, buf)
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        assert digest == EDGE_LIST_SHA256[source][0]
+    else:
+        assert edges.tolist() == [list(e) for e in BUILT[source][1]]
 
 
 @st.composite

@@ -173,11 +173,12 @@ def test_sis_keeps_the_signs_of_zeros(w0, reporting):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("reporting", [False, True])
-def test_sis_overflowing_zeta_reports_the_warned_row(reporting):
+def test_sis_overflowing_zeta_stops_at_the_start_or_names_the_non_finite_p(reporting):
     # Nodes 0 and 2 are both neighbours of node 1, so zeta_1 overflows and
-    # the whole update makes w_1 = miss * 0.0 * q NaN.  p_1 is not finite
-    # either, and a reporting run's ValueError names it.  A strict run stops
-    # before the step, at the start's out-of-bounds p_0 and p_2.
+    # the whole update would make w_1 = miss * 0.0 * q NaN, where the sis
+    # step leaves w_1 at +0.0.  p_1 is not finite either, and a reporting
+    # run's ValueError names it.  A strict run stops before the step, at the
+    # start's out-of-bounds p_0 and p_2.
     g = gen_lattice4(4, 4)
     p = np.full(16, 0.1)
     p[[0, 2]] = 1e308

@@ -96,8 +96,9 @@ def test_row_sum_and_product_equal_reduceat(drawn):
         if values.size:
             with np.errstate(all="ignore"):
                 want[nonempty] = ufunc.reduceat(values, indptr[:-1][nonempty])
+        layout.permute(values, out=op.buffer)
         with np.errstate(all="ignore"):
-            got = reduce(layout.permute(values), out=np.full(layout.n, np.nan))
+            got = reduce(out=np.full(layout.n, np.nan))
         assert same_bits(got, want), ufunc
 
 
@@ -144,7 +145,9 @@ def test_figure_graphs_reduce_in_row_order():
         indptr, _ = g.csr
         values = np.random.default_rng(1).standard_normal(layout.size)
         out = np.empty(g.n)
-        assert RowOperator(layout).row_sum(layout.permute(values), out=out) is out
+        op = RowOperator(layout)
+        layout.permute(values, out=op.buffer)
+        assert op.row_sum(out=out) is out
         assert same_bits(out, np.add.reduceat(values, indptr[:-1]))
     assert not RowOperator(GRAPHS["powerlaw"].row_layout)._direct
 
@@ -161,8 +164,8 @@ def test_threshold_decides_the_bucket(rows, buckets):
 def test_empty_csr():
     layout = RowLayout(np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
     op = RowOperator(layout)
-    assert same_bits(op.row_sum(np.zeros(0), out=np.empty(3)), np.full(3, -0.0))
-    assert same_bits(op.row_prod(np.zeros(0), out=np.empty(3)), np.ones(3))
+    assert same_bits(op.row_sum(out=np.empty(3)), np.full(3, -0.0))
+    assert same_bits(op.row_prod(out=np.empty(3)), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +387,14 @@ def test_row_results_keep_their_bits_through_later_reductions():
     rng = np.random.default_rng(8)
     first, second = (g.row_layout.permute(rng.standard_normal(g.row_layout.size))
                      for _ in range(2))
-    sums = op.row_sum(first, out=np.empty(g.n))
+    op.buffer[:] = first
+    sums = op.row_sum(out=np.empty(g.n))
     kept_sums = sums.copy()
-    prods = op.row_prod(first, out=np.empty(g.n))
+    prods = op.row_prod(out=np.empty(g.n))
     kept_prods = prods.copy()
-    op.row_sum(second, out=np.empty(g.n))
-    op.row_prod(second, out=np.empty(g.n))
+    op.buffer[:] = second
+    op.row_sum(out=np.empty(g.n))
+    op.row_prod(out=np.empty(g.n))
     assert same_bits(sums, kept_sums) and same_bits(prods, kept_prods)
 
 
@@ -404,10 +409,17 @@ def out_writers():
     op = RowOperator(layout)
     op.weigh(layout.permute(rng.uniform(0.1, 0.9, layout.size)))
     sm = build_system_matrix(g, directed_links(g, 11), random_params(g.n, 12))
+
+    def of_values(reduce):
+        def call(out):
+            op.buffer[:] = values
+            return reduce(out)
+        return call
+
     return {
         "spread": (layout.size, lambda out: layout.spread(v, out)),
-        "row_sum": (g.n, lambda out: op.row_sum(values, out)),
-        "row_prod": (g.n, lambda out: op.row_prod(values, out)),
+        "row_sum": (g.n, of_values(op.row_sum)),
+        "row_prod": (g.n, of_values(op.row_prod)),
         "weighted_sum": (g.n, lambda out: op.weighted_sum(v, out)),
         "complement_prod": (g.n, lambda out: op.complement_prod(v, out)),
         "matvec": (g.n, lambda out: sm.matvec(v, out)),
