@@ -470,13 +470,18 @@ def _run_point(
     return score, result.write_csv(out_path).strip().rsplit("\n", 1)[-1]
 
 
-def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> SweepResult:
+def run_experiment(config: ExperimentConfig, output_dir: str | Path, *,
+                   _graph: Graph | None = None) -> SweepResult:
     """Run every sweep point of ``config``, writing CSVs and a manifest.
 
     Returns the sweep result; per-point runtime errors are captured in the
     manifest (and in the returned points) without aborting remaining points.
+    ``_graph``, when given, is the graph ``config.graph`` builds, already
+    built; without it the run builds its own.
     """
-    graph = config.graph.build(config.seed) if config.graph is not None else None
+    graph = _graph
+    if graph is None and config.graph is not None:
+        graph = config.graph.build(config.seed)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
@@ -595,14 +600,20 @@ def reproduce_figures(output_dir: str | Path) -> dict[str, SweepResult]:
 
     Also writes ``summary.csv`` with the terminal row of every trajectory,
     taken from the text its point wrote rather than read back from its file,
-    and the survivability score of every graph-based point.
+    and the survivability score of every graph-based point.  Each distinct
+    graph of the set is built once per call, on its first use, and handed
+    to every :func:`run_experiment` that runs on it.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     results: dict[str, SweepResult] = {}
+    graphs: dict[tuple[GraphSpec | None, int], Graph] = {}
     summary_lines = ["figure,point,swept,score,terminal"]
     for name, config in _figure_configs().items():
-        res = run_experiment(config, out / name)
+        key = (config.graph, config.seed)
+        if config.graph is not None and key not in graphs:
+            graphs[key] = config.graph.build(config.seed)
+        res = run_experiment(config, out / name, _graph=graphs.get(key))
         results[name] = res
         for k, point in enumerate(res.points):
             swept = ";".join(f"{n}={v:.6g}" for n, v in point.values.items()) or "-"

@@ -69,7 +69,10 @@ __all__ = ["RowLayout", "RowOperator"]
 # the 5000-node one 74 / 70 us (113 / 122 us), the 32x32 torus (one bucket)
 # 7.5 / 8.7 us (20 / 21 us); no smaller value was faster on any of them.  The
 # 1000-node power-law graph of the figures has no degree this common, so it
-# stays on reduceat, which buckets did not beat there.
+# stays on reduceat, which buckets did not beat there; nor did one block of
+# its rows of degree <= W padded with 1.0 (complement_prod with its gather and
+# placing: 16.4-16.8 us today, 15.0-16.6 us for W = 3-5, 19.2-20.0 us for
+# W = 8, whose 8631 slots hold 3994 entries), so it has no padded block.
 _MIN_BUCKET_ROWS = 512
 # Largest bucket degree: a0 plus one block of numpy's pairwise sum, which
 # handles at most 128 values without splitting.

@@ -31,17 +31,32 @@ def _write_csv(
 
     Integer columns are written as ``%d``; every other column as ``%.12e``
     (13 significant digits), so reruns give identical bytes.  The rows are
-    built by one format operation: the row template repeated once per row,
-    applied to the row-major tuple of every cell.
+    built by two format operations.  The trailing run of rows whose cells
+    after the first column have the bytes of the row before (an ODE at its
+    fixed point, say) takes one template: the first column's format plus
+    that suffix, formatted once, repeated once per row and applied to the
+    first column's values.  The rows before the run take the row template
+    repeated once per row, applied to the row-major tuple of every cell.
+    Bytes are compared, not values, so +0.0 and -0.0 stay apart.
     """
-    row = ",".join(
-        "%d" if np.issubdtype(col.dtype, np.integer) else "%.12e" for col in columns
-    ) + "\n"
+    formats = ["%d" if np.issubdtype(col.dtype, np.integer) else "%.12e" for col in columns]
     rows, width = len(columns[0]), len(columns)
-    cells = [None] * (rows * width)
+    start = 0  # the run's first row; the run is empty only when rows == 0
+    for col in columns[1:]:
+        raw = col.view(f"V{col.itemsize}")  # same size: strided columns view too
+        changed = np.flatnonzero(raw[1:] != raw[:-1])
+        if changed.size:
+            start = max(start, int(changed[-1]) + 1)
+    cells = [None] * (start * width)
     for j, col in enumerate(columns):
-        cells[j::width] = col.tolist()
-    return _write_text(destination, ",".join(names) + "\n" + row * rows % tuple(cells))
+        cells[j::width] = col[:start].tolist()
+    text = (",".join(formats) + "\n") * start % tuple(cells)
+    if start < rows:
+        suffix = "".join("," + f for f in formats[1:]) % tuple(
+            col[start].item() for col in columns[1:])
+        template = formats[0] + suffix.replace("%", "%%") + "\n"
+        text += template * (rows - start) % tuple(columns[0][start:].tolist())
+    return _write_text(destination, ",".join(names) + "\n" + text)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Config parsing, sweep execution, manifests, bundled figure set."""
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from netspread import experiments
 from netspread.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -451,6 +453,22 @@ class TestFigures:
         "sirs_powerlaw_sweep",
         "sirs_lattice_sweep",
     ]
+
+    def test_a_pass_builds_each_graph_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("gen_powerlaw", "gen_lattice4", "run_experiment"):
+            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        reproduce_figures(tmp_path / "figures")
+        assert calls == {"gen_powerlaw": 1, "gen_lattice4": 1,
+                         "run_experiment": len(self.FIGURES)}
+        # Called alone, as the CLI's sweep calls it, a run builds its graph.
+        calls.clear()
+        cfg = meanfield_config(graph={"family": "lattice4", "rows": 4, "cols": 4})
+        experiments.run_experiment(ExperimentConfig.from_dict(cfg), tmp_path / "alone")
+        assert calls == {"gen_lattice4": 1, "run_experiment": 1}
 
     def test_bundled_config_names(self):
         assert sorted(_figure_configs()) == sorted(self.FIGURES)

@@ -139,6 +139,27 @@ CSV_COLUMNS = {
         np.array([2**64 - 1, 2**53 + 1, 0, 1, 2], dtype=np.uint64),
     ],
     "zero_rows": [np.empty(0), np.empty(0, dtype=np.int64)],
+    # Trailing runs of rows that repeat every cell after the first column,
+    # which the writer formats from one template; a run that started one
+    # row early would copy a row that differs.
+    "run_after_signed_zero": [np.arange(5.0), np.array([1.0, 0.0, -0.0, -0.0, -0.0]),
+                              np.array([2.0, 3.0, 3.0, 3.0, 3.0])],
+    "nan_run": [np.arange(4), np.array([0.5, np.nan, np.nan, np.nan])],
+    "integer_runs": [
+        np.linspace(0.0, 1.0, 5),
+        np.array([7, -(2**63), -(2**63), -(2**63), -(2**63)], dtype=np.int64),
+        np.array([0, 1, 2**64 - 1, 2**64 - 1, 2**64 - 1], dtype=np.uint64),
+    ],
+    "run_of_one_row": [np.arange(3), np.array([0.25, 0.25, 0.75])],
+    "every_row_the_same": [np.full(4, 0.1), np.full(4, 3, dtype=np.int64), np.full(4, -0.0)],
+    "single_column": [np.array([1.0, 2.0, 2.0, 2.0])],
+    "first_column_repeats": [np.array([5.0, 5.0, 5.0, 5.0]), np.array([1.0, 2.0, 3.0, 3.0])],
+    # The columns of a row-major array, as EnsembleResult.write_csv passes
+    # them: each is a strided view.
+    "strided_columns": [*np.array([[0.0, 0.1, -0.0],
+                                   [1.0, 0.2, 0.0],
+                                   [2.0, 0.2, 0.0],
+                                   [3.0, 0.2, 0.0]]).T],
 }
 
 
