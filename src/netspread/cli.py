@@ -18,7 +18,9 @@ from .experiments import (
     ExperimentConfig,
     GraphSpec,
     RunSpec,
+    _DEFAULTS,
     _FAMILIES,
+    _KINDS,
     _MODELS,
     _PARAMS,
     _check_value,
@@ -48,17 +50,21 @@ _RUNTIME_ERRORS = (MeanFieldBoundsError, IntegrationInstabilityError, PowerItera
                    MemoryError)
 
 
+# The Python type of each field type the config declares.
+_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _graph_arguments(parser: argparse.ArgumentParser) -> None:
-    # Each dest is the name of a GraphSpec field.
-    parser.add_argument("--graph", dest="path", metavar="GRAPH", help="path to an edge-list file")
-    parser.add_argument("--family", choices=list(_FAMILIES))
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=float, help="edge probability (binomial)")
-    parser.add_argument("--m", type=int, help="attachment count (powerlaw)")
-    parser.add_argument("--lam", type=float, help="degree rate (exponential)")
-    parser.add_argument("--rows", type=int, help="torus rows (lattice4)")
-    parser.add_argument("--cols", type=int, help="torus cols (lattice4)")
-    parser.add_argument("--seed", type=int, default=0)
+    # One option for each GraphSpec field, typed as _check_fields reads its
+    # annotation, with the field as its dest; --graph is the path field.
+    for f in fields(GraphSpec):
+        families = [family for family, (_, reads) in _FAMILIES.items() if f.name in reads]
+        parser.add_argument(
+            "--graph" if f.name == "path" else f"--{f.name}", dest=f.name,
+            type=_TYPES[f.type.partition(" | ")[0]],
+            choices=list(_FAMILIES) if f.name == "family" else None,
+            default=0 if f.name == "seed" else None,
+            help=f"read by {', '.join(families)}" if families else None)
 
 
 def _graph_spec(args: argparse.Namespace) -> GraphSpec:
@@ -66,37 +72,43 @@ def _graph_spec(args: argparse.Namespace) -> GraphSpec:
     return GraphSpec(**{f.name: getattr(args, f.name) for f in fields(GraphSpec)})
 
 
-def _params(args: argparse.Namespace) -> dict:
-    """The parameter options that were set, as a point's flat params; an
-    option left unset (None) is left out, so the point's default
-    (``_DEFAULTS``) applies."""
-    return {k: v for k, v in vars(args).items() if k in _PARAMS and v is not None}
+def _given(args: argparse.Namespace, names) -> dict:
+    """The options among the config keys ``names`` that were set; an option
+    left unset (None) is left out, so the config's default applies: a
+    point's ``_DEFAULTS`` value for a params key, RunSpec's for a run setting."""
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
-def _sweep_models(kind: str) -> dict[str, str]:
-    """The sweep model of each library model that ``kind`` runs, by the
-    library model's name."""
-    return {library: model for model, (k, library, _) in _MODELS.items() if k == kind}
+# The sweep model each command that runs a point runs, by its --model name;
+# a command is named after its model's kind, and mc runs sirs_mc alone.
+_COMMAND_MODELS = {kind: {lib: model for model, (k, lib, _) in _MODELS.items() if k == kind}
+                   for kind in ("ode", "meanfield")} | {"mc": {"sirs": "sirs_mc"}}
+# The options named otherwise than the params key or run setting they set.
+_RENAMED = {("mc", "p0"): "init"}
 
 
-def _run_options(args: argparse.Namespace, model: str):
-    """Run ``model`` at the one-point config of the options, checked as a
-    config file is; a :class:`ConfigError` names the option of its params key
-    or run setting (mc's ``--init`` is the point's p0)."""
-    options = vars(args)
-    run = {f.name: options[f.name] for f in fields(RunSpec) if f.name in options}
+def _option(command: str, key: str) -> str:
+    """The option of ``command`` that sets the params key or run setting ``key``."""
+    return "--" + _RENAMED.get((command, key), key).replace("_", "-")
+
+
+def _run_options(args: argparse.Namespace):
+    """Run the command's model at the one-point config of the options,
+    checked as a config file is; a :class:`ConfigError` names the option of
+    its params key or run setting."""
+    run = _given(args, [f.name for f in fields(RunSpec)])
     try:
         config = ExperimentConfig(
-            model, _params(args), RunSpec(**run),
-            None if _MODELS[model][0] == "ode" else _graph_spec(args),
-            seed=options.get("master_seed", 0),
-            allow_negative_coefficients=options.get("allow_negative_coefficients", False))
+            _COMMAND_MODELS[args.command][args.model], _given(args, _PARAMS), RunSpec(**run),
+            None if args.command == "ode" else _graph_spec(args),
+            seed=getattr(args, "master_seed", 0),
+            allow_negative_coefficients=getattr(args, "allow_negative_coefficients", False))
     except ConfigError as exc:
         key = exc.field.removeprefix("params.").removeprefix("run.")
         if key == exc.field:
             raise
-        option = "init" if (args.command, key) == ("mc", "p0") else key.replace("_", "-")
-        raise ConfigError(f"--{option}", str(exc).removeprefix(f"{exc.field}: ")) from None
+        raise ConfigError(_option(args.command, key),
+                          str(exc).removeprefix(f"{exc.field}: ")) from None
     inputs = config.graph and _point_inputs(config.graph.build(config.seed), config.params)
     return _run_model(config, config.params, inputs)
 
@@ -108,7 +120,7 @@ _SCORE_PARAMS = ("beta", "delta", "gamma", "r")
 def _score_inputs(args: argparse.Namespace):
     """The score's graph, links and node parameters, each in a network
     model's range; an option the score does not read is a :class:`ConfigError`."""
-    params = _params(args)
+    params = _given(args, _PARAMS)
     for key, value in params.items():
         if key not in _SCORE_PARAMS:
             raise ConfigError(f"--{key}", f"{args.command} does not read this option; it "
@@ -121,17 +133,6 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _node_param_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, required=True)
-    parser.add_argument("--gamma", type=float, required=True)
-    parser.add_argument("--delta", type=float, required=True)
-    # Unset by default, so that a model can reject what it does not read and
-    # the point's defaults apply.
-    parser.add_argument("--r", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--chi", type=float)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.path:
         raise ValueError("generate takes --family, not --graph")
@@ -142,7 +143,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ode(args: argparse.Namespace) -> int:
-    traj = _run_options(args, _sweep_models("ode")[args.model])
+    traj = _run_options(args)
     traj.write_csv(args.output)
     last = len(traj) - 1
     print(
@@ -154,7 +155,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    result = _run_options(args, _sweep_models("meanfield")[args.model])
+    result = _run_options(args)
     result.trajectory.write_csv(args.output)
     carriers = result.trajectory.columns["carriers"][-1]
     print(
@@ -166,10 +167,10 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    ensemble = _run_options(args, "sirs_mc")
+    ensemble = _run_options(args)
     ensemble.write_csv(args.output)
     print(
-        f"runs={args.runs} steps={args.steps} "
+        f"runs={ensemble.runs} steps={len(ensemble.mean) - 1} "
         f"final_hasinfo_mean={ensemble.mean[-1, 1]:.6g} output={args.output}"
     )
     return 0
@@ -180,18 +181,15 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     result = survivability_score(g, links, params)
     print(f"s={result.score:.12g} fast_extinction={result.status}")
     if args.eigenvector_csv:
-        _write_csv(
-            args.eigenvector_csv, ["node", "value"], [np.arange(g.n), result.vector]
-        )
+        _write_csv(args.eigenvector_csv, ["node", "value"], [np.arange(g.n), result.vector])
     return 0
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
     g, _, params = _score_inputs(args)
+    template = {"beta_template": args.beta, "params": params}
     if args.strategy == "greedy":
-        modified, report = greedy_edge_removal(
-            g, args.k, beta_template=args.beta, params=params
-        )
+        modified, report = greedy_edge_removal(g, args.k, **template)
     elif args.strategy == "cycle":
         search = nn_hamiltonian_cycle(g, start=args.start)
         if not search.success:
@@ -203,13 +201,9 @@ def _cmd_isolate(args: argparse.Namespace) -> int:
             })
             print(f"strategy=cycle success=false reason={search.reason!r}")
             return 0
-        modified, report = prune_to_cycle(
-            g, search.cycle, beta_template=args.beta, params=params
-        )
+        modified, report = prune_to_cycle(g, search.cycle, **template)
     else:
-        modified, report = rewire_to_lattice(
-            g, beta_template=args.beta, params=params
-        )
+        modified, report = rewire_to_lattice(g, **template)
     save_edge_list(modified, args.output_graph)
     _write_json(args.output_report, {"success": True, **report.to_dict()})
     print(
@@ -241,11 +235,35 @@ def _cmd_reproduce_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add the options of the config inputs ``command`` reads, each typed and
+    required as the config tables declare it: the graph options when it reads
+    a graph; one option for each params key its models read, in _PARAMS order,
+    required when the key has no default; then its kind's run settings, unset
+    so that RunSpec holds their defaults.  spectral and isolate read the
+    score's keys and take nu and chi, which _score_inputs refuses."""
+    models = _COMMAND_MODELS.get(command, {})
+    readers = ({name: _MODELS[model][2] for name, model in models.items()}
+               or {"the score": _SCORE_PARAMS, "nothing; refused": ("nu", "chi")})
+    settings = _KINDS.get(command, ("graph",))
+    if "graph" in settings:
+        _graph_arguments(parser)
+    for key in _PARAMS:
+        names = [name for name, reads in readers.items() if key in reads]
+        if names:
+            parser.add_argument(_option(command, key), dest=key, type=float,
+                                required=key not in _DEFAULTS, help=f"read by {', '.join(names)}")
+    for f in fields(RunSpec):
+        if f.name in settings:
+            parser.add_argument(_option(command, f.name), dest=f.name, type=_TYPES[f.type],
+                                help=f"default {f.default}")
+    if "allow_negative_coefficients" in settings:
+        parser.add_argument("--allow-negative-coefficients", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="netspread",
-        description="Propagation dynamics on networks.",
-    )
+    parser = argparse.ArgumentParser(prog="netspread",
+                                     description="Propagation dynamics on networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a graph and save its edge list")
@@ -254,51 +272,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("ode", help="integrate a continuous compartment model")
-    p.add_argument("--model", choices=list(_sweep_models("ode")), required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--mu", type=float, help="birth/death rate (sir_endemic)")
-    p.add_argument("--s0", type=float)
-    p.add_argument("--i0", type=float)
-    p.add_argument("--dt", type=float, default=RunSpec.dt)
-    p.add_argument("--t-end", type=float, default=RunSpec.t_end)
+    p.add_argument("--model", choices=list(_COMMAND_MODELS["ode"]), required=True)
+    _config_arguments(p, "ode")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_ode)
 
     p = sub.add_parser("meanfield", help="run the discrete mean-field dynamics")
-    p.add_argument("--model", choices=list(_sweep_models("meanfield")), default="sis")
-    _graph_arguments(p)
-    _node_param_arguments(p)
-    p.add_argument("--p0", type=float)
-    p.add_argument("--w0", type=float)
-    p.add_argument("--steps", type=int, default=RunSpec.steps)
-    p.add_argument("--tol", type=float, default=RunSpec.tol)
-    p.add_argument("--allow-negative-coefficients", action="store_true")
+    p.add_argument("--model", choices=list(_COMMAND_MODELS["meanfield"]), default="sis")
+    _config_arguments(p, "meanfield")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_meanfield)
 
     p = sub.add_parser("mc", help="run a Monte Carlo ensemble")
-    _graph_arguments(p)
-    _node_param_arguments(p)
-    p.add_argument("--init", dest="p0", type=float,
-                   help="initial carrier fraction (the point's p0)")
-    p.add_argument("--steps", type=int, default=RunSpec.steps)
-    p.add_argument("--runs", type=int, default=RunSpec.runs)
+    _config_arguments(p, "mc")
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_cmd_mc, model="sirs")
 
     p = sub.add_parser("spectral", help="survivability score of a network")
-    _graph_arguments(p)
-    _node_param_arguments(p)
+    _config_arguments(p, "spectral")
     p.add_argument("--eigenvector-csv", default=None)
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("isolate", help="apply an edge-isolation strategy")
-    _graph_arguments(p)
-    _node_param_arguments(p)
-    p.add_argument("--strategy", choices=["greedy", "cycle", "lattice"],
-                   required=True)
+    _config_arguments(p, "isolate")
+    p.add_argument("--strategy", choices=["greedy", "cycle", "lattice"], required=True)
     p.add_argument("--k", type=int, default=1,
                    help="edges to remove (greedy strategy)")
     p.add_argument("--start", type=int, default=0,

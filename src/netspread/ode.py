@@ -178,7 +178,10 @@ def integrate(
         raise ValueError(f"dt and t_end must be finite and positive, "
                          f"got dt={dt!r} t_end={t_end!r}")
     rhs, recovered = _MODELS[model]
-    n_steps = int(round(t_end / dt))
+    ratio = t_end / dt  # may overflow to inf, which no int can hold
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end={t_end!r} / dt={dt!r} overflows to an infinite step count")
+    n_steps = int(round(ratio))
     if n_steps < 1:
         raise ValueError(f"t_end={t_end!r} is shorter than one step of dt={dt!r}")
 

@@ -667,3 +667,65 @@ def test_score_commands_reject_acceptance_options(tmp_path, command, option, val
     assert payload["error"].startswith(f"{option}: {command} does not read this option; "
                                        f"it reads --beta, --delta, --gamma, --r")
     assert list(tmp_path.iterdir()) == []
+
+
+# Each subcommand's options and whether each is required, as recorded before
+# the parser was built from the config tables.
+GRAPH_OPTIONS = {"--graph": False, "--family": False, "--n": False, "--p": False,
+                 "--m": False, "--lam": False, "--rows": False, "--cols": False,
+                 "--seed": False}
+RATE_OPTIONS = {"--beta": True, "--gamma": True, "--delta": True, "--r": False,
+                "--nu": False, "--chi": False}
+PARSER_OPTIONS = {
+    "generate": {**GRAPH_OPTIONS, "--output": True},
+    "ode": {"--model": True, "--beta": True, "--gamma": True, "--mu": False, "--s0": False,
+            "--i0": False, "--dt": False, "--t-end": False, "--output": True},
+    "meanfield": {"--model": False, **GRAPH_OPTIONS, **RATE_OPTIONS, "--p0": False,
+                  "--w0": False, "--steps": False, "--tol": False,
+                  "--allow-negative-coefficients": False, "--output": True},
+    "mc": {**GRAPH_OPTIONS, **RATE_OPTIONS, "--init": False, "--steps": False,
+           "--runs": False, "--master-seed": False, "--output": True},
+    "spectral": {**GRAPH_OPTIONS, **RATE_OPTIONS, "--eigenvector-csv": False},
+    "isolate": {**GRAPH_OPTIONS, **RATE_OPTIONS, "--strategy": True, "--k": False,
+                "--start": False, "--output-graph": True, "--output-report": True},
+    "sweep": {"--config": True, "--output-dir": True},
+    "reproduce-figures": {"--output-dir": True},
+}
+
+
+def test_each_subcommand_takes_the_recorded_options():
+    import argparse
+
+    from netspread.cli import build_parser
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    taken = {command: {action.option_strings[0]: action.required
+                       for action in parser._actions if action.dest != "help"}
+             for command, parser in commands.choices.items()}
+    assert taken == PARSER_OPTIONS
+    # Outside the graph options the order holds too: a point's params are
+    # checked in option order, so of two bad rates the first is named.
+    for command, options in PARSER_OPTIONS.items():
+        assert ([option for option in taken[command] if option not in GRAPH_OPTIONS]
+                == [option for option in options if option not in GRAPH_OPTIONS])
+
+
+@pytest.mark.parametrize("args,missing", [
+    (("ode", "--model", "sis", "--beta", "1", "--output", "{tmp}/o.csv"), "--gamma"),
+    (("meanfield", *LATTICE_3X3, "--beta", "0.2", "--gamma", "0.1",
+      "--output", "{tmp}/mf.csv"), "--delta"),
+    (("mc", *LATTICE_3X3, "--delta", "0.2", "--gamma", "0.1", "--steps", "5",
+      "--runs", "2", "--output", "{tmp}/mc.csv"), "--beta"),
+    (("spectral", *LATTICE_3X3, "--beta", "0.1", "--gamma", "0.1",
+      "--eigenvector-csv", "{tmp}/v.csv"), "--delta"),
+    (("isolate", *LATTICE_3X3, "--beta", "0.1", "--delta", "0.1", "--strategy", "greedy",
+      "--output-graph", "{tmp}/g.edges", "--output-report", "{tmp}/report.json"),
+     "--gamma"),
+], ids=["ode", "meanfield", "mc", "spectral", "isolate"])
+def test_a_missing_required_rate_is_a_usage_error(tmp_path, args, missing):
+    # beta, gamma and delta have no default a point could take.
+    proc = run_cli(*(arg.format(tmp=tmp_path) for arg in args))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"the following arguments are required: {missing}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -15,10 +15,13 @@ with a network model's ranges.  Each now exits 2 with a ``ConfigError``
 whose ``field`` is the option: ``beta_above_one``, ``mc_negative_steps``,
 ``meanfield_tol_nan``, ``ode_dt_nan``, ``ode_t_end_inf`` (each a library
 ``ValueError`` before) and ``meanfield_zero_steps`` (a 0-step run that
-exited 0 before).  ``ode_t_end_inf``, ``ode_dt_nan`` and ``mc_decided``
-were added later than the first recording.  ``mc_decided`` leaves r, nu and chi at
-their defaults (1, 1 and 0), so every step skips the uniforms of three
-decided phases; its digest was recorded while every step still drew them.
+exited 0 before).  ``ode_t_end_inf``, ``ode_dt_nan``, ``mc_decided`` and
+``ode_step_overflow`` were added later than the first recording;
+``ode_step_overflow`` exited 1 with an ``OverflowError`` traceback until
+``integrate`` came to reject a step count that overflows.  ``mc_decided``
+leaves r, nu and chi at their defaults (1, 1 and 0), so every step skips the
+uniforms of three decided phases; its digest was recorded while every step
+still drew them.
 """
 import hashlib
 import json
@@ -57,6 +60,8 @@ CASES = {
                       "--t-end", "inf", "--output", "o.csv"),
     "ode_dt_nan": ("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1",
                    "--dt", "nan", "--output", "o.csv"),
+    "ode_step_overflow": ("ode", "--model", "sis", "--beta", "1", "--gamma", "0.1",
+                          "--dt", "1e-308", "--t-end", "1e308", "--output", "o.csv"),
     "meanfield_sis": ("meanfield", *POWERLAW, *RATES, "--steps", "50",
                       "--output", "mf.csv"),
     "meanfield_sirs": ("meanfield", "--model", "sirs", "--family", "lattice4",
@@ -292,6 +297,15 @@ EXPECTED = {
             "error": "--dt: must be positive and finite, got nan",
             "type": "ConfigError",
             "field": "--dt",
+        },
+        {},
+    ),
+    "ode_step_overflow": (
+        2,
+        "",
+        {
+            "error": "t_end=1e+308 / dt=1e-308 overflows to an infinite step count",
+            "type": "ValueError",
         },
         {},
     ),

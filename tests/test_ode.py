@@ -197,6 +197,9 @@ class TestIntegrate:
                           **{"dt": 0.01, "t_end": 100.0, **bad})
         with pytest.raises(ValueError, match=r"s \+ i = 1"):
             integrate("sis", OdeState(s=0.5, i=0.1), OdeParams(1.0, 0.1), 0.01, 100.0)
+        # Both finite and positive, but 1e308 / 1e-308 is inf, which no int holds.
+        with pytest.raises(ValueError, match="overflows to an infinite step count"):
+            integrate("sis", OdeState(0.9, 0.1), OdeParams(1.0, 0.1), dt=1e-308, t_end=1e308)
 
 
 @given(

@@ -13,7 +13,6 @@ SRC = SCRIPTS.parent / "src"
 
 
 @pytest.mark.parametrize("script,args", [
-    ("isolation_demo.py", ("--n", "200", "--k", "3")),
     ("threshold_scan.py", ("--points", "2", "--steps", "50")),
     ("threshold_scan.py", ("--family", "powerlaw", "--n", "200", "--points", "2",
                            "--steps", "50")),
