@@ -10,6 +10,15 @@ read; its sorted edge array is read off the CSR when asked for.
 
 All generators are deterministic for a fixed seed: the same seed produces the
 same edge set in any process.
+
+:func:`gen_powerlaw` draws as one ``rng.integers(0, high_t)`` call per
+attachment attempt would, over the ``high_t = m(m+1) + 2m(t - m - 1)``
+degree units before node ``t``.  Nodes below ``_ARRAY_FROM_NODE`` (a
+measured constant) draw one attempt at a time from a list of the units; the
+rest are drawn a segment of up to ``_WORD_BATCH`` words at a time as arrays,
+which read a unit's node off its position instead of a list, and hand the
+rare node whose words might be rejected, or whose candidates repeat, back
+to the per-attempt loop.
 """
 from __future__ import annotations
 
@@ -271,6 +280,15 @@ def gen_binomial(n: int, p: float, seed: int | np.random.Generator) -> Graph:
 # 10^5-node graph.
 _WORD_BATCH = 4096
 _LOW32 = 0xFFFFFFFF
+# Nodes below this join a power-law graph through the per-attempt loop, the
+# rest a segment of up to _WORD_BATCH words at a time, as arrays (see
+# _attach_segments).  A measured constant, not a setting: early nodes often
+# repeat a candidate, and each repeat ends a segment, so starting segments at
+# node 250 / 500 / 1000 / 2000 / 5000 built gen_powerlaw(5000, 3, 7) in
+# 13.6 / 7.7 / 7.9 / 6.2 / 7.1 ms and gen_powerlaw(10**5, 3, 7) in
+# 123 / 95 / 92 / 93 / 91 ms (best of 15 and of 5, 2-vCPU box).  Graphs of at
+# most 2000 nodes, the figures' among them, draw through the loop alone.
+_ARRAY_FROM_NODE = 2000
 
 
 def _word_index(x: int, high: int, next_word) -> int:
@@ -301,10 +319,17 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     the ``k`` degree units; words are fetched in batches no longer than the
     attempts still to come, so the graph and the generator's state afterwards
     are those of one such call per attempt, on any numpy bit generator.
+
+    Before node ``t`` there are ``high_t = m(m+1) + 2m(t - m - 1)`` degree
+    units, in order: ``m`` for each seed node, then per later node its ``m``
+    targets and ``m`` units of its own.  Nodes below ``_ARRAY_FROM_NODE``
+    draw through a list of the units, one attempt at a time; later nodes are
+    drawn a segment at a time (see :func:`_attach_segments`).
     """
     _check_int("attachment count m", m, 1)
     _check_int("n", n, m + 1)
     rng = np.random.default_rng(seed)
+    first = max(m + 1, min(n, _ARRAY_FROM_NODE))
     # One entry per unit of degree; sampling an entry uniformly realises
     # degree-proportional selection.
     repeated: list[int] = [u for u in range(m + 1) for _ in range(m)]
@@ -312,15 +337,15 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     targets: list[int] = []
 
     def words():
-        # Every attempt still to come takes at least one word, so a batch
-        # never outruns the words the graph consumes.
+        # Every attempt still to come before node `first` takes at least one
+        # word, so a batch never outruns the words those nodes consume.
         while True:
-            left = m * (n - m - 1) - len(attached) - len(targets)
+            left = m * (first - m - 1) - len(attached) - len(targets)
             yield from rng.integers(0, 1 << 32, size=min(left, _WORD_BATCH),
                                     dtype=np.uint32).tolist()
 
     next_word = words().__next__
-    for new in range(m + 1, n):
+    for new in range(m + 1, first):
         # m(m + 1) <= high < 2mn: at least 2, and 2**32 would take a list of
         # over 4 * 10^9 entries, so numpy's two special cases, high = 1 (no
         # word drawn) and high = 2**32 (the word itself), never arise.
@@ -335,13 +360,95 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
         attached.extend(targets)
         repeated.extend(targets)
         repeated.extend([new] * m)
+    del repeated  # so that the CSR build does not stack on it
+    attached = (np.array(attached, dtype=np.int64) if first == n
+                else _attach_segments(rng, attached, first, n, m))
     seed_u, seed_v = np.triu_indices(m + 1, k=1)
     edges = np.column_stack((
-        np.concatenate((seed_u, np.array(attached, dtype=np.int64))),
+        np.concatenate((seed_u, attached)),
         np.concatenate((seed_v, np.repeat(np.arange(m + 1, n, dtype=np.int64), m))),
     ))
-    del repeated, attached  # so that the CSR build does not stack on them
+    del attached
     return Graph(n=n, edges=edges)
+
+
+def _attach_segments(rng, early: list[int], new: int, n: int, m: int) -> np.ndarray:
+    """The targets of all nodes, given ``early``, those of the nodes below
+    ``new``, drawn as :func:`gen_powerlaw` draws them.
+
+    Unit ``p`` is node ``p // m`` for ``p < m(m+1)``; otherwise, with
+    ``b, o = divmod(p - m(m+1), 2m)``, it is node ``m + 1 + b`` for
+    ``o >= m`` and that node's ``o``-th target for ``o < m``.  A segment of
+    nodes is speculated to take ``m`` words each, every word accepted as
+    Lemire's ``(word * high) >> 32``; a target of a node in the same segment
+    is a pointer to an earlier slot, resolved by pointer jumping.  The first
+    node whose words could be rejected (a low half below ``high``) or whose
+    candidates repeat ends the segment; the nodes before it are kept, and
+    it is drawn by the per-attempt loop.
+    """
+    base = m * (m + 1)
+    attached = np.empty(m * (n - m - 1), dtype=np.int64)
+    attached[:len(early)] = early
+    stock = np.empty(0, dtype=np.uint32)  # words fetched, not yet consumed
+    while new < n:
+        # Each node takes at least m words, so a segment's fetch is no longer
+        # than the attempts still to come.
+        nodes = min(n - new, max(1, _WORD_BATCH // m))
+        if len(stock) < nodes * m:
+            stock = np.concatenate((stock, rng.integers(
+                0, 1 << 32, size=nodes * m - len(stock), dtype=np.uint32)))
+        # uint32 words times uint64 bounds: no int64 operand, whose mix with
+        # uint64 would round through float64.
+        done = m * (new - m - 1)  # slots filled before this segment
+        high = np.arange(base + 2 * done, base + 2 * (done + m * nodes), 2 * m, dtype=np.uint64)
+        x = stock[:nodes * m].reshape(nodes, m) * high[:, None]
+        units = (x >> np.uint64(32)).astype(np.int64).ravel()
+        b, o = np.divmod(units - base, 2 * m)
+        slot = b * m + o  # a target's slot where units >= base and o < m
+        cand = np.where(units < base, units // m,
+                        np.where(o < m, attached.take(slot, mode="clip"), m + 1 + b))
+        # A slot of this segment is not filled yet: point at it, and jump
+        # pointers until each lands on a candidate of its own.
+        ref = np.where((o < m) & (slot >= done), slot - done, np.arange(len(slot)))
+        while not np.array_equal(ref[ref], ref):
+            ref = ref[ref]
+        cand = cand[ref].reshape(nodes, m)
+        # The first node with a word Lemire's method might reject, or with a
+        # repeated candidate (row-major keys, sorted: repeats are adjacent).
+        keys = np.sort(cand + (np.arange(nodes) * n)[:, None], axis=None, kind="stable")
+        odd = np.concatenate((np.flatnonzero((x & np.uint64(_LOW32)) < high[:, None]) // m,
+                              keys[1:][keys[1:] == keys[:-1]] // n))
+        kept = int(odd.min()) if odd.size else nodes
+        attached[done:done + kept * m] = cand[:kept].ravel()
+        stock, new = stock[kept * m:], new + kept
+        if kept < nodes:
+            stock = _attach_one(rng, attached, stock, new, m)
+            new += 1
+    return attached
+
+
+def _attach_one(rng, attached: np.ndarray, stock: np.ndarray, new: int, m: int) -> np.ndarray:
+    """Draw node ``new``'s targets into ``attached`` with the per-attempt
+    loop, taking words from ``stock`` first; return the words left."""
+    base, high, at = m * (m + 1), m * (m + 1) + 2 * m * (new - m - 1), 0
+    targets: list[int] = []
+
+    def next_word() -> int:
+        nonlocal stock, at
+        if at == len(stock):  # a batch no longer than this node's attempts to come
+            stock, at = rng.integers(0, 1 << 32, size=min(m - len(targets), _WORD_BATCH),
+                                     dtype=np.uint32), 0
+        at += 1
+        return int(stock[at - 1])
+
+    while len(targets) < m:
+        p = _word_index(next_word() * high, high, next_word)
+        b, o = divmod(p - base, 2 * m)
+        cand = p // m if p < base else m + 1 + b if o >= m else int(attached[b * m + o])
+        if cand not in targets:
+            targets.append(cand)
+    attached[m * (new - m - 1):m * (new - m)] = targets
+    return stock[at:]
 
 
 def sample_exponential_degrees(
@@ -404,6 +511,35 @@ def save_edge_list(g: Graph, destination: str | Path | IO[str]) -> None:
     _write_text(destination, f"{g.n}\n" + "%d %d\n" * g.num_edges % tuple(endpoints))
 
 
+def _load_plain(text: str) -> Graph | None:
+    """The graph of ``text`` read as arrays when it is a plain, valid edge
+    list: ASCII digits, spaces, tabs and newlines only, numbers of at most
+    18 digits, one on the first line that holds any and two on each later
+    one, and endpoints in range, distinct and not repeated.  Anything else
+    gives None, for :func:`load_edge_list`'s line loop to read or reject."""
+    # Any other character becomes "?", which the character test refuses.
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    digit = (48 <= raw) & (raw <= 57)
+    newline = raw == 10
+    if not np.all(digit | newline | (raw == 32) | (raw == 9)):
+        return None
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    line = np.searchsorted(np.flatnonzero(newline), starts)
+    # Tokens 2k + 1 and 2k + 2 share a line, which token 2k does not.
+    if (len(line) % 2 == 0 or (ends - starts).max() > 18
+            or np.any(line[1::2] != line[2::2]) or np.any(line[:-1:2] == line[1::2])):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    n, u, v = int(values[0]), values[1::2], values[2::2]
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    # n <= 2**31 keeps the keys within int64.
+    if (len(values) != len(starts) or not 1 <= n <= 1 << 31 or np.any(np.maximum(u, v) >= n)
+            or np.any(u == v) or np.any(keys[1:] == keys[:-1])):
+        return None
+    return Graph(n=n, edges=np.column_stack((keys // n, keys % n)))
+
+
 def load_edge_list(source: str | Path | IO[str]) -> Graph:
     """Parse an edge list written by :func:`save_edge_list`.
 
@@ -416,6 +552,9 @@ def load_edge_list(source: str | Path | IO[str]) -> Graph:
         text = source.read()  # type: ignore[union-attr]
     else:
         text = Path(source).read_text(encoding="utf-8")
+    plain = _load_plain(text)
+    if plain is not None:
+        return plain
     n: int | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -427,30 +566,23 @@ def load_edge_list(source: str | Path | IO[str]) -> Graph:
                 n = int(line)
             except ValueError:
                 raise EdgeListFormatError(
-                    f"line {lineno}: expected node count, got {line!r}"
-                ) from None
+                    f"line {lineno}: expected node count, got {line!r}") from None
             if n < 1:
-                raise EdgeListFormatError(
-                    f"line {lineno}: node count must be positive, got {n}"
-                )
+                raise EdgeListFormatError(f"line {lineno}: node count must be positive, got {n}")
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise EdgeListFormatError(
-                f"line {lineno}: expected 'u v', got {line!r}"
-            )
+            raise EdgeListFormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListFormatError(
-                f"line {lineno}: non-integer endpoint in {line!r}"
-            ) from None
+                f"line {lineno}: non-integer endpoint in {line!r}") from None
         if u == v:
             raise EdgeListFormatError(f"line {lineno}: self-loop ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListFormatError(
-                f"line {lineno}: endpoint out of range for n={n}: ({u}, {v})"
-            )
+                f"line {lineno}: endpoint out of range for n={n}: ({u}, {v})")
         e = (u, v) if u < v else (v, u)
         if e in edges:
             raise EdgeListFormatError(f"line {lineno}: duplicate edge {e}")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netspread.graphs import (
+    _ARRAY_FROM_NODE,
     _PAIR_CHUNK,
     _WORD_BATCH,
     _word_index,
@@ -175,6 +176,12 @@ class TestPowerlaw:
     (300, 2, 5),
     (200, 6, 6),  # many duplicate candidates while the graph is small
     (_WORD_BATCH + 40, 1, 7),  # the words span two batches
+    # Past the per-attempt loop: several segments of array draws, each cut
+    # short wherever a node repeats a candidate or meets a word that might
+    # be rejected.
+    (_ARRAY_FROM_NODE + 3 * _WORD_BATCH + 5, 1, 8),
+    (_ARRAY_FROM_NODE + 4 * (_WORD_BATCH // 3) + 7, 3, 9),
+    (_ARRAY_FROM_NODE + 5 * (_WORD_BATCH // 6) + 2, 6, 10),
 ])
 def test_powerlaw_matches_scalar_draws_and_leaves_the_same_generator_state(
         bit_generator, n, m, seed):
@@ -185,6 +192,16 @@ def test_powerlaw_matches_scalar_draws_and_leaves_the_same_generator_state(
     assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
         ref_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
     assert rng.random() == ref_rng.random()
+
+
+def test_containment_graph_leaves_the_generator_where_scalar_draws_do():
+    # Recorded from one scalar rng.integers(0, k) call per attempt: 10 of
+    # the graph's words are rejected and 81 candidates repeat.
+    rng = np.random.default_rng(7)
+    gen_powerlaw(10**5, 3, rng)
+    assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
+        [4165388613, 2590561264, 3822050504]
+    assert rng.random() == float.fromhex("0x1.fe17cd7677eecp-1")
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
@@ -345,6 +362,39 @@ class TestEdgeListFormat:
         g = load_edge_list(io.StringIO("# header\n3\n\n0 1\n# trailing\n"))
         assert g.n == 3 and edge_set(g) == frozenset({(0, 1)})
 
+    def test_large_round_trip_gives_an_equal_graph(self):
+        g = gen_powerlaw(5000, 3, 1)
+        buf = io.StringIO()
+        save_edge_list(g, buf)
+        assert load_edge_list(io.StringIO(buf.getvalue())) == g
+        # Tabs, extra spaces, blank lines, leading zeros, reversed pairs and
+        # no final newline read the same.
+        lines = buf.getvalue().splitlines()
+        lines[1:] = [f"{v}\t 0{u}  " for u, v in (line.split() for line in lines[1:])]
+        assert load_edge_list(io.StringIO("\n" + "\n\n".join(lines))) == g
+
+    # Each error after 10^4 good lines: the message and line number of the
+    # line loop, whichever way the good lines are read.
+    @pytest.mark.parametrize("bad,message", [
+        ("5 5", "line 10002: self-loop (5, 5)"),
+        ("3 20000", "line 10002: endpoint out of range for n=20000: (3, 20000)"),
+        ("2 1", "line 10002: duplicate edge (1, 2)"),
+        ("1 2 3", "line 10002: expected 'u v', got '1 2 3'"),
+        ("1 x", "line 10002: non-integer endpoint in '1 x'"),
+        ("7", "line 10002: expected 'u v', got '7'"),
+    ])
+    def test_error_after_many_good_lines_names_its_line(self, bad, message):
+        good = "".join(f"{i} {i + 1}\n" for i in range(10**4))
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            load_edge_list(io.StringIO(f"20000\n{good}{bad}\n"))
+        assert str(excinfo.value) == message
+
+    def test_integer_spellings_beyond_plain_digits_read_as_int_reads_them(self):
+        good = "".join(f"{i} {i + 1}\n" for i in range(10**4))
+        g = load_edge_list(io.StringIO(f"20000\n{good}+3 1_000\n# note\r\n\u0661\u0667 \uff12\n"))
+        want = {(i, i + 1) for i in range(10**4)} | {(3, 1000), (2, 17)}
+        assert g.n == 20000 and edge_set(g) == frozenset(want)
+
 
 # ---------------------------------------------------------------------------
 # Determinism
@@ -426,6 +476,10 @@ EDGE_LIST_SHA256 = {
                     lambda: gen_exponential(2000, 0.5, 5)),
     "lattice4": ("4da3890e5b70f82c4ed3e633c26199b6787f4b23c5a260234a7adcc99fab610b",
                  lambda: gen_lattice4(7, 9)),
+    # The containment graph: its draws hold rejected words and repeated
+    # candidates well past the first segment.
+    "powerlaw_1e5": ("d6d49040a6a377a21070c7ccc4d8108c1ea2529195f011f6cef5039044080016",
+                     lambda: gen_powerlaw(10**5, 3, 7)),
 }
 
 
