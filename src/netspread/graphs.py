@@ -55,6 +55,9 @@ class EdgeListFormatError(ValueError):
 # the size of the result (24 MB beside the 9.6 MB result for the 6 * 10^5
 # links of a 10^5-node link table); one chunk's take about 1 MB.
 _PAIR_CHUNK = 1 << 14
+# Largest node count: it keeps the keys u * n + v of the constructor and of
+# csr_positions within int64.
+_MAX_NODES = 1 << 31
 
 
 def _check_int(name: str, value: object, low: int, wording: str = "") -> None:
@@ -111,6 +114,8 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         _check_int("node count n", n, 1)
+        if n > _MAX_NODES:
+            raise ValueError(f"node count n must be at most 2**31, got {n!r}")
         arr = _pair_array(edges)
         u, v = arr[:, 0], arr[:, 1]
         bad = np.flatnonzero(~((0 <= u) & (u < v) & (v < n)))
@@ -533,8 +538,7 @@ def _load_plain(text: str) -> Graph | None:
     values = np.fromstring(text, dtype=np.int64, sep=" ")
     n, u, v = int(values[0]), values[1::2], values[2::2]
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    # n <= 2**31 keeps the keys within int64.
-    if (len(values) != len(starts) or not 1 <= n <= 1 << 31 or np.any(np.maximum(u, v) >= n)
+    if (len(values) != len(starts) or not 1 <= n <= _MAX_NODES or np.any(np.maximum(u, v) >= n)
             or np.any(u == v) or np.any(keys[1:] == keys[:-1])):
         return None
     return Graph(n=n, edges=np.column_stack((keys // n, keys % n)))
@@ -569,6 +573,9 @@ def load_edge_list(source: str | Path | IO[str]) -> Graph:
                     f"line {lineno}: expected node count, got {line!r}") from None
             if n < 1:
                 raise EdgeListFormatError(f"line {lineno}: node count must be positive, got {n}")
+            if n > _MAX_NODES:
+                raise EdgeListFormatError(
+                    f"line {lineno}: node count must be at most 2**31, got {n}")
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _check_int, _pair_array
-from .rowops import _ONE, RowOperator
+from .rowops import _ONE, RowOperator, _coefficient
 from .trajectory import Trajectory
 
 __all__ = [
@@ -326,13 +326,6 @@ class _Update:
         if self.warned:
             np.subtract(a, nxt[2], out=nxt[3])
         return z
-
-
-def _coefficient(values) -> np.ndarray:
-    """``values`` as one 0-d float64 array when every entry has the same
-    bits (``-0.0`` and ``+0.0`` differ), otherwise as an array."""
-    flat = np.asarray(values, dtype=float).reshape(-1)  # not empty: a graph has nodes
-    return np.array(flat[0]) if (flat.view(np.int64) == flat[:1].view(np.int64)).all() else flat
 
 
 def _nonnegative(rows: np.ndarray) -> bool:

@@ -25,6 +25,8 @@ homogeneous too, the operator keeps one weight ``f`` per node, scales ``v``
 on ``n`` values and gathers ``f * v``: ``fl(f_j * v_j)`` rounds the same
 two operands as ``fl(weights[k] * v_j)``, and ``1 - x`` is elementwise, so
 the bits are those of the per-entry product, which other weights keep.
+Weights that all have one bit pattern (homogeneous rates, whatever the
+graph) are one 0-d node weight, which numpy applies faster than an array.
 
 The layout is bucket-major and column-major.  Rows of equal in-degree ``d``
 form a bucket when there are at least ``_MIN_BUCKET_ROWS`` of them and
@@ -91,6 +93,18 @@ _SHORT_SUM_FROM_FIRST = bool(np.signbit(np.add.reduceat(np.array([-0.0, -0.0]), 
 # np.subtract(1.0, x, out=y) on 1024 values took 1.48 us a call, against
 # 1.14 us with a 0-d operand.
 _ONE = np.array(1.0)
+
+
+def _coefficient(values) -> np.ndarray:
+    """``values`` as one 0-d float64 array when every entry has the same
+    bits (``-0.0`` and ``+0.0`` differ), otherwise as an array: a product
+    or difference with the 0-d array rounds the same two operands at every
+    element, so it gives the bits of the array, and numpy applies a 0-d
+    operand faster than an array or a Python float."""
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    if flat.size and (flat.view(np.int64) == flat[:1].view(np.int64)).all():
+        return np.array(flat[0])
+    return flat
 
 
 class RowLayout:
@@ -195,8 +209,9 @@ class RowOperator:
     After :meth:`weigh`, :meth:`weighted_sum` and :meth:`complement_prod`
     fill the buffer with weighted entries and reduce it through the plan.
     ``node_weights`` holds one weight per node when every entry's weight is
-    its column's (the per-node path), and ``weights`` the weights of the
-    entries otherwise; the other is None.
+    its column's (the per-node path), a 0-d array when all weights have one
+    bit pattern, and ``weights`` the weights of the entries otherwise; the
+    other is None.
     """
 
     def __init__(self, layout: RowLayout) -> None:
@@ -224,19 +239,22 @@ class RowOperator:
         self._direct = len(self._plan) == 1 and not len(layout.empty_rows)
 
     def weigh(self, weights: np.ndarray) -> None:
-        """Fix the weights of the entries, in layout order.  They are
+        """Fix the weights of the entries, in layout order.  Weights of one
+        bit pattern become one 0-d node weight.  Otherwise they are
         scattered by column into one value per node and gathered back; when
-        the int64 bit patterns match, the operator keeps the node weights
-        (and a buffer of ``n`` values for the scaled vector), otherwise
-        ``weights`` itself.  Uses the CSR-sized buffer as scratch."""
-        node = np.zeros(self.layout.n)
-        node[self.columns] = weights
-        back = node.take(self.columns, out=self.buffer, mode="clip")
-        if np.array_equal(back.view(np.int64), weights.view(np.int64)):
-            self.weights, self.node_weights = None, node
-            self.scaled = np.empty(self.layout.n)
-        else:
-            self.weights, self.node_weights = weights, None
+        the int64 bit patterns match, the operator keeps the node weights,
+        otherwise ``weights`` itself.  Node weights come with a buffer of
+        ``n`` values for the scaled vector.  Uses the CSR-sized buffer as
+        scratch."""
+        node = _coefficient(weights)
+        if node.ndim:
+            node = np.zeros(self.layout.n)
+            node[self.columns] = weights
+            back = node.take(self.columns, out=self.buffer, mode="clip")
+            if not np.array_equal(back.view(np.int64), weights.view(np.int64)):
+                node = None
+        self.weights, self.node_weights = (weights, None) if node is None else (None, node)
+        self.scaled = None if node is None else np.empty(self.layout.n)
 
     def weighted_sum(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row sums of ``weights * v[columns]``: the off-diagonal part of

@@ -32,15 +32,23 @@ the ``A + I`` of the adjacency radius, a product scales ``v`` per node and
 gathers the scaled values into the operator's buffer; otherwise it gathers
 ``v`` and scales each entry.  Either way it takes the row sums with the
 operator, which land in the matrix's own row-sum buffer, so a product
-allocates no array of ``n`` values.  Power iteration keeps ``v``, ``w`` and
-the residual in buffers of its own, and computes the residual only on
-iterations whose eigenvalue estimates already agree to ``TOL``; its dot
-products are the only BLAS calls.  It takes each norm as
-``math.sqrt(x.dot(x))``, which is the code path of ``np.linalg.norm`` for a
-contiguous 1-D float64 array (numpy 1.24 to 2.4), as every product here
-is, without its Python wrapper.  Values,
-vectors, residuals and iteration counts are those of summing each CSR row
-with numpy and ``np.linalg.norm`` on fresh arrays, bit for bit.
+allocates no array of ``n`` values.  A diagonal or node weights whose
+entries all have one bit pattern (homogeneous parameters; the ``A + I`` of
+the adjacency radius) are one 0-d float64.  Power iteration keeps ``v``,
+``w`` and the residual in buffers of its own, and computes the residual
+only on iterations whose eigenvalue estimates already agree to ``TOL``.
+
+Its dot products are the only BLAS calls, each on at most ``_DOT_CHUNK =
+10^4`` values: OpenBLAS splits a longer ``ddot`` over its threads, and the
+bits of the sum would depend on how many there are.  A longer product adds
+the chunks' products in order, so scores have the same bits on any thread
+count; they still depend on the BLAS kernel, whose ``ddot`` sums in its
+own order.  Each norm is ``math.sqrt`` of such a dot product, which for
+``n <= 10^4`` is the code path of ``np.linalg.norm`` for a contiguous 1-D
+float64 array (numpy 1.24 to 2.4), as every product here is, without its
+Python wrapper.  For ``n <= 10^4``, values, vectors, residuals and
+iteration counts are those of summing each CSR row with numpy and
+``np.linalg.norm`` on fresh arrays, bit for bit.
 """
 from __future__ import annotations
 
@@ -53,7 +61,7 @@ import numpy as np
 
 from .graphs import Graph
 from .meanfield import LinkProbs, NodeParams, _check_inputs, _transmission
-from .rowops import RowOperator
+from .rowops import _ONE, RowOperator, _coefficient
 
 __all__ = [
     "SystemMatrix",
@@ -71,6 +79,11 @@ CRITICAL_BAND = 1e-3
 # both fall below TOL, and raises after MAX_ITER iterations.
 TOL = 1e-10
 MAX_ITER = 100_000
+# Most values one BLAS dot product takes.  OpenBLAS splits ddot over its
+# threads above 10 000 values (0.3.31), and the sum of the threads' partial
+# results depends on how many there are; below that it makes one call on
+# the calling thread, whose bits are np.dot's.
+_DOT_CHUNK = 10_000
 
 
 class PowerIterationError(RuntimeError):
@@ -123,14 +136,18 @@ class SurvivabilityResult:
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """Sparse system matrix: a dense diagonal plus one off-diagonal entry per
-    CSR entry of a graph, the weights of the row operator ``rows``.
+    """Sparse system matrix: a diagonal plus one off-diagonal entry per CSR
+    entry of a graph, the weights of the row operator ``rows``.  ``diag``
+    holds ``n`` values, or one 0-d value shared by every node when all have
+    one bit pattern (homogeneous ``delta``; the ``A + I`` of the adjacency
+    radius): a caller that indexes it takes ``np.broadcast_to(diag, n)``.
 
     The entry at layout position ``k`` sits in column ``rows.columns[k]`` of
     the row that :meth:`~netspread.rowops.RowLayout.spread` repeats at
-    position ``k``; its value is ``rows.weights[k]``, or
-    ``rows.node_weights[rows.columns[k]]`` on the per-node path.  Products
-    reuse the operator's buffers, so a matrix serves one thread at a time.
+    position ``k``; its value is ``rows.weights[k]``, or on the per-node
+    path ``rows.node_weights[rows.columns[k]]`` (``rows.node_weights``
+    itself when it is 0-d).  Products reuse the operator's buffers, so a
+    matrix serves one thread at a time.
     """
 
     n: int
@@ -172,7 +189,7 @@ def build_system_matrix(g: Graph, links: LinkProbs, params: NodeParams) -> Syste
     gain = params.gamma / (params.gamma + params.delta)
     np.multiply(data, rows.layout.spread(gain, out=rows.buffer), out=data)
     rows.weigh(data)
-    return SystemMatrix(n=g.n, diag=1.0 - params.delta, rows=rows)
+    return SystemMatrix(n=g.n, diag=_coefficient(1.0 - params.delta), rows=rows)
 
 
 def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> SpectralResult:
@@ -189,8 +206,8 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
     iterate in between, so it must not keep a reference to its argument (a
     matvec that records iterates copies them).  Its result is read before
     the next call, so it may return a buffer it reuses.  Norms are
-    ``math.sqrt(w.dot(w))``, the bits of ``np.linalg.norm(w)`` for the
-    contiguous float64 array a matvec returns.
+    ``math.sqrt(_dot(w, w))``, for ``n <= _DOT_CHUNK`` the bits of
+    ``np.linalg.norm(w)`` for the contiguous float64 array a matvec returns.
     """
     if n < 1:
         raise ValueError("matrix dimension must be positive")
@@ -200,16 +217,16 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
     v = np.full(n, 1.0 / math.sqrt(n))
     scratch = np.empty(n)
     w = matvec(v)
-    lam = float(v @ w)
+    lam = _dot(v, w)
     for it in range(1, MAX_ITER + 1):
-        norm_w = math.sqrt(w.dot(w))
+        norm_w = math.sqrt(_dot(w, w))
         if norm_w == 0.0:
             # v is in the kernel: the dominant eigenvalue along the reachable
             # subspace is 0 (e.g. the zero matrix).
             return SpectralResult(value=0.0, vector=v, iterations=it, residual=0.0)
         v = np.divide(w, norm_w, out=v)
         w = matvec(v)
-        lam_next = float(v @ w)
+        lam_next = _dot(v, w)
         # The residual decides only once the estimates agree.
         if abs(lam_next - lam) < TOL:
             residual = _residual(w, lam_next, v, scratch)
@@ -233,7 +250,17 @@ def power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> Spect
 def _residual(w: np.ndarray, lam: float, v: np.ndarray, scratch: np.ndarray) -> float:
     """``||w - lam * v||``, computed in ``scratch``."""
     diff = np.subtract(w, np.multiply(lam, v, out=scratch), out=scratch)
-    return math.sqrt(diff.dot(diff))
+    return math.sqrt(_dot(diff, diff))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` for 1-D float64 arrays, in BLAS calls of at most
+    ``_DOT_CHUNK`` values whose results are added in order: one call, the
+    bits of ``a.dot(b)``, up to that size, and on any thread count above."""
+    total = float(a[:_DOT_CHUNK].dot(b[:_DOT_CHUNK]))
+    for start in range(_DOT_CHUNK, len(a), _DOT_CHUNK):
+        total += float(a[start:start + _DOT_CHUNK].dot(b[start:start + _DOT_CHUNK]))
+    return total
 
 
 def _solve(m: SystemMatrix) -> SpectralResult:
@@ -252,7 +279,7 @@ def adjacency_spectral_radius(g: Graph) -> SpectralResult:
     """
     rows = RowOperator(g.row_layout)
     rows.weigh(np.ones(g.row_layout.size))
-    shifted = SystemMatrix(n=g.n, diag=np.ones(g.n), rows=rows)
+    shifted = SystemMatrix(n=g.n, diag=_ONE, rows=rows)
     res = _solve(shifted)
     return SpectralResult(
         value=max(res.value - 1.0, 0.0),

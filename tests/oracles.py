@@ -198,13 +198,15 @@ def system_matrix_to_dense(s) -> np.ndarray:
     """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by
     entry: layout position ``k`` is row ``spread(arange(n))[k]``, column
     ``columns[k]``, value ``weights[k]`` or, on the per-node path,
-    ``node_weights[columns[k]]``."""
-    dense = np.diag(s.diag.astype(float))
+    ``node_weights[columns[k]]``.  A 0-d ``diag`` or ``node_weights`` holds
+    the value of every node."""
+    dense = np.diag(np.broadcast_to(s.diag, s.n).astype(float))
     op = s.rows
+    node_weights = None if op.node_weights is None else np.broadcast_to(op.node_weights, s.n)
     rows = op.layout.spread(np.arange(s.n), np.empty(op.layout.size, dtype=np.int64))
     for k in range(op.layout.size):
         j = op.columns[k]
-        dense[rows[k], j] += op.weights[k] if op.node_weights is None else op.node_weights[j]
+        dense[rows[k], j] += op.weights[k] if node_weights is None else node_weights[j]
     return dense
 
 

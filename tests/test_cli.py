@@ -334,6 +334,24 @@ class TestSpectral:
         assert "Traceback" not in proc.stderr
         assert stderr_error(proc)["type"] == "PowerIterationError"
 
+    def test_huge_node_count_is_invalid_input(self, tmp_path):
+        # Rejected from the first line, before an array of n values is
+        # made: the run is held to 4 GiB of address space, against the 74.5
+        # GiB that a graph of 10^10 nodes would ask for.
+        resource = pytest.importorskip("resource")
+        huge = tmp_path / "huge.edges"
+        huge.write_text("10000000000\n0 1\n")
+        limit = 4 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "netspread", "spectral", "--graph", str(huge),
+             "--beta", "0.4", "--delta", "0.65", "--gamma", "0.3"],
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr
+        assert stderr_error(proc) == {
+            "error": "line 1: node count must be at most 2**31, got 10000000000",
+            "type": "EdgeListFormatError"}
+
     def test_missing_edge_list_file(self):
         proc = run_cli("spectral", "--graph", "/nonexistent/g.edges",
                        "--beta", "0.4", "--delta", "0.65", "--gamma", "0.3")

@@ -355,6 +355,14 @@ class TestEdgeListFormat:
             load_edge_list(io.StringIO("# only a comment\n"))
         with pytest.raises(EdgeListFormatError, match="line 1: node count must be positive"):
             load_edge_list(io.StringIO("0\n"))
+        # More nodes than int64 keys u * n + v allow: rejected before any
+        # array of n values is made, by the line loop as by the array reader.
+        for text, line in (("10000000000\n0 1\n", 1), ("2147483649\n", 1),
+                           ("# big\n2147483649\n0 1\n", 2),
+                           ("99999999999999999999999\n0 1\n", 1)):
+            with pytest.raises(EdgeListFormatError,
+                               match=rf"^line {line}: node count must be at most 2\*\*31, got "):
+                load_edge_list(io.StringIO(text))
         with pytest.raises(EdgeListFormatError, match="line 2: non-integer endpoint"):
             load_edge_list(io.StringIO("3\n0 x\n"))
 
@@ -676,6 +684,13 @@ def test_edge_array_is_a_copy_of_an_array_subclass(tmp_path):
 def test_node_counts_and_sizes_must_be_integers(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         build()
+
+
+def test_node_count_is_at_most_2_to_the_31():
+    with pytest.raises(ValueError, match=r"^node count n must be at most 2\*\*31, got 2147483649$"):
+        Graph(2**31 + 1, [])
+    with pytest.raises(ValueError, match="at most 2\\*\\*31"):
+        Graph(np.int64(10**10), np.empty((0, 2), dtype=np.int64))
 
 
 def test_pair_conversion_crosses_chunks():

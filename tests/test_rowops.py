@@ -13,7 +13,13 @@ from netspread import spectral
 from netspread.graphs import Graph, gen_binomial, gen_lattice4, gen_powerlaw
 from netspread.isolation import greedy_edge_removal
 from netspread.meanfield import LinkProbs, MfState, NodeParams, _Update, run
-from netspread.rowops import _MAX_BUCKET_DEGREE, _MIN_BUCKET_ROWS, RowLayout, RowOperator
+from netspread.rowops import (
+    _MAX_BUCKET_DEGREE,
+    _MIN_BUCKET_ROWS,
+    RowLayout,
+    RowOperator,
+    _coefficient,
+)
 from netspread.spectral import (
     PowerIterationError,
     _solve,
@@ -317,6 +323,11 @@ WEIGHT_CASES = {
                    nu=np.ones(g.n), chi=np.zeros(g.n)), True, True),
     "per_node_gains": lambda g, rng: (
         LinkProbs.homogeneous(g, rng.random()), random_params(g.n, rng), False, True),
+    # r * beta is +1.0 at every link: one 0-d node weight of 1.0.
+    "unit": lambda g, rng: (
+        LinkProbs.homogeneous(g, 1.0),
+        NodeParams.homogeneous(g.n, r=1.0, delta=rng.uniform(0.01, 1.0), gamma=rng.random()),
+        True, True),
     # Every weight is -0.0, whatever the gains.
     "negative_zero_beta": lambda g, rng: (
         LinkProbs.homogeneous(g, -0.0), random_params(g.n, rng), True, True),
@@ -345,6 +356,80 @@ def test_weighted_products_match_the_csr_code(drawn, case):
         assert same_bits(sm.matvec(state.p, np.empty(g.n)), system_matrix_reference(
             g, links, params).matvec(state.p))
         assert same_bits(update.zeta(state.p), _zeta_reference(state, links, params))
+
+
+# ---------------------------------------------------------------------------
+# One value stays one value: operands of one bit pattern are 0-d
+# ---------------------------------------------------------------------------
+
+def test_one_bit_pattern_is_one_value():
+    assert _coefficient(np.full(4, 0.3)).shape == ()
+    assert _coefficient(np.full(4, -0.0)).shape == () and np.signbit(_coefficient([-0.0, -0.0]))
+    assert _coefficient(0.5).shape == ()
+    for values in ([0.0, -0.0], [0.3, 0.3, 0.30000000000000004], []):
+        assert same_bits(_coefficient(values), np.array(values, dtype=float))
+
+
+def test_homogeneous_inputs_give_0d_diagonal_and_node_weights():
+    g = GRAPHS["isolated_scattered"]
+    links = LinkProbs.homogeneous(g, 0.1)
+    params = NodeParams.homogeneous(g.n, r=0.8, delta=0.3, gamma=0.25)
+    sm = build_system_matrix(g, links, params)
+    assert sm.diag.shape == () and sm.diag == 1.0 - 0.3
+    assert sm.rows.node_weights.shape == () and sm.rows.weights is None
+    assert _Update(links, params, 1.0, 0.0).rows.node_weights.shape == ()
+    # Per-node rates keep arrays: a per-node diagonal, and weights per node
+    # (r varies) or per entry (the gains vary by row).
+    varied = random_params(g.n, 4)
+    sm = build_system_matrix(g, links, varied)
+    assert sm.diag.shape == (g.n,) and sm.rows.node_weights is None
+    assert _Update(links, varied, 1.0, 0.0).rows.node_weights.shape == (g.n,)
+
+
+def test_signed_zero_weights_are_two_values():
+    layout = GRAPHS["isolated_scattered"].row_layout
+    op = RowOperator(layout)
+    op.weigh(np.full(layout.size, -0.0))
+    assert op.node_weights.shape == () and np.signbit(op.node_weights)
+    weights = np.zeros(layout.size)
+    weights[layout.size // 2] = -0.0
+    op.weigh(weights)
+    assert op.node_weights is None or op.node_weights.shape == (layout.n,)
+    v = np.random.default_rng(5).standard_normal(layout.n)
+    assert same_bits(op.weighted_sum(v, np.empty(layout.n)), _csr_weighted_sum(layout, op, v))
+
+
+def _csr_weighted_sum(layout, op, v):
+    """``add.reduceat`` over the CSR rows of the operator's weights times
+    ``v[column]``, -0.0 for an empty row."""
+    weights = op.weights if op.node_weights is None else \
+        np.broadcast_to(op.node_weights, layout.n)[op.columns]
+    csr = np.empty(layout.size)
+    csr[layout.permute(np.arange(layout.size))] = weights * v[op.columns]
+    want = np.full(layout.n, -0.0)
+    nonempty = np.diff(layout.indptr) > 0
+    want[nonempty] = np.add.reduceat(csr, layout.indptr[:-1][nonempty])
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_unit_weights_leave_p_unchanged(name):
+    g = GRAPHS[name]
+    layout = g.row_layout
+    op = RowOperator(layout)
+    op.weigh(np.ones(layout.size))
+    assert op.node_weights.shape == ()
+    p = csr_values(np.random.default_rng(3), g.n)
+    kept = p.copy()
+    nonempty = np.diff(g.csr[0]) > 0
+    want = np.ones(g.n)
+    with np.errstate(all="ignore"):
+        want[nonempty] = np.multiply.reduceat(1.0 - p[g.csr[1]], g.csr[0][:-1][nonempty])
+        got = op.complement_prod(p, np.empty(g.n))
+    assert same_bits(p, kept)
+    assert same_bits(got, want)
+    assert same_bits(op.weighted_sum(p, np.empty(g.n)), _csr_weighted_sum(layout, op, p))
+    assert same_bits(p, kept)
 
 
 # ---------------------------------------------------------------------------

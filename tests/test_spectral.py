@@ -1,4 +1,8 @@
 """Spectral machinery: power iteration, system matrix, survivability score."""
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -112,6 +116,48 @@ class TestPowerIteration:
         assert exc.value.iterations == 2000
         assert exc.value.residual == pytest.approx(1.5, abs=1e-12)
         assert "did not converge" in str(exc.value)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 9999, 10_000])
+    def test_dot_is_one_blas_call_up_to_the_chunk(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n) * 1e3
+        got = spectral._dot(a, b)
+        assert got.hex() == float(a.dot(b)).hex() == float(a @ b).hex()
+        assert spectral._dot(a, a).hex() == float(a.dot(a)).hex()
+        assert np.sqrt(spectral._dot(a, a)) == np.linalg.norm(a)
+
+    def test_dot_adds_chunks_in_order_above_the_chunk(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.standard_normal(25_001), rng.standard_normal(25_001)
+        want = float(a[:10_000].dot(b[:10_000]))
+        want += float(a[10_000:20_000].dot(b[10_000:20_000]))
+        want += float(a[20_000:].dot(b[20_000:]))
+        assert spectral._dot(a, b).hex() == want.hex()
+
+
+# OpenBLAS threads a dot product of more than 10^4 values, and a score on
+# 2 * 10^4 nodes differed in its last bits between 1 and 2 threads before
+# power iteration capped its BLAS calls at 10^4 values.
+_THREAD_SNIPPET = """
+from netspread.graphs import gen_powerlaw
+from netspread.meanfield import LinkProbs, NodeParams
+from netspread.spectral import survivability_score
+g = gen_powerlaw(20_000, 3, 7)
+res = survivability_score(g, LinkProbs.homogeneous(g, 0.02),
+                          NodeParams.homogeneous(g.n, r=1.0, delta=0.05, gamma=0.3))
+print(res.score.hex(), res.residual.hex(), res.iterations)
+"""
+
+
+def test_score_bits_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SNIPPET], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
