@@ -13,12 +13,10 @@ same edge set in any process.
 
 :func:`gen_powerlaw` draws as one ``rng.integers(0, high_t)`` call per
 attachment attempt would, over the ``high_t = m(m+1) + 2m(t - m - 1)``
-degree units before node ``t``.  Nodes below ``_ARRAY_FROM_NODE`` (a
-measured constant) draw one attempt at a time from a list of the units; the
-rest are drawn a segment of up to ``_WORD_BATCH`` words at a time as arrays,
-which read a unit's node off its position instead of a list, and hand the
-rare node whose words might be rejected, or whose candidates repeat, back
-to the per-attempt loop.
+degree units before node ``t``.  Nodes are drawn a segment at a time, as
+arrays, which read a unit's node off its position instead of a list; the
+rare node whose words might be rejected, or whose candidates repeat, is
+drawn one attempt at a time.
 """
 from __future__ import annotations
 
@@ -285,15 +283,6 @@ def gen_binomial(n: int, p: float, seed: int | np.random.Generator) -> Graph:
 # 10^5-node graph.
 _WORD_BATCH = 4096
 _LOW32 = 0xFFFFFFFF
-# Nodes below this join a power-law graph through the per-attempt loop, the
-# rest a segment of up to _WORD_BATCH words at a time, as arrays (see
-# _attach_segments).  A measured constant, not a setting: early nodes often
-# repeat a candidate, and each repeat ends a segment, so starting segments at
-# node 250 / 500 / 1000 / 2000 / 5000 built gen_powerlaw(5000, 3, 7) in
-# 13.6 / 7.7 / 7.9 / 6.2 / 7.1 ms and gen_powerlaw(10**5, 3, 7) in
-# 123 / 95 / 92 / 93 / 91 ms (best of 15 and of 5, 2-vCPU box).  Graphs of at
-# most 2000 nodes, the figures' among them, draw through the loop alone.
-_ARRAY_FROM_NODE = 2000
 
 
 def _word_index(x: int, high: int, next_word) -> int:
@@ -327,47 +316,12 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
 
     Before node ``t`` there are ``high_t = m(m+1) + 2m(t - m - 1)`` degree
     units, in order: ``m`` for each seed node, then per later node its ``m``
-    targets and ``m`` units of its own.  Nodes below ``_ARRAY_FROM_NODE``
-    draw through a list of the units, one attempt at a time; later nodes are
-    drawn a segment at a time (see :func:`_attach_segments`).
+    targets and ``m`` units of its own.  The nodes are drawn a segment at a
+    time (see :func:`_attach_segments`).
     """
     _check_int("attachment count m", m, 1)
     _check_int("n", n, m + 1)
-    rng = np.random.default_rng(seed)
-    first = max(m + 1, min(n, _ARRAY_FROM_NODE))
-    # One entry per unit of degree; sampling an entry uniformly realises
-    # degree-proportional selection.
-    repeated: list[int] = [u for u in range(m + 1) for _ in range(m)]
-    attached: list[int] = []  # m targets per new node, in node order
-    targets: list[int] = []
-
-    def words():
-        # Every attempt still to come before node `first` takes at least one
-        # word, so a batch never outruns the words those nodes consume.
-        while True:
-            left = m * (first - m - 1) - len(attached) - len(targets)
-            yield from rng.integers(0, 1 << 32, size=min(left, _WORD_BATCH),
-                                    dtype=np.uint32).tolist()
-
-    next_word = words().__next__
-    for new in range(m + 1, first):
-        # m(m + 1) <= high < 2mn: at least 2, and 2**32 would take a list of
-        # over 4 * 10^9 entries, so numpy's two special cases, high = 1 (no
-        # word drawn) and high = 2**32 (the word itself), never arise.
-        high = len(repeated)
-        targets = []
-        while len(targets) < m:
-            x = next_word() * high
-            # _word_index's first test, inlined: nearly every draw ends here.
-            cand = repeated[x >> 32 if x & _LOW32 >= high else _word_index(x, high, next_word)]
-            if cand not in targets:
-                targets.append(cand)
-        attached.extend(targets)
-        repeated.extend(targets)
-        repeated.extend([new] * m)
-    del repeated  # so that the CSR build does not stack on it
-    attached = (np.array(attached, dtype=np.int64) if first == n
-                else _attach_segments(rng, attached, first, n, m))
+    attached = _attach_segments(np.random.default_rng(seed), n, m)
     seed_u, seed_v = np.triu_indices(m + 1, k=1)
     edges = np.column_stack((
         np.concatenate((seed_u, attached)),
@@ -377,9 +331,9 @@ def gen_powerlaw(n: int, m: int, seed: int | np.random.Generator) -> Graph:
     return Graph(n=n, edges=edges)
 
 
-def _attach_segments(rng, early: list[int], new: int, n: int, m: int) -> np.ndarray:
-    """The targets of all nodes, given ``early``, those of the nodes below
-    ``new``, drawn as :func:`gen_powerlaw` draws them.
+def _attach_segments(rng, n: int, m: int) -> np.ndarray:
+    """The ``m`` targets of each node from ``m + 1`` on, in node order,
+    drawn as :func:`gen_powerlaw` draws them.
 
     Unit ``p`` is node ``p // m`` for ``p < m(m+1)``; otherwise, with
     ``b, o = divmod(p - m(m+1), 2m)``, it is node ``m + 1 + b`` for
@@ -389,16 +343,18 @@ def _attach_segments(rng, early: list[int], new: int, n: int, m: int) -> np.ndar
     is a pointer to an earlier slot, resolved by pointer jumping.  The first
     node whose words could be rejected (a low half below ``high``) or whose
     candidates repeat ends the segment; the nodes before it are kept, and
-    it is drawn by the per-attempt loop.
+    it is drawn by :func:`_attach_one`.  A segment holds no more nodes than
+    came before it: early nodes often repeat a candidate, and the rest of a
+    long segment cut short there would be drawn for nothing.
     """
     base = m * (m + 1)
     attached = np.empty(m * (n - m - 1), dtype=np.int64)
-    attached[:len(early)] = early
     stock = np.empty(0, dtype=np.uint32)  # words fetched, not yet consumed
+    new = m + 1
     while new < n:
         # Each node takes at least m words, so a segment's fetch is no longer
         # than the attempts still to come.
-        nodes = min(n - new, max(1, _WORD_BATCH // m))
+        nodes = min(n - new, max(1, _WORD_BATCH // m), new)
         if len(stock) < nodes * m:
             stock = np.concatenate((stock, rng.integers(
                 0, 1 << 32, size=nodes * m - len(stock), dtype=np.uint32)))
@@ -433,8 +389,8 @@ def _attach_segments(rng, early: list[int], new: int, n: int, m: int) -> np.ndar
 
 
 def _attach_one(rng, attached: np.ndarray, stock: np.ndarray, new: int, m: int) -> np.ndarray:
-    """Draw node ``new``'s targets into ``attached`` with the per-attempt
-    loop, taking words from ``stock`` first; return the words left."""
+    """Draw node ``new``'s targets into ``attached`` one attempt at a time,
+    taking words from ``stock`` first; return the words left."""
     base, high, at = m * (m + 1), m * (m + 1) + 2 * m * (new - m - 1), 0
     targets: list[int] = []
 

@@ -248,8 +248,8 @@ class _Update:
 
     What does not change between steps is computed here, once: the row
     operator, weighted by the products ``r_j * beta_ji`` of
-    :func:`_transmission` (per source node when each product depends only on
-    its source ``j``, as for homogeneous ``beta``; see
+    :func:`_transmission` (one 0-d weight when all have one bit pattern, as
+    with homogeneous ``r`` and ``beta``; see
     :meth:`~netspread.rowops.RowOperator.weigh`), and the coefficients
     ``delta``, ``gamma``, ``nu``, ``chi``, ``1 - delta``, ``1 - nu`` and
     ``1 - chi - delta``.  A coefficient whose entries all have the same bits

@@ -61,6 +61,7 @@ import numpy as np
 
 from .graphs import Graph, _check_int
 from .meanfield import LinkProbs, NodeParams, _check_inputs
+from .rowops import _coefficient
 from .trajectory import Trajectory
 
 __all__ = [
@@ -148,12 +149,12 @@ class _Step:
     The preparation checks the inputs, keeps what does not change between
     steps and allocates one row ``u`` of ``n`` draws, which every per-node
     phase fills in turn, and one boolean and one ``int8`` row for packing
-    their comparisons.  When every link carries the same probability
-    (compared by value, once), ``beta`` is that value: ``u < beta`` gives
-    the same bits as comparing with an equal entry.  It also sorts the
-    broadcast and the transmission into decided (:func:`_decided`) and
-    drawn, and lists phases 2-5 in ``phases``: ``None`` for a decided phase,
-    ``(threshold, bit)`` for a drawn one.
+    their comparisons.  When every link's probability has the same bits
+    (see :func:`~netspread.rowops._coefficient`), ``beta`` is that one 0-d
+    value: ``u < beta`` gives the same bits as comparing with an equal
+    entry.  It also sorts the broadcast and the transmission into decided
+    (:func:`_decided`) and drawn, and lists phases 2-5 in ``phases``:
+    ``None`` for a decided phase, ``(threshold, bit)`` for a drawn one.
 
     A step packs each node's snapshot state and what its draws decided
     (received, accept, die, revive, revert) into a 7-bit code in ``states``
@@ -169,11 +170,8 @@ class _Step:
         self.indptr, self.indices = graph.csr
         self.degrees = graph.degrees
         self.r = params.r
-        values = links.in_values  # a permutation of out_values
-        if values.size and np.all(values == values[0]):
-            self.beta = values[0]
-        else:
-            self.beta = links.out_values
+        beta = _coefficient(links.in_values)  # a permutation of out_values
+        self.beta = beta if beta.ndim == 0 else links.out_values
         self.broadcast = _decided(self.r)
         self.transmit = _decided(self.beta)
         thresholds = (params.nu, params.delta, params.gamma, params.chi)

@@ -18,15 +18,14 @@ row buffer they fill, so that a product slices nothing.
 Both callers weight entry ``k`` by a fixed ``weights[k]`` before they
 reduce: the matvec sums ``weights * v[column]``, ``zeta`` multiplies
 ``1 - weights * p[column]``.  :meth:`RowOperator.weigh` fixes the weights
-once.  When every weight is, bit for bit, a function of its column (the
-source node), as ``r_j * beta_ji`` is for homogeneous link probabilities
-whatever ``r``, and the system matrix's entries are when the gains are
-homogeneous too, the operator keeps one weight ``f`` per node, scales ``v``
-on ``n`` values and gathers ``f * v``: ``fl(f_j * v_j)`` rounds the same
-two operands as ``fl(weights[k] * v_j)``, and ``1 - x`` is elementwise, so
-the bits are those of the per-entry product, which other weights keep.
-Weights that all have one bit pattern (homogeneous rates, whatever the
-graph) are one 0-d node weight, which numpy applies faster than an array.
+once, in one of two forms.  Weights that all have one bit pattern
+(homogeneous rates, whatever the graph: every figure, every CLI run and the
+``A + I`` of the adjacency radius) are one 0-d weight ``f``: the operator
+scales ``v`` on ``n`` values and gathers ``f * v``, since ``fl(f * v_j)``
+rounds the same two operands as ``fl(weights[k] * v_j)`` and ``1 - x`` is
+elementwise, and numpy applies a 0-d operand faster than an array.  Any
+other weights are kept one per entry, and a product gathers ``v`` and
+scales each entry.
 
 The layout is bucket-major and column-major.  Rows of equal in-degree ``d``
 form a bucket when there are at least ``_MIN_BUCKET_ROWS`` of them and
@@ -208,8 +207,7 @@ class RowOperator:
 
     After :meth:`weigh`, :meth:`weighted_sum` and :meth:`complement_prod`
     fill the buffer with weighted entries and reduce it through the plan.
-    ``node_weights`` holds one weight per node when every entry's weight is
-    its column's (the per-node path), a 0-d array when all weights have one
+    ``node_weights`` is the one 0-d weight of every entry when all have one
     bit pattern, and ``weights`` the weights of the entries otherwise; the
     other is None.
     """
@@ -239,22 +237,12 @@ class RowOperator:
         self._direct = len(self._plan) == 1 and not len(layout.empty_rows)
 
     def weigh(self, weights: np.ndarray) -> None:
-        """Fix the weights of the entries, in layout order.  Weights of one
-        bit pattern become one 0-d node weight.  Otherwise they are
-        scattered by column into one value per node and gathered back; when
-        the int64 bit patterns match, the operator keeps the node weights,
-        otherwise ``weights`` itself.  Node weights come with a buffer of
-        ``n`` values for the scaled vector.  Uses the CSR-sized buffer as
-        scratch."""
+        """Fix the weights of the entries, in layout order: one 0-d node
+        weight, with a buffer of ``n`` values for the scaled vector, when
+        all have one bit pattern, otherwise ``weights`` itself."""
         node = _coefficient(weights)
-        if node.ndim:
-            node = np.zeros(self.layout.n)
-            node[self.columns] = weights
-            back = node.take(self.columns, out=self.buffer, mode="clip")
-            if not np.array_equal(back.view(np.int64), weights.view(np.int64)):
-                node = None
-        self.weights, self.node_weights = (weights, None) if node is None else (None, node)
-        self.scaled = None if node is None else np.empty(self.layout.n)
+        self.weights, self.node_weights = (None, node) if node.ndim == 0 else (weights, None)
+        self.scaled = None if self.weights is not None else np.empty(self.layout.n)
 
     def weighted_sum(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-row sums of ``weights * v[columns]``: the off-diagonal part of
@@ -269,8 +257,8 @@ class RowOperator:
 
     def _terms(self, v: np.ndarray, complement: bool) -> None:
         """``weights * v[columns]``, or ``1 -`` that, into the buffer: scaled
-        per node and gathered, or gathered and scaled per entry.  Columns
-        lie in ``[0, n)``, so ``"clip"`` clips nothing; the default
+        by the 0-d weight and gathered, or gathered and scaled per entry.
+        Columns lie in ``[0, n)``, so ``"clip"`` clips nothing; the default
         ``"raise"`` would copy through a second buffer."""
         if self.node_weights is not None:
             terms = np.multiply(self.node_weights, v, out=self.scaled)

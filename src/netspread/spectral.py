@@ -26,17 +26,16 @@ A :class:`SystemMatrix` is prepared once per solve: its off-diagonal entries
 are the mean-field update's ``r_j * beta_ji`` (``meanfield._transmission``,
 in the graph's degree-bucketed row layout) times the gains, and they are the
 weights of its row operator (see :mod:`netspread.rowops`, which also gives
-the summation-tree argument).  When each entry depends only on its column,
-as for homogeneous ``beta`` with homogeneous gains, whatever ``r``, and for
-the ``A + I`` of the adjacency radius, a product scales ``v`` per node and
-gathers the scaled values into the operator's buffer; otherwise it gathers
-``v`` and scales each entry.  Either way it takes the row sums with the
-operator, which land in the matrix's own row-sum buffer, so a product
-allocates no array of ``n`` values.  A diagonal or node weights whose
-entries all have one bit pattern (homogeneous parameters; the ``A + I`` of
-the adjacency radius) are one 0-d float64.  Power iteration keeps ``v``,
-``w`` and the residual in buffers of its own, and computes the residual
-only on iterations whose eigenvalue estimates already agree to ``TOL``.
+the summation-tree argument).  When all entries have one bit pattern, as
+for homogeneous parameters and for the ``A + I`` of the adjacency radius,
+they are one 0-d weight: a product scales ``v`` by it and gathers the scaled
+values into the operator's buffer; otherwise it gathers ``v`` and scales
+each entry.  Either way it takes the row sums with the operator, which land
+in the matrix's own row-sum buffer, so a product allocates no array of
+``n`` values.  A diagonal whose entries all have one bit pattern is one 0-d
+float64 too.  Power iteration keeps ``v``, ``w`` and the residual in
+buffers of its own, and computes the residual only on iterations whose
+eigenvalue estimates already agree to ``TOL``.
 
 Its dot products are the only BLAS calls, each on at most ``_DOT_CHUNK =
 10^4`` values: OpenBLAS splits a longer ``ddot`` over its threads, and the
@@ -144,10 +143,9 @@ class SystemMatrix:
 
     The entry at layout position ``k`` sits in column ``rows.columns[k]`` of
     the row that :meth:`~netspread.rowops.RowLayout.spread` repeats at
-    position ``k``; its value is ``rows.weights[k]``, or on the per-node
-    path ``rows.node_weights[rows.columns[k]]`` (``rows.node_weights``
-    itself when it is 0-d).  Products reuse the operator's buffers, so a
-    matrix serves one thread at a time.
+    position ``k``; its value is ``rows.weights[k]``, or the 0-d
+    ``rows.node_weights`` when the entries have one bit pattern.  Products
+    reuse the operator's buffers, so a matrix serves one thread at a time.
     """
 
     n: int

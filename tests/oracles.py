@@ -197,9 +197,8 @@ def dense_system_matrix(g: Graph, beta_of, params) -> np.ndarray:
 def system_matrix_to_dense(s) -> np.ndarray:
     """Dense copy of a :class:`netspread.spectral.SystemMatrix`, entry by
     entry: layout position ``k`` is row ``spread(arange(n))[k]``, column
-    ``columns[k]``, value ``weights[k]`` or, on the per-node path,
-    ``node_weights[columns[k]]``.  A 0-d ``diag`` or ``node_weights`` holds
-    the value of every node."""
+    ``columns[k]``, value ``weights[k]`` or the 0-d ``node_weights``.  A
+    0-d ``diag`` holds the value of every node."""
     dense = np.diag(np.broadcast_to(s.diag, s.n).astype(float))
     op = s.rows
     node_weights = None if op.node_weights is None else np.broadcast_to(op.node_weights, s.n)

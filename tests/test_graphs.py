@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netspread.graphs import (
-    _ARRAY_FROM_NODE,
     _PAIR_CHUNK,
     _WORD_BATCH,
     _word_index,
@@ -176,12 +175,17 @@ class TestPowerlaw:
     (300, 2, 5),
     (200, 6, 6),  # many duplicate candidates while the graph is small
     (_WORD_BATCH + 40, 1, 7),  # the words span two batches
-    # Past the per-attempt loop: several segments of array draws, each cut
-    # short wherever a node repeats a candidate or meets a word that might
-    # be rejected.
-    (_ARRAY_FROM_NODE + 3 * _WORD_BATCH + 5, 1, 8),
-    (_ARRAY_FROM_NODE + 4 * (_WORD_BATCH // 3) + 7, 3, 9),
-    (_ARRAY_FROM_NODE + 5 * (_WORD_BATCH // 6) + 2, 6, 10),
+    # Many segments of array draws, each cut short wherever a node repeats
+    # a candidate or meets a word that might be rejected, and the later
+    # ones of the full _WORD_BATCH // m nodes.
+    (14293, 1, 8),
+    (7467, 3, 9),
+    (5412, 6, 10),
+    # Small graphs the workloads build: the figures' graph, the benchmark's
+    # warm-up graph and its greedy-isolation graph at seed 7.
+    (1000, 2, 42),
+    (200, 3, 0),
+    (5000, 3, 7),
 ])
 def test_powerlaw_matches_scalar_draws_and_leaves_the_same_generator_state(
         bit_generator, n, m, seed):

@@ -219,7 +219,7 @@ def test_graphs_have_buckets_and_tails():
 @pytest.mark.parametrize("kind", ["directed", "homogeneous_links", "homogeneous"])
 def test_scores_match_the_csr_power_iteration(name, kind):
     # Homogeneous links with per-node gains weigh each entry by its row; with
-    # homogeneous gains too, by its column alone (the per-node path).
+    # homogeneous gains too, every entry by one 0-d weight.
     g = GRAPHS[name]
     links = directed_links(g, 3) if kind == "directed" else LinkProbs.homogeneous(g, 0.1)
     params = random_params(g.n, 4)
@@ -284,7 +284,7 @@ def test_meanfield_run_matches_the_step_at_a_time_loop(model, directed):
 
 
 # ---------------------------------------------------------------------------
-# The per-node path: weights that depend on the column alone
+# The two weight forms: one 0-d value, or one per entry
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -311,32 +311,32 @@ def mixed_signed_zero_links(g: Graph) -> LinkProbs:
     return LinkProbs(g, values)
 
 
-# (links, params, per-node path of the matvec, per-node path of zeta)
+# (links, params, whether the matvec's and zeta's weights are one 0-d value)
 WEIGHT_CASES = {
     "homogeneous": lambda g, rng: (
         LinkProbs.homogeneous(g, float(rng.choice([0.0, 1.0, rng.random()]))),
         NodeParams.homogeneous(g.n, r=rng.random(), delta=rng.uniform(0.01, 1.0),
-                               gamma=rng.random()), True, True),
+                               gamma=rng.random()), True),
     "per_node_r": lambda g, rng: (
         LinkProbs.homogeneous(g, rng.random()),
         NodeParams(r=rng.random(g.n), delta=np.full(g.n, 0.4), gamma=np.full(g.n, 0.3),
-                   nu=np.ones(g.n), chi=np.zeros(g.n)), True, True),
+                   nu=np.ones(g.n), chi=np.zeros(g.n)), False),
     "per_node_gains": lambda g, rng: (
-        LinkProbs.homogeneous(g, rng.random()), random_params(g.n, rng), False, True),
+        LinkProbs.homogeneous(g, rng.random()), random_params(g.n, rng), False),
     # r * beta is +1.0 at every link: one 0-d node weight of 1.0.
     "unit": lambda g, rng: (
         LinkProbs.homogeneous(g, 1.0),
         NodeParams.homogeneous(g.n, r=1.0, delta=rng.uniform(0.01, 1.0), gamma=rng.random()),
-        True, True),
+        True),
     # Every weight is -0.0, whatever the gains.
     "negative_zero_beta": lambda g, rng: (
-        LinkProbs.homogeneous(g, -0.0), random_params(g.n, rng), True, True),
+        LinkProbs.homogeneous(g, -0.0), random_params(g.n, rng), True),
     "mixed_signed_zero_beta": lambda g, rng: (
         mixed_signed_zero_links(g),
-        NodeParams.homogeneous(g.n, r=0.5, delta=0.3, gamma=0.3), False, False),
+        NodeParams.homogeneous(g.n, r=0.5, delta=0.3, gamma=0.3), False),
     "directed": lambda g, rng: (
         directed_links(g, rng), NodeParams.homogeneous(g.n, r=0.5, delta=0.3, gamma=0.3),
-        False, False),
+        False),
 }
 
 
@@ -346,11 +346,13 @@ def test_weighted_products_match_the_csr_code(drawn, case):
     g, rng = drawn
     layout = g.row_layout
     assert layout.tail_start < layout.size
-    links, params, matvec_per_node, zeta_per_node = WEIGHT_CASES[case](g, rng)
+    links, params, zero_d = WEIGHT_CASES[case](g, rng)
     sm = build_system_matrix(g, links, params)
     update = _Update(links, params, 1.0, 0.0)
-    assert (sm.rows.node_weights is not None) == matvec_per_node
-    assert (update.rows.node_weights is not None) == zeta_per_node
+    for rows in (sm.rows, update.rows):
+        assert (rows.node_weights is not None) == zero_d
+        assert (rows.weights is None) == zero_d
+        assert zero_d or rows.weights.shape == (layout.size,)
     state = MfState(p=csr_values(rng, g.n), q=np.zeros(g.n), w=np.zeros(g.n))
     with np.errstate(all="ignore"):
         assert same_bits(sm.matvec(state.p, np.empty(g.n)), system_matrix_reference(
@@ -378,12 +380,12 @@ def test_homogeneous_inputs_give_0d_diagonal_and_node_weights():
     assert sm.diag.shape == () and sm.diag == 1.0 - 0.3
     assert sm.rows.node_weights.shape == () and sm.rows.weights is None
     assert _Update(links, params, 1.0, 0.0).rows.node_weights.shape == ()
-    # Per-node rates keep arrays: a per-node diagonal, and weights per node
-    # (r varies) or per entry (the gains vary by row).
+    # Per-node rates keep arrays: a per-node diagonal, and weights per entry.
     varied = random_params(g.n, 4)
     sm = build_system_matrix(g, links, varied)
     assert sm.diag.shape == (g.n,) and sm.rows.node_weights is None
-    assert _Update(links, varied, 1.0, 0.0).rows.node_weights.shape == (g.n,)
+    rows = _Update(links, varied, 1.0, 0.0).rows
+    assert rows.node_weights is None and rows.weights.shape == (g.row_layout.size,)
 
 
 def test_signed_zero_weights_are_two_values():
@@ -394,7 +396,7 @@ def test_signed_zero_weights_are_two_values():
     weights = np.zeros(layout.size)
     weights[layout.size // 2] = -0.0
     op.weigh(weights)
-    assert op.node_weights is None or op.node_weights.shape == (layout.n,)
+    assert op.node_weights is None and op.weights.shape == (layout.size,)
     v = np.random.default_rng(5).standard_normal(layout.n)
     assert same_bits(op.weighted_sum(v, np.empty(layout.n)), _csr_weighted_sum(layout, op, v))
 
