@@ -119,12 +119,9 @@ _SCORE_PARAMS = ("beta", "delta", "gamma", "r")
 
 def _score_inputs(args: argparse.Namespace):
     """The score's graph, links and node parameters, each in a network
-    model's range; an option the score does not read is a :class:`ConfigError`."""
-    params = _given(args, _PARAMS)
+    model's range."""
+    params = _given(args, _SCORE_PARAMS)
     for key, value in params.items():
-        if key not in _SCORE_PARAMS:
-            raise ConfigError(f"--{key}", f"{args.command} does not read this option; it "
-                              "reads " + ", ".join(f"--{k}" for k in _SCORE_PARAMS))
         _check_value(f"--{key}", value, "float", _PARAMS[key][0])
     return _point_inputs(_graph_spec(args).build(args.seed), params)
 
@@ -241,10 +238,10 @@ def _config_arguments(parser: argparse.ArgumentParser, command: str) -> None:
     a graph; one option for each params key its models read, in _PARAMS order,
     required when the key has no default; then its kind's run settings, unset
     so that RunSpec holds their defaults.  spectral and isolate read the
-    score's keys and take nu and chi, which _score_inputs refuses."""
+    score's keys alone."""
     models = _COMMAND_MODELS.get(command, {})
     readers = ({name: _MODELS[model][2] for name, model in models.items()}
-               or {"the score": _SCORE_PARAMS, "nothing; refused": ("nu", "chi")})
+               or {"the score": _SCORE_PARAMS})
     settings = _KINDS.get(command, ("graph",))
     if "graph" in settings:
         _graph_arguments(parser)

@@ -183,12 +183,16 @@ class GraphSpec:
         _check_fields(self, "graph")
         if self.family is not None and self.family not in _FAMILIES:
             raise ConfigError("graph.family", f"unknown family {self.family!r}")
-        # Every block may hold a seed, which the CLI always passes.
+        # Every block may hold a seed, which the CLI always passes; a family
+        # needs each other field it reads, checked after the unread ones.
         reads = _FAMILIES[self.family][1] if self.family else ("path",)
         for f in fields(self):
             if f.name not in ("family", "seed", *reads) and getattr(self, f.name) is not None:
                 source = f"family {self.family!r}" if self.family else "an edge-list path"
                 raise ConfigError(f"graph.{f.name}", f"{source} does not read this field")
+        needed = [name for name in reads if name != "seed"]
+        if any(getattr(self, name) is None for name in needed):
+            raise ConfigError("graph", f"{self.family} needs " + " and ".join(map(repr, needed)))
 
     def build(self, default_seed: int) -> Graph:
         """The graph of this spec; a generator's ``ValueError`` for an
@@ -196,10 +200,6 @@ class GraphSpec:
         if self.path is not None:
             return load_edge_list(self.path)
         generator, names = _FAMILIES[self.family]
-        needed = [name for name in names if name != "seed"]
-        if any(getattr(self, name) is None for name in needed):
-            raise ConfigError(
-                "graph", f"{self.family} needs " + " and ".join(map(repr, needed)))
         seed = self.seed if self.seed is not None else default_seed
         args = [seed if name == "seed" else getattr(self, name) for name in names]
         try:
@@ -244,6 +244,15 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         _check_fields(self, "run")
+
+
+def _block(spec, key: str, block):
+    """``spec(**block)`` for the config block ``key``; a ``TypeError`` (an
+    unknown key, or a block that is not an object) becomes a :class:`ConfigError`."""
+    try:
+        return spec(**block)
+    except TypeError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -327,12 +336,7 @@ class ExperimentConfig:
             raise ConfigError("config", f"unknown keys: {sorted(unknown)}")
         if "model" not in d:
             raise ConfigError("model", "missing")
-        graph = None
-        if d.get("graph") is not None:
-            try:
-                graph = GraphSpec(**d["graph"])
-            except TypeError as exc:
-                raise ConfigError("graph", str(exc)) from None
+        graph = None if d.get("graph") is None else _block(GraphSpec, "graph", d["graph"])
         sweep = None
         if d.get("sweep") is not None:
             try:
@@ -348,10 +352,7 @@ class ExperimentConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("sweep", f"malformed sweep block: {exc}") from None
             sweep = SweepSpec(parameters=parameters, increment=increment, count=count)
-        try:
-            run_spec = RunSpec(**d.get("run", {}))
-        except TypeError as exc:
-            raise ConfigError("run", str(exc)) from None
+        run_spec = _block(RunSpec, "run", d.get("run", {}))
         return cls(**{"params": {}, **d, "run": run_spec, "graph": graph, "sweep": sweep})
 
     @classmethod

@@ -117,9 +117,7 @@ class NodeParams:
         nu: float = 1.0,
         chi: float = 0.0,
     ) -> "NodeParams":
-        ones = np.ones(n)
-        return cls(r=r * ones, delta=delta * ones, gamma=gamma * ones,
-                   nu=nu * ones, chi=chi * ones)
+        return cls(r=np.full(n, r), delta=delta, gamma=gamma, nu=nu, chi=chi)
 
     @property
     def n(self) -> int:

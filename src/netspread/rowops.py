@@ -237,9 +237,10 @@ class RowOperator:
         self._direct = len(self._plan) == 1 and not len(layout.empty_rows)
 
     def weigh(self, weights: np.ndarray) -> None:
-        """Fix the weights of the entries, in layout order: one 0-d node
-        weight, with a buffer of ``n`` values for the scaled vector, when
-        all have one bit pattern, otherwise ``weights`` itself."""
+        """Fix the weights of the entries from one value per entry, in
+        layout order, or one 0-d value for all: one 0-d node weight, with a
+        buffer of ``n`` values for the scaled vector, when all have one bit
+        pattern, otherwise ``weights`` itself."""
         node = _coefficient(weights)
         self.weights, self.node_weights = (None, node) if node.ndim == 0 else (weights, None)
         self.scaled = None if self.weights is not None else np.empty(self.layout.n)

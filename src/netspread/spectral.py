@@ -9,7 +9,9 @@ whose dominant eigenvalue magnitude ``s = |lambda_1(S)|`` is the
 survivability score: ``s < 1`` guarantees the expected carrier count decays
 exponentially (fast extinction).  For homogeneous symmetric parameters the
 score has the closed form ``(1 - delta) + r * beta * gamma / (gamma + delta)
-* lambda_1(adjacency)``.
+* lambda_1(adjacency)``.  :func:`survivability_score` returns the solve of
+``S`` itself, as a :class:`SurvivabilityResult`: a :class:`SpectralResult`
+whose ``value`` is ``s`` and whose verdict is read off that value.
 
 Eigenvalues are estimated by power iteration with a deterministic start
 vector (normalised all-ones), to the tolerance ``TOL`` within ``MAX_ITER``
@@ -19,8 +21,9 @@ diagonal breaks the ``+/- lambda`` eigenvalue pairs that stall power
 iteration on bipartite adjacency structure.  With ``delta = 1`` at every
 node the diagonal is 0, and on a bipartite graph that is not regular (a
 star, say) the iteration stalls and raises :class:`PowerIterationError`.
-The helper for raw adjacency spectral radii iterates on ``A + I`` and shifts
-the estimate back, so it cannot stall this way.
+The helper for raw adjacency spectral radii iterates on ``A + I``, its
+entries one 0-d weight of 1, and shifts the estimate back, so it cannot
+stall this way.
 
 A :class:`SystemMatrix` is prepared once per solve: its off-diagonal entries
 are the mean-field update's ``r_j * beta_ji`` (``meanfield._transmission``,
@@ -52,7 +55,7 @@ iteration counts are those of summing each CSR row with numpy and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -110,20 +113,25 @@ class SpectralResult:
 
 
 @dataclass(frozen=True)
-class SurvivabilityResult:
-    """Survivability score with its threshold classification.
-
-    ``vector`` is the dominant eigenvector of the system matrix that the
-    score was computed from (unit norm, largest entry positive), and
-    ``iterations`` the power-iteration count of :class:`SpectralResult`.
+class SurvivabilityResult(SpectralResult):
+    """The :class:`SpectralResult` of the system matrix: ``value`` is the
+    survivability score ``s``, also read as ``score``, and ``vector`` the
+    dominant eigenvector it was computed from.  Its threshold classification
+    is read off ``value``: ``fast_extinction`` is ``s < 1``, and a score
+    within ``CRITICAL_BAND`` of 1 is ``critical`` (indeterminate in practice).
     """
 
-    score: float
-    fast_extinction: bool
-    critical: bool
-    residual: float
-    vector: np.ndarray
-    iterations: int
+    @property
+    def score(self) -> float:
+        return self.value
+
+    @property
+    def fast_extinction(self) -> bool:
+        return self.value < 1.0
+
+    @property
+    def critical(self) -> bool:
+        return abs(self.value - 1.0) <= CRITICAL_BAND
 
     @property
     def status(self) -> str:
@@ -276,33 +284,14 @@ def adjacency_spectral_radius(g: Graph) -> SpectralResult:
     matrices.
     """
     rows = RowOperator(g.row_layout)
-    rows.weigh(np.ones(g.row_layout.size))
-    shifted = SystemMatrix(n=g.n, diag=_ONE, rows=rows)
-    res = _solve(shifted)
-    return SpectralResult(
-        value=max(res.value - 1.0, 0.0),
-        vector=res.vector,
-        iterations=res.iterations,
-        residual=res.residual,
-    )
+    rows.weigh(_ONE)
+    res = _solve(SystemMatrix(n=g.n, diag=_ONE, rows=rows))
+    return replace(res, value=max(res.value - 1.0, 0.0))
 
 
 def survivability_score(
     g: Graph, links: LinkProbs, params: NodeParams
 ) -> SurvivabilityResult:
-    """Survivability score ``s = |lambda_1(S)|`` with its classification.
-
-    ``fast_extinction`` is ``s < 1``; scores within ``CRITICAL_BAND`` of 1
-    are additionally flagged critical (indeterminate in practice).
-    """
-    res = _solve(build_system_matrix(g, links, params))
-    score = res.value
-    return SurvivabilityResult(
-        score=score,
-        fast_extinction=score < 1.0,
-        critical=abs(score - 1.0) <= CRITICAL_BAND,
-        residual=res.residual,
-        vector=res.vector,
-        iterations=res.iterations,
-    )
-
+    """Survivability score ``s = |lambda_1(S)|``: the solve of the system
+    matrix, with its classification."""
+    return SurvivabilityResult(**vars(_solve(build_system_matrix(g, links, params))))

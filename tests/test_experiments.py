@@ -248,11 +248,24 @@ class TestConfigParsing:
         ({"family": "binomial", "n": 30, "p": 0.2, "m": 2}, "graph.m"),
         ({"family": "powerlaw", "n": 30, "m": 2, "lam": 0.5}, "graph.lam"),
         ({"family": "exponential", "n": 30, "lam": 0.5, "rows": 3}, "graph.rows"),
+        # An unread field is named before a missing one ('m' here).
+        ({"family": "powerlaw", "n": 30, "lam": 0.5}, "graph.lam"),
     ])
     def test_graph_fields_the_family_does_not_read_are_rejected(self, graph, field):
         with pytest.raises(ConfigError, match="does not read this field") as exc:
             ExperimentConfig.from_dict(meanfield_config(graph=graph))
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("graph,message", [
+        ({"family": "powerlaw", "n": 10}, "powerlaw needs 'n' and 'm'"),
+        ({"family": "lattice4", "cols": 4, "seed": 1}, "lattice4 needs 'rows' and 'cols'"),
+        ({"family": "binomial", "p": 0.2}, "binomial needs 'n' and 'p'"),
+    ], ids=["powerlaw", "lattice4", "binomial"])
+    def test_an_incomplete_graph_block_is_rejected_at_load(self, graph, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(meanfield_config(graph=graph))
+        assert exc.value.field == "graph"
+        assert str(exc.value) == f"graph: {message}"
 
     @pytest.mark.parametrize("config,field,message", [
         ([meanfield_config()], "config", "top level must be a JSON object"),
@@ -261,7 +274,10 @@ class TestConfigParsing:
          "unknown family 'smallworld'"),
         (meanfield_config(graph={"family": "binomial", "n": 30, "p": 0.2, "k": 4}), "graph",
          "unexpected keyword argument 'k'"),
-    ], ids=["not_an_object", "no_model", "unknown_family", "unknown_graph_key"])
+        (meanfield_config(graph=[1, 2]), "graph", "must be a mapping, not list"),
+        (meanfield_config(run=[1, 2]), "run", "must be a mapping, not list"),
+    ], ids=["not_an_object", "no_model", "unknown_family", "unknown_graph_key",
+            "graph_not_an_object", "run_not_an_object"])
     def test_malformed_configs_name_their_field(self, config, field, message):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(config)

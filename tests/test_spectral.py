@@ -1,4 +1,5 @@
 """Spectral machinery: power iteration, system matrix, survivability score."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -98,6 +99,16 @@ class TestPowerIteration:
         assert not np.array_equal(copies[0], copies[-1])
         np.testing.assert_array_equal(copies[0], np.full(2, 1.0 / np.sqrt(2.0)))
 
+    def test_a_negative_dominant_eigenvalue_orients_the_vector(self):
+        # The iterate converges to the -2 eigenvector with its large entry
+        # negative, so the returned vector is flipped.
+        m = np.diag([-2.0, 1.0])
+        res = power_iteration(lambda v: m @ v, 2)
+        assert res.value == 2.0
+        assert res.iterations == 35
+        assert res.vector[np.argmax(np.abs(res.vector))] > 0
+        assert res.vector[0] == 1.0
+
     def test_tolerance_and_budget_are_constants(self):
         assert TOL == 1e-10
         assert MAX_ITER == 100_000
@@ -182,6 +193,16 @@ class TestAdjacencySpectralRadius:
     def test_edgeless_graph(self):
         g = Graph.from_edges(4, [])
         assert adjacency_spectral_radius(g).value == 0.0
+
+    def test_edgeless_graph_keeps_its_bits(self):
+        # The one weight of A + I is 0-d whether or not the graph has
+        # entries.  The value is the rounding of the all-ones start; all
+        # four fields were recorded while an edgeless graph still took an
+        # empty per-entry weight array.
+        res = adjacency_spectral_radius(Graph.from_edges(5, []))
+        assert (res.value, res.iterations, res.residual) == (
+            2.220446049250313e-16, 1, 2.482534153247273e-16)
+        assert res.vector.tobytes() == bytes.fromhex("daedbfc5259fdc3f") * 5
 
     def test_cycle(self):
         edges = [(i, (i + 1) % 6) for i in range(6)]
@@ -327,6 +348,24 @@ class TestSurvivability:
         res = survivability_score(g, links, params)
         assert (res.score, res.iterations, res.residual) == (want[0], want[2], want[3])
         assert res.iterations > 1
+
+    @pytest.mark.parametrize("beta,delta", [(0.4, 0.65), (0.1, 0.9), (0.25, 0.5)],
+                             ids=["supercritical", "subcritical", "lattice_critical"])
+    def test_is_the_solve_of_the_system_matrix(self, beta, delta):
+        g = gen_powerlaw(300, 2, 3) if beta != 0.25 else gen_lattice4(4, 4)
+        links = LinkProbs.homogeneous(g, beta)
+        params = NodeParams.homogeneous(g.n, r=1.0, delta=delta, gamma=delta)
+        want = spectral._solve(build_system_matrix(g, links, params))
+        res = survivability_score(g, links, params)
+        assert isinstance(res, spectral.SpectralResult)
+        assert (res.value, res.iterations, res.residual) == (
+            want.value, want.iterations, want.residual)
+        assert res.vector.tobytes() == want.vector.tobytes()
+        assert res.score == res.value
+        assert res.fast_extinction is (res.value < 1.0)
+        assert res.critical is (abs(res.value - 1.0) <= CRITICAL_BAND)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 0.5
 
     def test_score_increases_with_broadcast_rate(self):
         g = gen_powerlaw(200, 2, 5)
